@@ -467,19 +467,29 @@ pub fn fsck(dir: &Path) -> CliResult<String> {
 /// front so scripts can connect to an ephemeral `:0` port. `slow-ms`
 /// overrides the slow-query-log threshold (0 logs every statement).
 pub fn serve(dir: &Path, addr: &str, slow_ms: Option<u64>) -> CliResult<String> {
-    use std::io::Write as _;
     let db = open(dir)?;
     let shared = tilestore_engine::SharedDatabase::new(db);
     let mut config = tilestore_server::ServerConfig::default();
     if let Some(ms) = slow_ms {
         config.slow_query_ms = ms;
     }
-    let handle =
-        tilestore_server::serve(shared, Some(dir.to_path_buf()), addr, config).map_err(err)?;
+    let handle = tilestore_server::serve(shared, Some(dir.to_path_buf()), addr, config);
+    run_until_shutdown(handle, "server stopped")
+}
+
+/// The tail of every serving command: announce the bound address (flushed,
+/// so a script waiting on an ephemeral `:0` port sees it at once), then
+/// block until a client's `shutdown` has drained and saved the endpoint.
+fn run_until_shutdown(
+    handle: std::io::Result<tilestore_server::ServerHandle>,
+    stopped: &str,
+) -> CliResult<String> {
+    use std::io::Write as _;
+    let handle = handle.map_err(err)?;
     println!("listening on {}", handle.addr());
     std::io::stdout().flush().ok();
     handle.join();
-    Ok("server stopped".to_string())
+    Ok(stopped.to_string())
 }
 
 /// `client <addr> <op> [args...]` — remote counterparts of the local
@@ -623,8 +633,6 @@ pub fn client(addr: &str, op: &str, args: &[String]) -> CliResult<String> {
             }
         }
         ("cluster", []) => {
-            // Served by `serve_cluster` endpoints; single servers have no
-            // cluster section in their health report.
             let report = c.health().map_err(err)?;
             match report.get("cluster") {
                 Some(cluster) => Ok(cluster.to_string_pretty()),
@@ -853,19 +861,14 @@ pub fn cluster_retile(
 /// `serve <addr>` on a cluster root: scatter-gather serving over the
 /// ordinary wire protocol, backed by the local shard databases.
 pub fn cluster_serve(dir: &Path, addr: &str) -> CliResult<String> {
-    use std::io::Write as _;
     let coord = open_cluster(dir)?;
     let handle = serve_cluster(
         Arc::new(coord),
         Some(dir.to_path_buf()),
         addr,
         ClusterConfig::default(),
-    )
-    .map_err(err)?;
-    println!("listening on {}", handle.addr());
-    std::io::stdout().flush().ok();
-    handle.join();
-    Ok("cluster server stopped".to_string())
+    );
+    run_until_shutdown(handle, "cluster server stopped")
 }
 
 /// `cluster-serve <addr> <shard-addr,...>` — coordinator over REMOTE shard
@@ -873,7 +876,6 @@ pub fn cluster_serve(dir: &Path, addr: &str) -> CliResult<String> {
 /// address is an ordinary `tilestore serve` instance holding that shard's
 /// sub-domain.
 pub fn cluster_serve_remote(dir: &Path, addr: &str, shard_addrs: &str) -> CliResult<String> {
-    use std::io::Write as _;
     let manifest = ClusterManifest::load(dir).map_err(err)?;
     let addrs: Vec<&str> = shard_addrs.split(',').filter(|a| !a.is_empty()).collect();
     if addrs.len() != manifest.map.shards() {
@@ -889,12 +891,8 @@ pub fn cluster_serve_remote(dir: &Path, addr: &str, shard_addrs: &str) -> CliRes
         .collect();
     let coord =
         Coordinator::new(manifest.map, backends, Arc::new(ThreadPool::new(2))).map_err(err)?;
-    let handle =
-        serve_cluster(Arc::new(coord), None, addr, ClusterConfig::default()).map_err(err)?;
-    println!("listening on {}", handle.addr());
-    std::io::stdout().flush().ok();
-    handle.join();
-    Ok("cluster server stopped".to_string())
+    let handle = serve_cluster(Arc::new(coord), None, addr, ClusterConfig::default());
+    run_until_shutdown(handle, "cluster server stopped")
 }
 
 #[cfg(test)]

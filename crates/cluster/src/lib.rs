@@ -21,9 +21,13 @@
 //!   reached over the existing wire protocol with connection reuse,
 //!   inherited deadlines, and typed `shard_unavailable` failures naming
 //!   the broken shard — phase 2).
-//! * **Serving**: [`serve_cluster`] exposes the coordinator behind the
-//!   same wire protocol as a single server, so rasql clients need not know
-//!   the store is sharded.
+//! * **Serving**: [`Coordinator`] implements `tilestore-server`'s
+//!   [`Service`](tilestore_server::Service) trait, so [`serve_cluster`] is
+//!   a thin wrapper over the one serving core: the same accept loop,
+//!   admission and deadline path, request ids, `"trace": true`, `metrics`
+//!   and slow log as a single server, and rasql clients need not know the
+//!   store is sharded. The coordinator adds `shard_epochs` and the
+//!   `cluster` op.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -40,5 +44,7 @@ pub use coordinator::{
     ShardEpoch, ShardPlan,
 };
 pub use error::{ClusterError, Result};
-pub use serve::{serve_cluster, ClusterConfig, ClusterHandle};
+pub use serve::serve_cluster;
 pub use shard_map::{ClusterManifest, ShardMap, MANIFEST_FILE};
+/// A cluster endpoint's tuning knobs and handle are the serving core's.
+pub use tilestore_server::{ServerConfig as ClusterConfig, ServerHandle as ClusterHandle};

@@ -1,121 +1,29 @@
-//! The cluster serve endpoint: the same wire protocol, answered by a
-//! [`Coordinator`] instead of a single engine.
-//!
-//! Clients are oblivious to sharding: `query`, `insert`, `retile`, `info`,
-//! `stats`, `health` and `shutdown` behave like a single server's. Query
-//! responses additionally carry `shard_epochs` — the agreed per-shard epoch
-//! set of the scatter — and a new `cluster` op reports the shard map and
-//! member health. Requests are handled inline on the connection thread: the
-//! coordinator already scatters across shards on its own pool, so a second
-//! dispatch hop would only add latency.
+//! The cluster serve endpoint: a [`Coordinator`] as a [`Service`] backend of
+//! the one serving core in `tilestore-server`, so clients are oblivious to
+//! sharding and get a single server's ops plane. Query responses also carry
+//! `shard_epochs`, the agreed per-shard epoch set of the scatter, and a
+//! `cluster` op reports the shard map and member health.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tilestore_engine::Array;
-use tilestore_geometry::Domain;
-use tilestore_server::wire::{
-    err_response, hex_decode, ok_response, value_to_json, with_epoch, write_frame, ErrorCode,
-    MAX_FRAME,
+use tilestore_rasql::QueryError;
+use tilestore_server::wire::{value_to_json, with_epoch, with_field, ErrorCode};
+use tilestore_server::{
+    serve_backend, Answer, Call, ServerConfig, ServerHandle, Service, ServiceError, ServiceResult,
+    Serving,
 };
 use tilestore_storage::PageStore;
 use tilestore_testkit::{Json, ToJson};
 
-use crate::coordinator::{epochs_json, ClusterStatement, Coordinator};
+use crate::coordinator::{epochs_json, ClusterStatement, ClusterWrite, Coordinator};
 use crate::error::ClusterError;
 
-/// Shutdown-flag poll interval for blocked reads and the accept loop.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Tuning knobs of a cluster endpoint.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Maximum concurrently executing requests; the next is refused `busy`.
-    pub max_inflight: usize,
-    /// Deadline applied to requests that carry none, in milliseconds
-    /// (0 = no default deadline). Inherited by every remote shard request.
-    pub default_deadline_ms: u64,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            max_inflight: 64,
-            default_deadline_ms: 30_000,
-        }
-    }
-}
-
-/// Handle to a running cluster endpoint: bound address plus shutdown.
-pub struct ClusterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ClusterHandle {
-    /// The address the listener actually bound (resolves `:0` requests).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Signals shutdown without waiting for the drain.
-    pub fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for the endpoint to exit (drain + local shard save).
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Graceful shutdown: stop accepting, drain, save local shards.
-    pub fn shutdown(self) {
-        self.trigger_shutdown();
-        self.join();
-    }
-}
-
-impl Drop for ClusterHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-struct ServeCtx<S: PageStore> {
-    coord: Arc<Coordinator<S>>,
-    root: Option<Arc<PathBuf>>,
-    shutdown: Arc<AtomicBool>,
-    inflight: Arc<AtomicUsize>,
-    config: ClusterConfig,
-}
-
-impl<S: PageStore> Clone for ServeCtx<S> {
-    fn clone(&self) -> Self {
-        ServeCtx {
-            coord: Arc::clone(&self.coord),
-            root: self.root.clone(),
-            shutdown: Arc::clone(&self.shutdown),
-            inflight: Arc::clone(&self.inflight),
-            config: self.config.clone(),
-        }
-    }
-}
-
 /// Serves `coord` on `addr` (e.g. `"127.0.0.1:0"`). `root` is the cluster
-/// directory for the final local-shard save; pass `None` for in-memory
-/// shards.
+/// directory for the final local-shard save; pass `None` for in-memory or
+/// remote shards. `config.workers` is unused: the coordinator scatters on
+/// the pool it was built with.
 ///
 /// # Errors
 /// Socket bind/configuration errors.
@@ -123,308 +31,99 @@ pub fn serve_cluster<S: PageStore + 'static>(
     coord: Arc<Coordinator<S>>,
     root: Option<PathBuf>,
     addr: &str,
-    config: ClusterConfig,
-) -> std::io::Result<ClusterHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let ctx = ServeCtx {
-        coord,
-        root: root.map(Arc::new),
-        shutdown: Arc::clone(&shutdown),
-        inflight: Arc::new(AtomicUsize::new(0)),
-        config,
-    };
-    let thread = std::thread::Builder::new()
-        .name("tilestore-cluster-accept".to_string())
-        .spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !ctx.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let ctx = ctx.clone();
-                        if let Ok(h) = std::thread::Builder::new()
-                            .name("tilestore-cluster-conn".to_string())
-                            .spawn(move || connection_loop(stream, &ctx))
-                        {
-                            conns.push(h);
-                        }
-                        conns.retain(|h| !h.is_finished());
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => std::thread::sleep(POLL_INTERVAL),
-                }
-            }
-            for h in conns {
-                let _ = h.join();
-            }
-            if let Some(root) = &ctx.root {
-                let _ = ctx.coord.save_local(root.as_path());
-            }
-        })?;
-    Ok(ClusterHandle {
-        addr: local,
-        shutdown,
-        thread: Some(thread),
-    })
+    config: ServerConfig,
+) -> std::io::Result<ServerHandle> {
+    serve_backend(coord, root, addr, &config)
 }
 
-/// Reads one frame, polling the shutdown flag between read timeouts.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) && filled == 0 {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < len {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
-}
-
-fn connection_loop<S: PageStore + 'static>(mut stream: TcpStream, ctx: &ServeCtx<S>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        let frame = match read_frame_interruptible(&mut stream, &ctx.shutdown) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => return,
+/// Maps a cluster failure to its wire error class.
+impl From<ClusterError> for ServiceError {
+    fn from(e: ClusterError) -> Self {
+        let code = match &e {
+            ClusterError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
+            ClusterError::Deadline { .. } => ErrorCode::Deadline,
+            ClusterError::Query(QueryError::Engine(_)) => ErrorCode::Engine,
+            ClusterError::Remote { .. } | ClusterError::Io(_) => ErrorCode::Engine,
+            ClusterError::Query(_) => ErrorCode::BadRequest,
+            ClusterError::Config(_) | ClusterError::Unsupported { .. } => ErrorCode::BadRequest,
         };
-        let response = match std::str::from_utf8(&frame)
-            .map_err(|e| e.to_string())
-            .and_then(|s| Json::parse(s).map_err(|e| e.to_string()))
-        {
-            Ok(req) => dispatch(ctx, &req),
-            Err(e) => err_response(0, ErrorCode::BadRequest, &format!("malformed frame: {e}")),
-        };
-        if write_frame(&mut stream, response.to_string_compact().as_bytes()).is_err() {
-            return;
-        }
+        ServiceError::new(code, e.to_string())
     }
 }
 
-/// Maps a cluster failure to a wire error response.
-fn cluster_err(id: u64, e: &ClusterError) -> Json {
-    let code = match e {
-        ClusterError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
-        ClusterError::Deadline { .. } => ErrorCode::Deadline,
-        ClusterError::Config(_) | ClusterError::Unsupported { .. } => ErrorCode::BadRequest,
-        ClusterError::Query(q) => match q {
-            tilestore_rasql::QueryError::Engine(_) => ErrorCode::Engine,
-            _ => ErrorCode::BadRequest,
-        },
-        ClusterError::Remote { .. } | ClusterError::Io(_) => ErrorCode::Engine,
-    };
-    err_response(id, code, &e.to_string())
+/// A write receipt as a response: merged counters at the newest shard epoch.
+fn write_result<T>(write: &ClusterWrite<T>, merged: &impl ToJson) -> Json {
+    let epoch = write.per_shard.iter().map(|(_, e, _)| *e).max();
+    with_epoch(merged.to_json(), epoch.unwrap_or(0))
 }
 
-fn dispatch<S: PageStore + 'static>(ctx: &ServeCtx<S>, req: &Json) -> Json {
-    let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let Some(op) = req.get("op").and_then(Json::as_str) else {
-        return err_response(id, ErrorCode::BadRequest, "missing op");
-    };
-    if op == "shutdown" {
-        ctx.shutdown.store(true, Ordering::SeqCst);
-        return ok_response(id, Json::Str("shutting down".to_string()));
-    }
-    if ctx.shutdown.load(Ordering::SeqCst) {
-        return err_response(id, ErrorCode::Shutdown, "cluster is shutting down");
-    }
-    let cur = ctx.inflight.fetch_add(1, Ordering::SeqCst);
-    if cur >= ctx.config.max_inflight {
-        ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-        return err_response(
-            id,
-            ErrorCode::Busy,
-            &format!(
-                "{cur} requests in flight (limit {})",
-                ctx.config.max_inflight
-            ),
-        );
-    }
-    let deadline_ms = req
-        .get("deadline_ms")
-        .and_then(Json::as_u64)
-        .unwrap_or(ctx.config.default_deadline_ms);
-    let deadline = (deadline_ms > 0).then_some(deadline_ms);
-    let response = handle(ctx, id, op, req, deadline);
-    ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-    response
-}
+impl<S: PageStore + 'static> Service for Coordinator<S> {
+    type Session = ();
 
-fn handle<S: PageStore + 'static>(
-    ctx: &ServeCtx<S>,
-    id: u64,
-    op: &str,
-    req: &Json,
-    deadline_ms: Option<u64>,
-) -> Json {
-    match op {
-        "ping" => ok_response(id, Json::Str("pong".to_string())),
-        "query" => {
-            let Some(q) = req.get("q").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "query needs a `q` string");
-            };
-            match ctx.coord.execute_with(q, deadline_ms) {
-                Ok(ClusterStatement::Value(v)) => {
-                    let epoch = v.epochs.iter().map(|e| e.epoch).max().unwrap_or(0);
-                    let mut json = value_to_json(&v.value, &v.stats, epoch);
-                    if let Json::Object(fields) = &mut json {
-                        fields.push(("shard_epochs".to_string(), epochs_json(&v.epochs)));
-                    }
-                    ok_response(id, json)
+    fn query(&self, _session: &mut (), q: &str, call: &Call<'_>) -> ServiceResult<Answer> {
+        Ok(match self.execute_with(q, call.deadline_ms)? {
+            ClusterStatement::Value(v) => {
+                let epoch = v.epochs.iter().map(|e| e.epoch).max().unwrap_or(0);
+                let result = value_to_json(&v.value, &v.stats, epoch);
+                Answer {
+                    result: with_field(result, "shard_epochs", epochs_json(&v.epochs)),
+                    epoch,
+                    stats: Some(v.stats),
                 }
-                Ok(ClusterStatement::Explain(e)) => ok_response(id, e.to_json()),
-                Err(e) => cluster_err(id, &e),
             }
+            ClusterStatement::Explain(e) => Answer {
+                result: e.to_json(),
+                epoch: e.shards.iter().map(|s| s.epoch).max().unwrap_or(0),
+                stats: e.analyze.map(|(stats, _)| stats),
+            },
+        })
+    }
+
+    fn insert(&self, object: &str, array: &Array) -> ServiceResult<Json> {
+        let write = Coordinator::insert(self, object, array)?;
+        Ok(write_result(&write, &write.merged()))
+    }
+
+    fn retile(&self, object: &str, spec: &str) -> ServiceResult<Json> {
+        let write = Coordinator::retile(self, object, spec)?;
+        Ok(write_result(&write, &write.merged()))
+    }
+
+    fn info(&self, _session: &mut (), object: &str, _call: &Call<'_>) -> ServiceResult<Json> {
+        Ok(Coordinator::info(self, object)?)
+    }
+
+    fn stats(&self) -> ServiceResult<Json> {
+        let names = self.object_names()?.into_iter().map(Json::Str).collect();
+        Ok(Json::obj(vec![
+            ("objects", Json::Array(names)),
+            ("cluster", self.status()),
+        ]))
+    }
+
+    fn health(&self, serving: Serving) -> Json {
+        let status = self.status();
+        let healthy = |m: &Json| m.get("healthy").and_then(Json::as_bool) == Some(true);
+        let members = status.get("members").and_then(Json::as_array);
+        let all_healthy = members.is_some_and(|m| m.iter().all(healthy));
+        let word = if all_healthy { "ok" } else { "degraded" };
+        Json::obj(vec![
+            ("status", Json::Str(word.to_string())),
+            ("cluster", status),
+            ("inflight", Json::UInt(serving.inflight)),
+            ("slow_queries", Json::UInt(serving.slow_queries)),
+            ("durable", Json::Bool(serving.durable)),
+        ])
+    }
+
+    fn backend_op(&self, _session: &mut (), op: &str, _call: &Call<'_>) -> ServiceResult<Json> {
+        match op {
+            "cluster" => Ok(self.status()),
+            other => Err(ServiceError::unknown_op(other)),
         }
-        "insert" => {
-            let (Some(object), Some(domain), Some(cells_hex)) = (
-                req.get("object").and_then(Json::as_str),
-                req.get("domain").and_then(Json::as_str),
-                req.get("cells_hex").and_then(Json::as_str),
-            ) else {
-                return err_response(
-                    id,
-                    ErrorCode::BadRequest,
-                    "insert needs `object`, `domain` and `cells_hex`",
-                );
-            };
-            let Ok(domain) = domain.parse::<Domain>() else {
-                return err_response(id, ErrorCode::BadRequest, "unparseable domain");
-            };
-            let cells = match hex_decode(cells_hex) {
-                Ok(c) => c,
-                Err(e) => return err_response(id, ErrorCode::BadRequest, &e),
-            };
-            let dom_cells = domain.cells() as usize;
-            if dom_cells == 0 || cells.len() % dom_cells != 0 {
-                return err_response(
-                    id,
-                    ErrorCode::BadRequest,
-                    "cell payload does not tile the domain",
-                );
-            }
-            let array = match Array::from_bytes(domain, cells.len() / dom_cells, cells) {
-                Ok(a) => a,
-                Err(e) => return err_response(id, ErrorCode::Engine, &e.to_string()),
-            };
-            match ctx.coord.insert(object, &array) {
-                Ok(w) => {
-                    let epoch = w.per_shard.iter().map(|(_, e, _)| *e).max().unwrap_or(0);
-                    ok_response(id, with_epoch(w.merged().to_json(), epoch))
-                }
-                Err(e) => cluster_err(id, &e),
-            }
-        }
-        "retile" => {
-            let (Some(object), Some(spec)) = (
-                req.get("object").and_then(Json::as_str),
-                req.get("scheme").and_then(Json::as_str),
-            ) else {
-                return err_response(
-                    id,
-                    ErrorCode::BadRequest,
-                    "retile needs an `object` and a `scheme` spec",
-                );
-            };
-            match ctx.coord.retile(object, spec) {
-                Ok(w) => {
-                    let epoch = w.per_shard.iter().map(|(_, e, _)| *e).max().unwrap_or(0);
-                    ok_response(id, with_epoch(w.merged().to_json(), epoch))
-                }
-                Err(e) => cluster_err(id, &e),
-            }
-        }
-        "info" => {
-            let Some(object) = req.get("object").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "info needs an `object`");
-            };
-            match ctx.coord.info(object) {
-                Ok(j) => ok_response(id, j),
-                Err(e) => cluster_err(id, &e),
-            }
-        }
-        "stats" => match ctx.coord.object_names() {
-            Ok(names) => ok_response(
-                id,
-                Json::obj(vec![
-                    (
-                        "objects",
-                        Json::Array(names.into_iter().map(Json::Str).collect()),
-                    ),
-                    ("cluster", ctx.coord.status()),
-                ]),
-            ),
-            Err(e) => cluster_err(id, &e),
-        },
-        "cluster" => ok_response(id, ctx.coord.status()),
-        "health" => {
-            let status = ctx.coord.status();
-            let all_healthy = status
-                .get("members")
-                .and_then(Json::as_array)
-                .is_some_and(|m| {
-                    m.iter()
-                        .all(|s| s.get("healthy").and_then(Json::as_bool) == Some(true))
-                });
-            ok_response(
-                id,
-                Json::obj(vec![
-                    (
-                        "status",
-                        Json::Str(if all_healthy { "ok" } else { "degraded" }.to_string()),
-                    ),
-                    ("cluster", status),
-                ]),
-            )
-        }
-        other => err_response(id, ErrorCode::BadRequest, &format!("unknown op {other:?}")),
+    }
+
+    fn save(&self, root: &Path) -> ServiceResult<()> {
+        Ok(self.save_local(root)?)
     }
 }

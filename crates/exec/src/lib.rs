@@ -8,9 +8,8 @@
 //! scatter/gather API in the style of `std::thread::scope`, so tasks may
 //! borrow from the caller's stack.
 //!
-//! Two deadlock-avoidance properties matter because the same pool serves
-//! both the server's request handlers and the engine's nested tile
-//! scatters:
+//! Two deadlock-avoidance properties matter because many server sessions
+//! scatter onto one pool at once, and a scatter may nest another:
 //!
 //! - **Caller participation**: a thread waiting on its own scope executes
 //!   that scope's queued tasks instead of sleeping, so a scatter completes

@@ -1,55 +1,57 @@
-//! The serving loop: TCP accept, per-connection sessions, pool dispatch.
+//! The serving core: one TCP accept loop, per-connection sessions, one op
+//! table — generic over the [`Service`] that answers.
 //!
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//! accept thread ──spawns──▶ connection threads ──execute──▶ pool workers
-//!   (nonblocking poll)        (frame parse, admission,        (deadline check,
-//!    joins conns on            deadline stamp, response        engine call —
-//!    shutdown, final save)     write)                          may scatter on
-//!                                                              the same pool)
+//! accept thread ──spawns──▶ connection threads ──scatter──▶ executor workers
+//!   (nonblocking poll)        (frame parse, admission,        (tile fetches of
+//!    joins conns on            deadline check, the request     the requests the
+//!    shutdown, final save)     itself, response write)         sessions run)
 //! ```
 //!
-//! The pool attached here is also installed as the database's executor, so a
-//! query admitted by one worker scatters its tile fetches across the same
-//! pool; the scoped scheduler's caller participation makes that nesting safe
-//! even on a single worker.
+//! A request executes **inline on its connection thread**: the session that
+//! parsed the frame runs the op and writes the response, so a request costs
+//! no queue hop and no cross-thread wake-up. The executor pool (`workers`)
+//! only parallelizes the tile fetches inside a request; the scoped
+//! scheduler's caller participation means a session makes progress even
+//! when every worker is busy.
 //!
-//! **Backpressure**: at most `max_inflight` requests execute at once; the
-//! next one is refused with a typed `busy` response instead of queueing
-//! without bound (a slow consumer learns immediately, instead of timing out
-//! behind an invisible queue).
+//! **Backpressure**: at most `max_inflight` requests execute at once, over
+//! all connections; the next one is refused with a typed `busy` response
+//! instead of queueing without bound (a slow consumer learns immediately,
+//! instead of timing out behind an invisible queue).
 //!
-//! **Deadlines**: each request carries (or inherits) a deadline stamped at
-//! receipt; a worker that picks the job up past its deadline answers
-//! `deadline` without touching the engine.
+//! **Deadlines**: each request carries (or inherits) a budget measured from
+//! receipt; one that is already spent when the request is admitted answers
+//! `deadline` without touching the backend, and the backend hands the
+//! budget on to whatever it calls (a coordinator's remote shards).
 //!
 //! **Graceful shutdown**: the flag stops the accept loop and makes idle
 //! connections close; a connection mid-request finishes it and writes the
-//! response. The accept thread joins every connection (the drain), then
-//! performs a final atomic catalog save so a clean `fsck` is guaranteed
-//! after shutdown.
+//! response, one stalled mid-frame is dropped after a grace period. The
+//! accept thread joins every connection (the drain), then asks the backend
+//! for a final atomic save so a clean `fsck` is guaranteed after shutdown.
 
-use std::collections::BTreeMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tilestore_engine::{Array, SharedDatabase, Snapshot};
+use tilestore_engine::{Array, SharedDatabase};
 use tilestore_exec::ThreadPool;
 use tilestore_geometry::Domain;
 use tilestore_obs::Counter;
 use tilestore_storage::PageStore;
 use tilestore_testkit::{Json, ToJson};
 
+use crate::service::{Answer, Call, Service, ServiceError, ServiceResult, Serving};
 use crate::slowlog::{SlowQueryEntry, SlowQueryLog};
 use crate::wire::{
-    err_response, hex_decode, ok_response, value_to_json, with_epoch, with_request_id, write_frame,
-    ErrorCode, MAX_FRAME,
+    err_response, hex_decode, ok_response, read_frame_into, with_field, with_request_id,
+    write_frame, ErrorCode,
 };
 
 /// How often blocked reads and the accept loop re-check the shutdown flag.
@@ -59,17 +61,19 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// began (~5 s) before the connection is dropped.
 const SHUTDOWN_STALL_ROUNDS: u32 = 100;
 
-/// Tuning knobs of a server instance.
+/// Tuning knobs of a serving endpoint.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads in the shared executor pool.
+    /// Worker threads of the tile-fetch executor [`serve`] installs on the
+    /// database. Requests do not run on it, so it does not bound them; a
+    /// coordinator brings its own scatter pool and ignores this.
     pub workers: usize,
     /// Maximum concurrently executing requests; the next is refused `busy`.
     pub max_inflight: usize,
     /// Deadline applied to requests that carry none, in milliseconds
     /// (0 = no default deadline).
     pub default_deadline_ms: u64,
-    /// Statements whose wall-clock time (admission to completion) reaches
+    /// Statements whose wall-clock time (receipt to completion) reaches
     /// this many milliseconds land in the slow-query log (`0` logs every
     /// statement).
     pub slow_query_ms: u64,
@@ -132,68 +136,12 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Upper bound on snapshots one connection may hold pinned at once. A
-/// cluster coordinator pins one snapshot per in-flight cross-shard read, so
-/// this bounds a misbehaving (or leaking) coordinator's hold on blob
-/// reclamation without affecting well-behaved ones.
-const MAX_PINS_PER_CONNECTION: usize = 64;
-
-/// Snapshots a connection has pinned via the `pin` op, keyed by the
-/// server-assigned pin id. The table is **per connection** and dropped with
-/// it, so a coordinator that dies mid-scatter releases every pin on this
-/// shard the moment its TCP session ends — `snapshots_active` returns to
-/// baseline without any distributed garbage collection.
-struct PinTable<S: PageStore> {
-    next: AtomicU64,
-    pins: Mutex<BTreeMap<u64, Arc<Snapshot<S>>>>,
-}
-
-impl<S: PageStore> PinTable<S> {
-    fn new() -> Self {
-        PinTable {
-            next: AtomicU64::new(1),
-            pins: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Pins `snap`, returning its id, or `None` at the per-connection cap.
-    fn insert(&self, snap: Snapshot<S>) -> Option<u64> {
-        let mut pins = self
-            .pins
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if pins.len() >= MAX_PINS_PER_CONNECTION {
-            return None;
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        pins.insert(id, Arc::new(snap));
-        Some(id)
-    }
-
-    fn get(&self, id: u64) -> Option<Arc<Snapshot<S>>> {
-        self.pins
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&id)
-            .cloned()
-    }
-
-    fn remove(&self, id: u64) -> bool {
-        self.pins
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&id)
-            .is_some()
-    }
-}
-
-/// Everything a connection thread needs, cheaply cloneable.
-struct ConnCtx<S: PageStore> {
-    db: SharedDatabase<S>,
-    dir: Option<Arc<PathBuf>>,
-    pool: Arc<ThreadPool>,
+/// Everything the sessions of one endpoint share.
+struct Core<B: Service> {
+    backend: Arc<B>,
+    dir: Option<PathBuf>,
     shutdown: Arc<AtomicBool>,
-    inflight: Arc<AtomicUsize>,
+    inflight: AtomicUsize,
     max_inflight: usize,
     default_deadline_ms: u64,
     requests: Arc<Counter>,
@@ -201,30 +149,16 @@ struct ConnCtx<S: PageStore> {
     deadline_rejections: Arc<Counter>,
     /// Monotonic request-id source, shared by every connection so ids are
     /// unique server-wide within a process lifetime.
-    next_request: Arc<AtomicU64>,
-    slow_log: Arc<SlowQueryLog>,
-    /// This connection's pinned snapshots. Replaced with a fresh table for
-    /// every accepted connection; clones made for pool dispatch share it.
-    pins: Arc<PinTable<S>>,
+    next_request: AtomicU64,
+    slow_log: SlowQueryLog,
 }
 
-impl<S: PageStore> Clone for ConnCtx<S> {
-    fn clone(&self) -> Self {
-        ConnCtx {
-            db: self.db.clone(),
-            dir: self.dir.clone(),
-            pool: Arc::clone(&self.pool),
-            shutdown: Arc::clone(&self.shutdown),
-            inflight: Arc::clone(&self.inflight),
-            max_inflight: self.max_inflight,
-            default_deadline_ms: self.default_deadline_ms,
-            requests: Arc::clone(&self.requests),
-            busy_rejections: Arc::clone(&self.busy_rejections),
-            deadline_rejections: Arc::clone(&self.deadline_rejections),
-            next_request: Arc::clone(&self.next_request),
-            slow_log: Arc::clone(&self.slow_log),
-            pins: Arc::clone(&self.pins),
-        }
+/// An admitted request's claim on one of the `max_inflight` slots.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -232,8 +166,8 @@ impl<S: PageStore> Clone for ConnCtx<S> {
 /// port). `dir` is the database directory for the final save and `fsck`
 /// requests; pass `None` for purely in-memory serving.
 ///
-/// The configured pool is installed as the database's executor, so queries
-/// served here also parallelize their tile fetches.
+/// A pool of `config.workers` threads is installed as the database's
+/// executor, so queries served here parallelize their tile fetches.
 ///
 /// # Errors
 /// Socket bind/configuration errors.
@@ -243,49 +177,60 @@ pub fn serve<S: PageStore + 'static>(
     addr: &str,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    db.set_executor(Arc::new(ThreadPool::new(config.workers)));
+    serve_backend(Arc::new(db), dir, addr, &config)
+}
+
+/// Starts serving any [`Service`] on `addr`: the loop behind [`serve`] and
+/// `tilestore_cluster::serve_cluster`. `dir` is where the slow-query log is
+/// written and what the backend's shutdown save is given.
+///
+/// # Errors
+/// Socket bind/configuration errors.
+pub fn serve_backend<B: Service>(
+    backend: Arc<B>,
+    dir: Option<PathBuf>,
+    addr: &str,
+    config: &ServerConfig,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
-    let pool = Arc::new(ThreadPool::new(config.workers));
-    db.set_executor(Arc::clone(&pool));
     let shutdown = Arc::new(AtomicBool::new(false));
+    // Register the engine's hot instruments up front: `metrics` then lists
+    // the same names on every endpoint, including a coordinator of remote
+    // shards whose own process never runs an engine query.
+    tilestore_obs::hot();
     let reg = tilestore_obs::metrics();
-    let slow_log = Arc::new(SlowQueryLog::new(config.slow_query_ms, dir.as_deref()));
-    let ctx = ConnCtx {
-        db,
-        dir: dir.map(Arc::new),
-        pool,
+    let core = Arc::new(Core {
+        backend,
+        slow_log: SlowQueryLog::new(config.slow_query_ms, dir.as_deref()),
+        dir,
         shutdown: Arc::clone(&shutdown),
-        inflight: Arc::new(AtomicUsize::new(0)),
+        inflight: AtomicUsize::new(0),
         max_inflight: config.max_inflight.max(1),
         default_deadline_ms: config.default_deadline_ms,
         requests: reg.counter("server.requests"),
         busy_rejections: reg.counter("server.busy_rejections"),
         deadline_rejections: reg.counter("server.deadline_rejections"),
-        next_request: Arc::new(AtomicU64::new(1)),
-        slow_log,
-        pins: Arc::new(PinTable::new()),
-    };
+        next_request: AtomicU64::new(1),
+    });
     let connections = reg.gauge("server.connections");
     let save_errors = reg.counter("server.save_errors");
     let thread = std::thread::Builder::new()
         .name("tilestore-accept".to_string())
         .spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !ctx.shutdown.load(Ordering::SeqCst) {
+            while !core.shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        let mut ctx = ctx.clone();
-                        // Pins are per-connection state: a fresh table here
-                        // means a dying coordinator's pins unwind with its
-                        // session instead of outliving it.
-                        ctx.pins = Arc::new(PinTable::new());
+                        let core = Arc::clone(&core);
                         connections.add(1);
                         let conn_gauge = Arc::clone(&connections);
                         let handle = std::thread::Builder::new()
                             .name("tilestore-conn".to_string())
                             .spawn(move || {
-                                connection_loop(stream, &ctx);
+                                core.connection_loop(stream);
                                 conn_gauge.add(-1);
                             });
                         match handle {
@@ -295,12 +240,6 @@ pub fn serve<S: PageStore + 'static>(
                         // Reap finished sessions so the list stays bounded.
                         conns.retain(|h| !h.is_finished());
                     }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
                     Err(_) => std::thread::sleep(POLL_INTERVAL),
                 }
             }
@@ -309,8 +248,8 @@ pub fn serve<S: PageStore + 'static>(
                 let _ = h.join();
             }
             // Final durable commit so a post-shutdown fsck comes back clean.
-            if let Some(dir) = &ctx.dir {
-                if ctx.db.save(dir.as_path()).is_err() {
+            if let Some(dir) = &core.dir {
+                if core.backend.save(dir).is_err() {
                     save_errors.inc();
                 }
             }
@@ -330,571 +269,255 @@ fn read_frame_interruptible(
     stream: &mut TcpStream,
     shutdown: &AtomicBool,
 ) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
     let mut stalled = 0u32;
-    while filled < 4 {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if filled == 0 {
-                        return Ok(None);
-                    }
-                    stalled += 1;
-                    if stalled > SHUTDOWN_STALL_ROUNDS {
-                        return Ok(None);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    let mut payload = Vec::new();
+    let got = read_frame_into(stream, &mut payload, |in_frame, _timeout| {
+        if !shutdown.load(Ordering::SeqCst) {
+            return Ok(true);
         }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0usize;
-    let mut stalled = 0u32;
-    while filled < len {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    stalled += 1;
-                    if stalled > SHUTDOWN_STALL_ROUNDS {
-                        return Ok(None);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
+        stalled += 1;
+        Ok(in_frame && stalled <= SHUTDOWN_STALL_ROUNDS)
+    })?;
+    Ok(got.then_some(payload))
 }
 
-/// One client session: read frame → admit → dispatch on the pool → respond.
-fn connection_loop<S: PageStore + 'static>(mut stream: TcpStream, ctx: &ConnCtx<S>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        let frame = match read_frame_interruptible(&mut stream, &ctx.shutdown) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => return,
-        };
-        let received = Instant::now();
-        ctx.requests.inc();
-        let response = match std::str::from_utf8(&frame)
-            .map_err(|e| e.to_string())
-            .and_then(|s| Json::parse(s).map_err(|e| e.to_string()))
-        {
-            Ok(req) => dispatch(ctx, &req, received),
-            Err(e) => err_response(0, ErrorCode::BadRequest, &format!("malformed frame: {e}")),
-        };
-        if write_frame(&mut stream, response.to_string_compact().as_bytes()).is_err() {
-            return;
+impl<B: Service> Core<B> {
+    /// One client session: read frame → admit → execute → respond.
+    fn connection_loop(&self, mut stream: TcpStream) {
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+        let _ = stream.set_nodelay(true);
+        let mut session = B::Session::default();
+        loop {
+            let frame = match read_frame_interruptible(&mut stream, &self.shutdown) {
+                Ok(Some(f)) => f,
+                Ok(None) | Err(_) => return,
+            };
+            let received = Instant::now();
+            self.requests.inc();
+            let response = match std::str::from_utf8(&frame)
+                .map_err(|e| e.to_string())
+                .and_then(|s| Json::parse(s).map_err(|e| e.to_string()))
+            {
+                Ok(req) => self.dispatch(&mut session, &req, received),
+                Err(e) => err_response(0, ErrorCode::BadRequest, &format!("malformed frame: {e}")),
+            };
+            if write_frame(&mut stream, response.to_string_compact().as_bytes()).is_err() {
+                return;
+            }
         }
     }
-}
 
-/// Admission + deadline stamping + pool hand-off for one parsed request.
-fn dispatch<S: PageStore + 'static>(ctx: &ConnCtx<S>, req: &Json, received: Instant) -> Json {
-    let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let Some(op) = req.get("op").and_then(Json::as_str) else {
-        return err_response(id, ErrorCode::BadRequest, "missing op");
-    };
-    // Every admitted request gets a server-wide request id for tracing and
-    // the slow-query log; a client that supplies a nonzero `request_id`
-    // (e.g. to correlate across services) keeps it. The id is echoed on
-    // every response, including refusals.
-    let rid = req
-        .get("request_id")
-        .and_then(Json::as_u64)
-        .filter(|&r| r != 0)
-        .unwrap_or_else(|| ctx.next_request.fetch_add(1, Ordering::Relaxed));
-    // Shutdown is control-plane: always admitted, handled inline so the
-    // response is written before the session starts winding down.
-    if op == "shutdown" {
-        ctx.shutdown.store(true, Ordering::SeqCst);
-        return with_request_id(ok_response(id, Json::Str("shutting down".to_string())), rid);
-    }
-    if ctx.shutdown.load(Ordering::SeqCst) {
-        return with_request_id(
-            err_response(id, ErrorCode::Shutdown, "server is shutting down"),
-            rid,
-        );
-    }
-    // Bounded admission: refuse typed-busy instead of queueing unboundedly.
-    let mut cur = ctx.inflight.load(Ordering::SeqCst);
-    loop {
-        if cur >= ctx.max_inflight {
-            ctx.busy_rejections.inc();
-            return with_request_id(
-                err_response(
-                    id,
-                    ErrorCode::Busy,
-                    &format!("{} requests in flight (limit {})", cur, ctx.max_inflight),
-                ),
-                rid,
-            );
+    /// Request id, control plane, admission, trace scope and response
+    /// envelope for one parsed request.
+    fn dispatch(&self, session: &mut B::Session, req: &Json, received: Instant) -> Json {
+        let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
+        let Some(op) = req.get("op").and_then(Json::as_str) else {
+            return err_response(id, ErrorCode::BadRequest, "missing op");
+        };
+        // Every request gets a server-wide request id for tracing and the
+        // slow-query log; a client that supplies a nonzero `request_id`
+        // (e.g. to correlate across services) keeps it. The id is echoed on
+        // every response, including refusals.
+        let rid = req
+            .get("request_id")
+            .and_then(Json::as_u64)
+            .filter(|&r| r != 0)
+            .unwrap_or_else(|| self.next_request.fetch_add(1, Ordering::Relaxed));
+        // Shutdown is control-plane: always admitted, so the response is
+        // written before the session starts winding down.
+        if op == "shutdown" {
+            self.shutdown.store(true, Ordering::SeqCst);
+            return with_request_id(ok_response(id, Json::Str("shutting down".to_string())), rid);
         }
-        match ctx
-            .inflight
-            .compare_exchange_weak(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => break,
-            Err(now) => cur = now,
+        // When the request asks for its span tree back, make sure the tracer
+        // is collecting (it stays enabled afterwards; the ring is bounded).
+        let want_trace = req.get("trace").and_then(Json::as_bool) == Some(true);
+        if want_trace && !tilestore_obs::tracer().is_enabled() {
+            tilestore_obs::tracer().enable(4096);
         }
-    }
-    // A request-supplied deadline always applies (0 expires immediately —
-    // useful for probing load without doing work); the configured default
-    // fills in only when the request carries none, with 0 = no deadline.
-    let req_deadline = req.get("deadline_ms").and_then(Json::as_u64);
-    let deadline_ms = req_deadline.unwrap_or(ctx.default_deadline_ms);
-    let deadline = match req_deadline {
-        Some(ms) => Some(received + Duration::from_millis(ms)),
-        None => (ctx.default_deadline_ms > 0)
-            .then(|| received + Duration::from_millis(ctx.default_deadline_ms)),
-    };
-    // When the request asks for its span tree back, make sure the tracer is
-    // collecting (it stays enabled afterwards; the ring is bounded).
-    let want_trace = req.get("trace").and_then(Json::as_bool) == Some(true);
-    if want_trace && !tilestore_obs::tracer().is_enabled() {
-        tilestore_obs::tracer().enable(4096);
-    }
-    let (tx, rx) = mpsc::channel();
-    let job_ctx = ctx.clone();
-    let op_owned = op.to_string();
-    let req_owned = req.clone();
-    ctx.pool.execute(move || {
-        let response = if deadline.is_some_and(|d| Instant::now() >= d) {
-            job_ctx.deadline_rejections.inc();
-            err_response(
-                id,
-                ErrorCode::Deadline,
-                &format!("deadline of {deadline_ms} ms expired before execution"),
-            )
-        } else {
-            // The worker enters the request's trace scope: every span and
-            // event below — including tile fetches scattered further onto
-            // the pool — carries this request id.
+        let outcome = self.admit(req, received).and_then(|(_slot, deadline_ms)| {
+            // The session enters the request's trace scope: every span and
+            // event below — including tile fetches scattered onto the
+            // executor — carries this request id.
             let _scope = tilestore_obs::request_scope(rid);
             let _span = tilestore_obs::tracer()
-                .span_with("request", || format!("op={op_owned} request_id={rid}"));
-            handle_request(&job_ctx, id, rid, &op_owned, &req_owned, received)
+                .span_with("request", || format!("op={op} request_id={rid}"));
+            let call = Call {
+                req,
+                request_id: rid,
+                deadline_ms,
+                dir: self.dir.as_deref(),
+            };
+            self.execute(session, op, &call, received)
+        });
+        let mut response = match outcome {
+            Ok(result) => ok_response(id, result),
+            Err(e) => err_response(id, e.code, &e.message),
         };
-        job_ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = tx.send(response);
-    });
-    let mut response = match rx.recv() {
-        Ok(r) => r,
-        Err(_) => err_response(id, ErrorCode::Engine, "worker dropped the request"),
-    };
-    if want_trace {
-        let jsonl = tilestore_obs::tracer().take_request_jsonl(rid);
-        if let Json::Object(fields) = &mut response {
-            fields.push(("trace".to_string(), Json::Str(jsonl)));
+        if want_trace {
+            let jsonl = tilestore_obs::tracer().take_request_jsonl(rid);
+            response = with_field(response, "trace", Json::Str(jsonl));
         }
+        with_request_id(response, rid)
     }
-    with_request_id(response, rid)
-}
 
-/// Executes one admitted request against the shared database.
-fn handle_request<S: PageStore>(
-    ctx: &ConnCtx<S>,
-    id: u64,
-    rid: u64,
-    op: &str,
-    req: &Json,
-    received: Instant,
-) -> Json {
-    match op {
-        "ping" => ok_response(id, Json::Str("pong".to_string())),
-        "query" => {
-            let Some(q) = req.get("q").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "query needs a `q` string");
-            };
-            // Queries run against an epoch-stamped snapshot: no lock is held
-            // across tile I/O, so a concurrent writer never blocks this
-            // request and the response names the epoch it observed. The
-            // snapshot carries the request id so engine-side spans (and the
-            // scattered tile fetches) stay attributed to this request. A
-            // request naming a `pin` executes against that previously pinned
-            // snapshot instead — the cluster coordinator's epoch-agreement
-            // path, where every shard must answer from the epoch pinned at
-            // the consistency point, not from "now".
-            let snap = match req.get("pin").and_then(Json::as_u64) {
-                Some(pin) => match ctx.pins.get(pin) {
-                    Some(s) => s,
-                    None => {
-                        return err_response(
-                            id,
-                            ErrorCode::BadRequest,
-                            &format!("unknown pin {pin}"),
-                        );
-                    }
-                },
-                None => Arc::new(ctx.db.snapshot()),
-            };
-            snap.set_request_id(rid);
-            match tilestore_rasql::execute_statement(&snap, q) {
-                Ok(tilestore_rasql::StatementResult::Value(value, stats)) => {
-                    observe_slow(ctx, rid, q, snap.epoch(), received, Some(stats));
-                    ok_response(id, value_to_json(&value, &stats, snap.epoch()))
-                }
-                Ok(tilestore_rasql::StatementResult::Explain(report)) => {
-                    let stats = report.analyze.as_ref().map(|a| a.stats);
-                    observe_slow(ctx, rid, q, snap.epoch(), received, stats);
-                    ok_response(id, with_epoch(report.to_json(), snap.epoch()))
-                }
-                Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
+    /// Admission and deadline: claims an in-flight slot and resolves the
+    /// request's deadline budget, or says why the request is refused.
+    fn admit(&self, req: &Json, received: Instant) -> ServiceResult<(Slot<'_>, Option<u64>)> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(ServiceError::new(
+                ErrorCode::Shutdown,
+                "server is shutting down",
+            ));
+        }
+        // Bounded admission: refuse typed-busy instead of queueing
+        // unboundedly. A CAS loop, so the counter never overshoots the
+        // limit even transiently.
+        let mut cur = self.inflight.load(Ordering::SeqCst);
+        loop {
+            if cur >= self.max_inflight {
+                self.busy_rejections.inc();
+                return Err(ServiceError::new(
+                    ErrorCode::Busy,
+                    format!("{cur} requests in flight (limit {})", self.max_inflight),
+                ));
+            }
+            match self.inflight.compare_exchange_weak(
+                cur,
+                cur + 1,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => break,
+                Err(now) => cur = now,
             }
         }
-        "metrics" => {
+        let slot = Slot(&self.inflight);
+        // A request-supplied deadline always applies (0 expires immediately —
+        // useful for probing load without doing work); the configured default
+        // fills in only when the request carries none, with 0 = no deadline.
+        let deadline_ms = req
+            .get("deadline_ms")
+            .and_then(Json::as_u64)
+            .or((self.default_deadline_ms > 0).then_some(self.default_deadline_ms));
+        if let Some(ms) = deadline_ms {
+            if received.elapsed() >= Duration::from_millis(ms) {
+                self.deadline_rejections.inc();
+                return Err(ServiceError::new(
+                    ErrorCode::Deadline,
+                    format!("deadline of {ms} ms expired before execution"),
+                ));
+            }
+        }
+        Ok((slot, deadline_ms))
+    }
+
+    /// The op table: what the core answers itself, what it validates and
+    /// hands to the backend, and the backend's own ops last.
+    fn execute(
+        &self,
+        session: &mut B::Session,
+        op: &str,
+        call: &Call<'_>,
+        received: Instant,
+    ) -> ServiceResult<Json> {
+        let need = |name: &str, missing: &str| {
+            let field = call.req.get(name).and_then(Json::as_str);
+            field.ok_or_else(|| ServiceError::bad_request(missing))
+        };
+        match op {
+            "ping" => Ok(Json::Str("pong".to_string())),
+            "query" => {
+                let q = need("q", "query needs a `q` string")?;
+                let answer = self.backend.query(session, q, call)?;
+                self.observe_slow(call.request_id, q, &answer, received);
+                Ok(answer.result)
+            }
+            "insert" => {
+                let object = need("object", "insert needs an `object`")?;
+                let array = insert_payload(call.req)?;
+                self.backend.insert(object, &array)
+            }
+            "retile" => {
+                let object = need("object", "retile needs an `object`")?;
+                let spec = need("scheme", "retile needs a `scheme` spec")?;
+                self.backend.retile(object, spec)
+            }
+            "info" => {
+                let object = need("object", "info needs an `object`")?;
+                self.backend.info(session, object, call)
+            }
+            "stats" => self.backend.stats(),
+            "health" => Ok(self.backend.health(Serving {
+                inflight: self.inflight.load(Ordering::SeqCst) as u64,
+                slow_queries: self.slow_log.len() as u64,
+                durable: self.dir.is_some(),
+            })),
             // The full registry with histogram percentiles — the live ops
             // plane behind `tilestore top`.
-            ok_response(id, tilestore_obs::metrics().snapshot().to_json())
-        }
-        "health" => ok_response(id, health_report(ctx)),
-        "slow" => {
-            let limit = req
-                .get("limit")
-                .and_then(Json::as_u64)
-                .map_or(16, |l| l as usize);
-            let entries = ctx
-                .slow_log
-                .recent(limit)
-                .iter()
-                .map(ToJson::to_json)
-                .collect::<Vec<_>>();
-            ok_response(
-                id,
-                Json::obj(vec![
-                    ("threshold_ms", Json::UInt(ctx.slow_log.threshold_ms())),
-                    ("count", Json::UInt(ctx.slow_log.len() as u64)),
-                    ("entries", Json::Array(entries)),
-                ]),
-            )
-        }
-        "insert" => {
-            let Some(object) = req.get("object").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "insert needs an `object`");
-            };
-            let Some(domain) = req
-                .get("domain")
-                .and_then(Json::as_str)
-                .and_then(|s| s.parse::<Domain>().ok())
-            else {
-                return err_response(id, ErrorCode::BadRequest, "insert needs a valid `domain`");
-            };
-            let cells = match req.get("cells_hex").and_then(Json::as_str).map(hex_decode) {
-                Some(Ok(c)) => c,
-                Some(Err(e)) => {
-                    return err_response(id, ErrorCode::BadRequest, &format!("bad cells_hex: {e}"));
-                }
-                None => {
-                    return err_response(id, ErrorCode::BadRequest, "insert needs `cells_hex`");
-                }
-            };
-            let count = domain.cells();
-            if count == 0 || cells.is_empty() || !(cells.len() as u64).is_multiple_of(count) {
-                return err_response(
-                    id,
-                    ErrorCode::BadRequest,
-                    &format!("{} bytes do not tile {count} cells", cells.len()),
-                );
-            }
-            let cell_size = (cells.len() as u64 / count) as usize;
-            let array = match Array::from_bytes(domain, cell_size, cells) {
-                Ok(a) => a,
-                Err(e) => return err_response(id, ErrorCode::BadRequest, &e.to_string()),
-            };
-            match ctx.db.insert(object, &array) {
-                Ok(receipt) => ok_response(id, with_epoch(receipt.stats.to_json(), receipt.epoch)),
-                Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
-            }
-        }
-        "retile" => {
-            let Some(object) = req.get("object").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "retile needs an `object`");
-            };
-            let Some(spec) = req.get("scheme").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "retile needs a `scheme` spec");
-            };
-            // Same grammar as the CLI: scheme | --from-log[:..] | --defrag[:..].
-            let parsed = match tilestore_tiling::parse_retile_spec(spec) {
-                Ok(p) => p,
-                Err(e) => return err_response(id, ErrorCode::BadRequest, &e),
-            };
-            let applied = match parsed {
-                tilestore_tiling::RetileSpec::Defrag { budget_bytes } => {
-                    defrag_to_retile_stats(&ctx.db, object, budget_bytes)
-                }
-                tilestore_tiling::RetileSpec::FromLog {
-                    distance,
-                    frequency,
-                    max_tile_bytes,
-                } => ctx
-                    .db
-                    .auto_retile_from_log(object, distance, frequency, max_tile_bytes)
-                    .map(|receipt| (receipt.epoch, receipt.stats)),
-                tilestore_tiling::RetileSpec::Scheme(_) => {
-                    let dim = match ctx.db.object(object).map(|o| o.mdd_type.dim()) {
-                        Ok(dim) => dim,
-                        Err(e) => return err_response(id, ErrorCode::Engine, &e.to_string()),
-                    };
-                    let scheme = match tilestore_tiling::parse_scheme_spec(spec, dim) {
-                        Ok(s) => s,
-                        Err(e) => return err_response(id, ErrorCode::BadRequest, &e),
-                    };
-                    ctx.db
-                        .retile(object, scheme)
-                        .map(|receipt| (receipt.epoch, receipt.stats))
-                }
-            };
-            match applied {
-                Ok((epoch, stats)) => ok_response(id, with_epoch(stats.to_json(), epoch)),
-                Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
-            }
-        }
-        "info" => {
-            let Some(object) = req.get("object").and_then(Json::as_str) else {
-                return err_response(id, ErrorCode::BadRequest, "info needs an `object`");
-            };
-            // With a `pin`, metadata comes from the pinned snapshot so a
-            // coordinator resolving `*` bounds sees the same catalog state
-            // its queries will execute against.
-            if let Some(pin) = req.get("pin").and_then(Json::as_u64) {
-                let Some(snap) = ctx.pins.get(pin) else {
-                    return err_response(id, ErrorCode::BadRequest, &format!("unknown pin {pin}"));
-                };
-                return match snap.object(object) {
-                    Ok(o) => ok_response(id, with_epoch(object_info(&o), snap.epoch())),
-                    Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
-                };
-            }
-            match ctx.db.object(object) {
-                Ok(o) => ok_response(id, object_info(&o)),
-                Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
-            }
-        }
-        "pin" => {
-            // The epoch-agreement handshake: pin the current snapshot and
-            // report its epoch. The snapshot stays alive (holding its epoch's
-            // blobs readable) until `unpin` or the end of this connection.
-            let snap = ctx.db.snapshot();
-            let epoch = snap.epoch();
-            match ctx.pins.insert(snap) {
-                Some(pin) => ok_response(
-                    id,
-                    Json::obj(vec![("pin", Json::UInt(pin)), ("epoch", Json::UInt(epoch))]),
-                ),
-                None => err_response(
-                    id,
-                    ErrorCode::Busy,
-                    &format!("connection holds {MAX_PINS_PER_CONNECTION} pins (limit)"),
-                ),
-            }
-        }
-        "unpin" => {
-            let Some(pin) = req.get("pin").and_then(Json::as_u64) else {
-                return err_response(id, ErrorCode::BadRequest, "unpin needs a `pin` id");
-            };
-            if ctx.pins.remove(pin) {
-                ok_response(id, Json::Str("unpinned".to_string()))
-            } else {
-                err_response(id, ErrorCode::BadRequest, &format!("unknown pin {pin}"))
-            }
-        }
-        "stats" => {
-            // One snapshot for the whole report: names, metadata and the
-            // epoch all describe the same catalog state.
-            let snap = ctx.db.snapshot();
-            let objects = snap
-                .object_names()
-                .iter()
-                .filter_map(|n| snap.object(n).ok().map(|o| object_info(&o)))
-                .collect::<Vec<_>>();
-            ok_response(
-                id,
-                Json::obj(vec![
-                    ("objects", Json::Array(objects)),
-                    ("io", snap.stats().to_json()),
-                    ("metrics", tilestore_obs::metrics().snapshot().to_json()),
-                    ("epoch", Json::UInt(snap.epoch())),
-                ]),
-            )
-        }
-        "fsck" => {
-            let Some(dir) = ctx.dir.as_deref() else {
-                return err_response(
-                    id,
-                    ErrorCode::Engine,
-                    "fsck needs a file-backed database directory",
-                );
-            };
-            if let Err(e) = ctx.db.save(dir) {
-                return err_response(id, ErrorCode::Engine, &format!("pre-fsck save: {e}"));
-            }
-            match tilestore_engine::fsck(dir) {
-                Ok(report) => ok_response(id, fsck_to_json(&report)),
-                Err(e) => err_response(id, ErrorCode::Engine, &e.to_string()),
-            }
-        }
-        other => err_response(id, ErrorCode::BadRequest, &format!("unknown op {other:?}")),
-    }
-}
-
-/// Feeds one finished statement to the slow-query log.
-fn observe_slow<S: PageStore>(
-    ctx: &ConnCtx<S>,
-    rid: u64,
-    statement: &str,
-    epoch: u64,
-    received: Instant,
-    stats: Option<tilestore_engine::QueryStats>,
-) {
-    let elapsed = received.elapsed();
-    ctx.slow_log.observe(
-        elapsed,
-        SlowQueryEntry {
-            request_id: rid,
-            statement: statement.to_string(),
-            epoch,
-            elapsed_ns: elapsed.as_nanos() as u64,
-            stats,
-        },
-    );
-}
-
-/// Builds the `health` response: a cheap liveness report (no blob I/O) that
-/// surfaces the counters an unhealthy store would move.
-fn health_report<S: PageStore>(ctx: &ConnCtx<S>) -> Json {
-    let reg = tilestore_obs::metrics();
-    let checksum_failures = reg.counter("storage.checksum_failures").get();
-    let lock_poisoned = reg.counter("engine.lock_poisoned").get();
-    let status = if checksum_failures == 0 && lock_poisoned == 0 {
-        "ok"
-    } else {
-        "degraded"
-    };
-    let epoch = ctx.db.snapshot().epoch();
-    // Read the gauge after the epoch probe's snapshot is dropped so the
-    // report does not count its own probe.
-    let snapshots_active = reg.gauge("engine.snapshots_active").get();
-    Json::obj(vec![
-        ("status", Json::Str(status.to_string())),
-        ("epoch", Json::UInt(epoch)),
-        ("snapshots_active", Json::Int(snapshots_active)),
-        (
-            "inflight",
-            Json::UInt(ctx.inflight.load(Ordering::SeqCst) as u64),
-        ),
-        ("checksum_failures", Json::UInt(checksum_failures)),
-        ("lock_poisoned", Json::UInt(lock_poisoned)),
-        ("slow_queries", Json::UInt(ctx.slow_log.len() as u64)),
-        ("durable", Json::Bool(ctx.dir.is_some())),
-    ])
-}
-
-/// Runs `retile --defrag[:<budgetKB>]` for the wire handler, folding a
-/// budget-paced step loop into one [`RetileStats`]-shaped report so the
-/// response schema matches the other retile verbs.
-fn defrag_to_retile_stats<S: PageStore>(
-    db: &SharedDatabase<S>,
-    object: &str,
-    budget_bytes: Option<u64>,
-) -> tilestore_engine::Result<(u64, tilestore_engine::RetileStats)> {
-    let Some(budget) = budget_bytes else {
-        let receipt = db.defrag(object)?;
-        return Ok((receipt.epoch, receipt.stats));
-    };
-    let tiles = db.object(object)?.tiles.len() as u64;
-    let mut stats = tilestore_engine::RetileStats {
-        tiles_before: tiles,
-        tiles_after: tiles,
-        ..tilestore_engine::RetileStats::default()
-    };
-    loop {
-        let step = db.defrag_step(object, budget)?;
-        stats.bytes_rewritten += step.stats.bytes_moved;
-        stats.elapsed_ns = stats.elapsed_ns.saturating_add(step.stats.elapsed_ns);
-        if step.stats.tiles_remaining == 0 {
-            return Ok((step.epoch, stats));
-        }
-    }
-}
-
-/// Serializes an object's metadata for `info`/`stats` responses.
-fn object_info(o: &tilestore_engine::MddObject) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(o.name.clone())),
-        ("cell_size", Json::UInt(o.cell_size() as u64)),
-        (
-            "current_domain",
-            o.current_domain
-                .as_ref()
-                .map_or(Json::Null, |d| Json::Str(d.to_string())),
-        ),
-        ("tiles", Json::UInt(o.tiles.len() as u64)),
-        ("covered_cells", Json::UInt(o.covered_cells())),
-        ("scheme", o.scheme.to_json()),
-        // Additive: the full MDD type, so a cluster coordinator resolving
-        // queries against remote shards knows the cell type (and its
-        // default value) without a second protocol round.
-        ("mdd_type", o.mdd_type.to_json()),
-    ])
-}
-
-/// Serializes an fsck report (the engine type predates the wire layer and
-/// carries no `ToJson` of its own).
-fn fsck_to_json(r: &tilestore_engine::FsckReport) -> Json {
-    Json::obj(vec![
-        ("epoch", Json::UInt(r.epoch)),
-        ("objects", Json::UInt(r.objects)),
-        ("blobs", Json::UInt(r.blobs)),
-        ("allocated_pages", Json::UInt(r.allocated_pages)),
-        ("free_pages", Json::UInt(r.free_pages)),
-        ("orphaned_pages", r.orphaned_pages.to_json()),
-        ("dangling_pages", r.dangling_pages.to_json()),
-        ("duplicated_pages", r.duplicated_pages.to_json()),
-        ("unreadable_blobs", r.unreadable_blobs.to_json()),
-        (
-            "missing_tile_blobs",
-            Json::Array(
-                r.missing_tile_blobs
+            "metrics" => Ok(tilestore_obs::metrics().snapshot().to_json()),
+            "slow" => {
+                let limit = call
+                    .req
+                    .get("limit")
+                    .and_then(Json::as_u64)
+                    .map_or(16, |l| l as usize);
+                let entries = self
+                    .slow_log
+                    .recent(limit)
                     .iter()
-                    .map(|(o, b)| {
-                        Json::obj(vec![
-                            ("object", Json::Str(o.clone())),
-                            ("blob", Json::UInt(*b)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("stale_tmp", Json::Bool(r.stale_tmp)),
-        ("clean", Json::Bool(r.is_clean())),
-    ])
+                    .map(ToJson::to_json)
+                    .collect::<Vec<_>>();
+                Ok(Json::obj(vec![
+                    ("threshold_ms", Json::UInt(self.slow_log.threshold_ms())),
+                    ("count", Json::UInt(self.slow_log.len() as u64)),
+                    ("entries", Json::Array(entries)),
+                ]))
+            }
+            other => self.backend.backend_op(session, other, call),
+        }
+    }
+
+    /// Feeds one finished statement to the slow-query log.
+    fn observe_slow(&self, rid: u64, statement: &str, answer: &Answer, received: Instant) {
+        let elapsed = received.elapsed();
+        self.slow_log.observe(
+            elapsed,
+            SlowQueryEntry {
+                request_id: rid,
+                statement: statement.to_string(),
+                epoch: answer.epoch,
+                elapsed_ns: elapsed.as_nanos() as u64,
+                stats: answer.stats,
+            },
+        );
+    }
+}
+
+/// Decodes and checks an `insert` request's payload: the cells must tile
+/// the domain exactly, whatever the backend.
+fn insert_payload(req: &Json) -> ServiceResult<Array> {
+    let domain = req
+        .get("domain")
+        .and_then(Json::as_str)
+        .and_then(|s| s.parse::<Domain>().ok())
+        .ok_or_else(|| ServiceError::bad_request("insert needs a valid `domain`"))?;
+    let cells = req
+        .get("cells_hex")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ServiceError::bad_request("insert needs `cells_hex`"))
+        .and_then(|hex| {
+            hex_decode(hex).map_err(|e| ServiceError::bad_request(format!("bad cells_hex: {e}")))
+        })?;
+    let count = domain.cells();
+    if count == 0 || cells.is_empty() || !(cells.len() as u64).is_multiple_of(count) {
+        return Err(ServiceError::bad_request(format!(
+            "{} bytes do not tile {count} cells",
+            cells.len()
+        )));
+    }
+    let cell_size = (cells.len() as u64 / count) as usize;
+    Array::from_bytes(domain, cell_size, cells)
+        .map_err(|e| ServiceError::bad_request(e.to_string()))
 }

@@ -93,29 +93,93 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame. `Ok(None)` signals a clean end of stream (the peer
-/// closed between frames).
-///
-/// # Errors
-/// I/O errors; `InvalidData` for an oversized length prefix;
-/// `UnexpectedEof` for a stream cut mid-frame.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
+/// Payload bytes a reader allocates ahead of the bytes it has received. A
+/// frame that fits is read into one exact allocation; a longer one grows the
+/// buffer by doubling as its bytes arrive, so a peer that sends a
+/// [`MAX_FRAME`] prefix and nothing else costs one chunk, not 64 MiB.
+pub(crate) const FRAME_CHUNK: usize = 1 << 20;
+
+/// Outcome of filling a buffer from a stream.
+enum Fill {
+    Full,
+    /// The stream ended after this many bytes.
+    Eof(usize),
+    /// The timeout policy gave up waiting.
+    Abandoned,
+}
+
+/// Reads until `buf` is full. A read that times out asks `on_timeout`
+/// (told whether a frame is in progress) what to do: `Ok(true)` keeps
+/// waiting, `Ok(false)` abandons the read, `Err` fails it.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    in_frame: bool,
+    on_timeout: &mut impl FnMut(bool, std::io::Error) -> std::io::Result<bool>,
+) -> std::io::Result<Fill> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Ok(Fill::Eof(filled)),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == Interrupted => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                if !on_timeout(in_frame || filled > 0, e)? {
+                    return Ok(Fill::Abandoned);
+                }
+            }
+            Err(e) => return Err(e),
+        }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    Ok(Fill::Full)
+}
+
+/// The one frame decoder behind [`read_frame`] and the server's
+/// interruptible session reader: prefix, limit check, then the payload
+/// filled into `payload` in chunks bounded by [`FRAME_CHUNK`]. `Ok(false)`
+/// means no frame: the peer closed between frames, or `on_timeout` (see
+/// [`fill`]) abandoned the wait.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+    mut on_timeout: impl FnMut(bool, std::io::Error) -> std::io::Result<bool>,
+) -> std::io::Result<bool> {
+    let mut prefix = [0u8; 4];
+    match fill(r, &mut prefix, false, &mut on_timeout)? {
+        Fill::Full => {}
+        Fill::Eof(0) | Fill::Abandoned => return Ok(false),
+        Fill::Eof(_) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+    }
+    let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.clear();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(FRAME_CHUNK.max(start)), 0);
+        match fill(r, &mut payload[start..], true, &mut on_timeout)? {
+            Fill::Full => {}
+            Fill::Eof(_) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Fill::Abandoned => return Ok(false),
+        }
+    }
+    Ok(true)
+}
+
+/// Reads one frame from a blocking peer. `Ok(None)` signals a clean end of
+/// stream (the peer closed between frames).
+///
+/// # Errors
+/// I/O errors, read timeouts included; `InvalidData` for an oversized
+/// length prefix; `UnexpectedEof` for a stream cut mid-frame.
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload, |_, e| Err(e))?.then_some(payload))
 }
 
 /// Both hex digits of every byte value, precomputed so [`hex_encode`] is one
@@ -210,27 +274,30 @@ pub fn err_response(id: u64, code: ErrorCode, message: &str) -> Json {
     ])
 }
 
-/// Stamps the catalog epoch a response was produced at into an object
-/// payload. The field is additive: clients that predate snapshot reads
-/// ignore keys they do not know.
+/// Appends a field to an object payload (anything else passes through).
+/// Every additive response field goes through here: clients ignore keys
+/// they do not know.
 #[must_use]
-pub fn with_epoch(mut json: Json, epoch: u64) -> Json {
+pub fn with_field(mut json: Json, key: &str, value: Json) -> Json {
     if let Json::Object(fields) = &mut json {
-        fields.push(("epoch".to_string(), Json::UInt(epoch)));
+        fields.push((key.to_string(), value));
     }
     json
 }
 
-/// Tags a response with the server-assigned request id. The field is
-/// additive and sits beside `id`/`ok`/`result`, so payload comparisons on
-/// `result` (e.g. the golden wire-vs-inprocess corpus) are unaffected and
-/// older clients simply ignore it.
+/// Stamps the catalog epoch a response was produced at into an object
+/// payload. Additive: clients that predate snapshot reads ignore it.
 #[must_use]
-pub fn with_request_id(mut json: Json, request_id: u64) -> Json {
-    if let Json::Object(fields) = &mut json {
-        fields.push(("request_id".to_string(), Json::UInt(request_id)));
-    }
-    json
+pub fn with_epoch(json: Json, epoch: u64) -> Json {
+    with_field(json, "epoch", Json::UInt(epoch))
+}
+
+/// Tags a response with the server-assigned request id. The field sits
+/// beside `id`/`ok`/`result`, so payload comparisons on `result` (e.g. the
+/// golden wire-vs-inprocess corpus) are unaffected.
+#[must_use]
+pub fn with_request_id(json: Json, request_id: u64) -> Json {
+    with_field(json, "request_id", Json::UInt(request_id))
 }
 
 /// Serializes a rasql result value (with its execution stats and the
@@ -301,6 +368,69 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             std::io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn a_bare_length_prefix_allocates_one_chunk_not_the_frame() {
+        // The hostile peer: a MAX_FRAME prefix, then nothing.
+        let mut r = std::io::Cursor::new((MAX_FRAME as u32).to_le_bytes());
+        let mut payload = Vec::new();
+        let e = read_frame_into(&mut r, &mut payload, |_, e| Err(e)).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            payload.capacity() <= FRAME_CHUNK,
+            "{} bytes reserved for a frame that never arrived",
+            payload.capacity()
+        );
+    }
+
+    /// Yields its bytes in short reads, timing out before every one.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        ready: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.ready = !self.ready;
+            if self.ready {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            // Short reads of a size that lands inside chunks, not on their edges.
+            let n = buf.len().min(self.bytes.len() - self.at).min(700_001);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frames_longer_than_a_chunk_survive_timeouts_and_short_reads() {
+        let body: Vec<u8> = (0..2 * FRAME_CHUNK + 12_345).map(|i| i as u8).collect();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &body).unwrap();
+        let mut r = Trickle {
+            bytes,
+            at: 0,
+            ready: false,
+        };
+        // The policy sees "no frame yet" exactly once: before the prefix.
+        let mut idle_waits = 0;
+        let mut payload = Vec::new();
+        let got = read_frame_into(&mut r, &mut payload, |in_frame, _| {
+            idle_waits += usize::from(!in_frame);
+            Ok(true)
+        });
+        assert!(got.unwrap());
+        assert_eq!(idle_waits, 1);
+        assert!(payload == body);
+        // Abandoning the wait ends the read without an error, and the
+        // blocking reader turns the same timeout into one.
+        r.at = 0;
+        assert!(!read_frame_into(&mut r, &mut payload, |_, _| Ok(false)).unwrap());
+        r.at = 0;
+        assert!(read_frame(&mut r).is_err());
     }
 
     #[test]

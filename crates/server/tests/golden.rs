@@ -6,9 +6,12 @@
 
 use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
 use tilestore_rasql::{StatementResult, Value};
-use tilestore_server::{serve, Client, RemoteValue, ServerConfig};
+use tilestore_server::{serve, Client, RemoteValue, ServerConfig, ServerHandle};
 use tilestore_testkit::{Json, ToJson};
 use tilestore_tiling::{AlignedTiling, Scheme};
+
+mod endpoints;
+use endpoints::Kind;
 
 /// The statement corpus: every result kind, trims, sections, wildcard
 /// ranges, induced operations, aggregates.
@@ -41,19 +44,26 @@ const GOLDEN: &[&str] = &[
     "SELECT all_cells(cube) FROM cube WHERE cube = 7",
 ];
 
-fn cube_db() -> Database<tilestore_storage::MemPageStore> {
-    let db = Database::in_memory().unwrap();
-    db.create_object(
-        "cube",
-        MddType::new(CellType::of::<u32>(), "[0:*,0:*,0:*]".parse().unwrap()),
-        Scheme::Aligned(AlignedTiling::regular(3, 2048)),
-    )
-    .unwrap();
-    let cells = Array::from_fn("[0:9,0:9,0:9]".parse().unwrap(), |p| {
+fn cube_type() -> MddType {
+    MddType::new(CellType::of::<u32>(), "[0:*,0:*,0:*]".parse().unwrap())
+}
+
+fn cube_scheme() -> Scheme {
+    Scheme::Aligned(AlignedTiling::regular(3, 2048))
+}
+
+fn cube_cells() -> Array {
+    Array::from_fn("[0:9,0:9,0:9]".parse().unwrap(), |p| {
         (p[0] * 100 + p[1] * 10 + p[2]) as u32
     })
-    .unwrap();
-    db.insert("cube", &cells).unwrap();
+    .unwrap()
+}
+
+fn cube_db() -> Database<tilestore_storage::MemPageStore> {
+    let db = Database::in_memory().unwrap();
+    db.create_object("cube", cube_type(), cube_scheme())
+        .unwrap();
+    db.insert("cube", &cube_cells()).unwrap();
     db
 }
 
@@ -192,22 +202,81 @@ fn explain_plans_match_in_process_and_reconcile_with_execution() {
 
 #[test]
 fn malformed_requests_get_typed_errors_not_disconnects() {
-    let shared = SharedDatabase::new(cube_db());
-    let handle = serve(shared, None, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let endpoints = endpoints::both(
+        "cube",
+        &cube_type(),
+        &cube_scheme(),
+        &cube_cells(),
+        5,
+        &ServerConfig::default(),
+    );
+    for (kind, handle) in endpoints {
+        malformed_requests_get_typed_errors(kind, &handle);
+        handle.shutdown();
+    }
+}
+
+/// The serving core answers a wrong request with a typed error on either
+/// backend and keeps the connection; `kind` only selects the few classes
+/// that legitimately differ between the backends.
+fn malformed_requests_get_typed_errors(kind: Kind, handle: &ServerHandle) {
+    use tilestore_server::ClientError;
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let e = client.query("SELECT nothing FROM nowhere").unwrap_err();
-    assert!(matches!(e, tilestore_server::ClientError::Engine(_)), "{e}");
+    assert!(matches!(e, ClientError::Engine(_)), "{kind:?}: {e}");
+    // A single engine reports every statement failure as `engine`; the
+    // coordinator parses the statement itself and blames the request.
+    let e = client.query("SELEC cube FROM cube").unwrap_err();
+    match kind {
+        Kind::Single => assert!(matches!(e, ClientError::Engine(_)), "{e}"),
+        Kind::Coordinator => assert!(matches!(e, ClientError::BadRequest(_)), "{e}"),
+    }
     let e = client.retile("cube", "bogus:spec").unwrap_err();
-    assert!(
-        matches!(e, tilestore_server::ClientError::BadRequest(_)),
-        "{e}"
-    );
+    assert!(matches!(e, ClientError::BadRequest(_)), "{kind:?}: {e}");
     let e = client.info("missing").unwrap_err();
-    assert!(matches!(e, tilestore_server::ClientError::Engine(_)), "{e}");
-    // The connection survived all of that.
+    assert!(matches!(e, ClientError::Engine(_)), "{kind:?}: {e}");
+
+    // One rule on both backends where the forked loops had drifted apart: a
+    // zero budget is already spent, and a payload that does not tile its
+    // domain is the request's fault.
+    let mut raw = endpoints::Raw::connect(handle.addr());
+    assert_eq!(
+        raw.error_of(r#"{"id":1,"op":"query","q":"SELECT cube FROM cube","deadline_ms":0}"#),
+        Some("deadline".to_string()),
+        "{kind:?}"
+    );
+    for bad_insert in [
+        r#"{"id":2,"op":"insert","object":"cube","domain":"[0:1,0:1,0:0]","cells_hex":"00112233445566"}"#,
+        r#"{"id":3,"op":"insert","object":"cube","domain":"[0:1,0:1,0:0]","cells_hex":""}"#,
+        r#"{"id":4,"op":"insert","object":"cube","domain":"[0:1,0:1,0:0]","cells_hex":"0g"}"#,
+        r#"{"id":5,"op":"insert","object":"cube","domain":"nope","cells_hex":"00"}"#,
+        r#"{"id":6,"op":"insert","domain":"[0:0,0:0,0:0]","cells_hex":"00"}"#,
+    ] {
+        assert_eq!(
+            raw.error_of(bad_insert),
+            Some("bad_request".to_string()),
+            "{kind:?}: {bad_insert}"
+        );
+    }
+
+    // Each backend's own ops are a typed `bad_request` on the other.
+    let own: &[&str] = match kind {
+        Kind::Single => &["pin", "unpin", "fsck"],
+        Kind::Coordinator => &["cluster"],
+    };
+    for op in ["pin", "unpin", "fsck", "cluster", "no-such-op"] {
+        let got = raw.error_of(&format!(r#"{{"id":7,"op":"{op}","pin":1}}"#));
+        if own.contains(&op) {
+            assert_ne!(got.as_deref(), Some("bad_request"), "{kind:?}: {op}");
+        } else {
+            assert_eq!(got.as_deref(), Some("bad_request"), "{kind:?}: {op}");
+        }
+    }
+
+    // The connections survived all of that.
     client.ping().unwrap();
-    handle.shutdown();
+    assert_eq!(raw.error_of(r#"{"id":8,"op":"ping"}"#), None);
 }
 
 #[test]

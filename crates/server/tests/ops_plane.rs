@@ -1,55 +1,59 @@
 //! The live ops plane: `metrics`, `health` and `slow` over the wire, plus
-//! request-id echo and per-request trace export.
+//! request-id echo and per-request trace export — on a single engine and on
+//! a cluster coordinator alike, since both are backends of one serving core.
 
-use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
-use tilestore_server::{serve, Client, ServerConfig};
+use tilestore_engine::{Array, CellType, MddType};
+use tilestore_server::{Client, ServerConfig, ServerHandle};
 use tilestore_testkit::Json;
 use tilestore_tiling::{AlignedTiling, Scheme};
 
-fn grid_db() -> Database<tilestore_storage::MemPageStore> {
-    let db = Database::in_memory().unwrap();
-    db.create_object(
+mod endpoints;
+use endpoints::Kind;
+
+/// Both endpoints over a 16x16 `grid` (the coordinator's seam at row 8).
+fn grid_endpoints(config: &ServerConfig) -> [(Kind, ServerHandle); 2] {
+    endpoints::both(
         "grid",
-        MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
-        Scheme::Aligned(AlignedTiling::regular(2, 256)),
-    )
-    .unwrap();
-    db.insert(
-        "grid",
+        &MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
+        &Scheme::Aligned(AlignedTiling::regular(2, 256)),
         &Array::from_fn("[0:15,0:15]".parse().unwrap(), |p| {
             (p[0] * 16 + p[1]) as u32
         })
         .unwrap(),
+        8,
+        config,
     )
-    .unwrap();
-    db
 }
 
 #[test]
 fn metrics_health_and_slow_log_are_live_over_the_wire() {
-    let handle = serve(
-        SharedDatabase::new(grid_db()),
-        None,
-        "127.0.0.1:0",
-        ServerConfig {
-            // Threshold 0: every statement lands in the slow-query log, so
-            // the test observes entries deterministically.
-            slow_query_ms: 0,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    // Threshold 0: every statement lands in the slow-query log, so the
+    // test observes entries deterministically.
+    let config = ServerConfig {
+        slow_query_ms: 0,
+        ..ServerConfig::default()
+    };
+    for (kind, handle) in grid_endpoints(&config) {
+        metrics_health_and_slow_log_are_live(kind, &handle);
+        handle.shutdown();
+    }
+}
+
+fn metrics_health_and_slow_log_are_live(kind: Kind, handle: &ServerHandle) {
     let mut client = Client::connect(handle.addr()).unwrap();
 
     // Request ids are echoed on every response and increase monotonically
     // for server-assigned ids.
     client.ping().unwrap();
     let first = client.last_request_id();
-    assert!(first > 0, "ping response lacks a request id");
+    assert!(first > 0, "{kind:?}: ping response lacks a request id");
     client.ping().unwrap();
-    assert!(client.last_request_id() > first);
+    assert!(client.last_request_id() > first, "{kind:?}");
 
-    // Run a query, then check all three ops observe it.
+    // Run a tile-reading query (a condenser answered from synopses alone
+    // never reaches the counted read path), then the statement the slow log
+    // is searched for, and check all three ops observe them.
+    client.query("SELECT grid[6:9,0:3] FROM grid").unwrap();
     let stmt = "SELECT count_cells(grid) FROM grid WHERE grid > 200";
     client.query(stmt).unwrap();
     let query_rid = client.last_request_id();
@@ -60,7 +64,7 @@ fn metrics_health_and_slow_log_are_live_over_the_wire() {
         .and_then(|c| c.get("engine.queries"))
         .and_then(Json::as_u64)
         .expect("metrics carry engine.queries");
-    assert!(queries >= 1, "engine.queries = {queries}");
+    assert!(queries >= 1, "{kind:?}: engine.queries = {queries}");
     // Histogram snapshots expose the percentile shape.
     let latency = metrics
         .get("histograms")
@@ -72,13 +76,23 @@ fn metrics_health_and_slow_log_are_live_over_the_wire() {
 
     let health = client.health().unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
-    assert!(health.get("epoch").and_then(Json::as_u64).is_some());
-    assert!(health.get("snapshots_active").is_some());
-    assert_eq!(
-        health.get("checksum_failures").and_then(Json::as_u64),
-        Some(0)
-    );
+    assert_eq!(health.get("inflight").and_then(Json::as_u64), Some(1));
+    assert!(health.get("slow_queries").and_then(Json::as_u64) >= Some(2));
     assert_eq!(health.get("durable").and_then(Json::as_bool), Some(false));
+    match kind {
+        Kind::Single => {
+            assert!(health.get("epoch").and_then(Json::as_u64).is_some());
+            assert!(health.get("snapshots_active").is_some());
+            assert_eq!(
+                health.get("checksum_failures").and_then(Json::as_u64),
+                Some(0)
+            );
+        }
+        Kind::Coordinator => {
+            let members = health.get("cluster").and_then(|c| c.get("members"));
+            assert_eq!(members.and_then(Json::as_array).map(<[Json]>::len), Some(2));
+        }
+    }
 
     let slow = client.slow_queries(8).unwrap();
     assert_eq!(slow.get("threshold_ms").and_then(Json::as_u64), Some(0));
@@ -88,7 +102,7 @@ fn metrics_health_and_slow_log_are_live_over_the_wire() {
     };
     assert!(!entries.is_empty());
     // Newest first; the query we just ran is in there with its request id,
-    // statement, epoch and stats.
+    // statement, epoch and (on a coordinator: merged) stats.
     let ours = entries
         .iter()
         .find(|e| e.get("request_id").and_then(Json::as_u64) == Some(query_rid))
@@ -100,64 +114,74 @@ fn metrics_health_and_slow_log_are_live_over_the_wire() {
             .and_then(|s| s.get("tiles_read"))
             .and_then(Json::as_u64)
             .is_some(),
-        "slow entry carries executor stats"
+        "{kind:?}: slow entry carries executor stats"
     );
-    handle.shutdown();
 }
 
 #[test]
 fn client_supplied_request_ids_are_honored_and_traces_export() {
-    let handle = serve(
-        SharedDatabase::new(grid_db()),
-        None,
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
+    for (kind, handle) in grid_endpoints(&ServerConfig::default()) {
+        request_ids_are_honored_and_traces_export(kind, &handle);
+        handle.shutdown();
+    }
+}
 
-    // Raw frames so the test controls the request object exactly.
-    use std::io::{BufReader, BufWriter};
-    use std::net::TcpStream;
-    use tilestore_server::wire::{read_frame, write_frame};
-    let stream = TcpStream::connect(handle.addr()).unwrap();
-    let mut r = BufReader::new(stream.try_clone().unwrap());
-    let mut w = BufWriter::new(stream);
-    let mut call = |payload: &str| -> Json {
-        write_frame(&mut w, payload.as_bytes()).unwrap();
-        let frame = read_frame(&mut r).unwrap().unwrap();
-        Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap()
+fn request_ids_are_honored_and_traces_export(kind: Kind, handle: &ServerHandle) {
+    // Raw frames so the test controls the request object exactly. The ids
+    // differ per endpoint: both share this process's trace ring.
+    let mut raw = endpoints::Raw::connect(handle.addr());
+    let base = match kind {
+        Kind::Single => 777_000,
+        Kind::Coordinator => 888_000,
     };
 
     // A nonzero client-supplied request id is kept and echoed.
-    let resp = call(r#"{"id":1,"op":"ping","request_id":777001}"#);
-    assert_eq!(resp.get("request_id").and_then(Json::as_u64), Some(777001));
+    let resp = raw.call(&format!(
+        r#"{{"id":1,"op":"ping","request_id":{}}}"#,
+        base + 1
+    ));
+    assert_eq!(
+        resp.get("request_id").and_then(Json::as_u64),
+        Some(base + 1)
+    );
 
     // `trace: true` returns the request's span tree as JSONL, tagged with
     // the request id.
-    let resp = call(
-        r#"{"id":2,"op":"query","q":"SELECT grid FROM grid WHERE grid > 200","request_id":777002,"trace":true}"#,
-    );
+    let resp = raw.call(&format!(
+        r#"{{"id":2,"op":"query","q":"SELECT grid FROM grid WHERE grid > 200","request_id":{},"trace":true}}"#,
+        base + 2
+    ));
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
     let trace = resp
         .get("trace")
         .and_then(Json::as_str)
         .expect("response carries trace JSONL");
-    let mut saw_query_span = false;
+    let mut spans = Vec::new();
     for line in trace.lines() {
         let event = Json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
         assert_eq!(
             event.get("req").and_then(Json::as_u64),
-            Some(777002),
+            Some(base + 2),
             "{line}"
         );
-        if event.get("name").and_then(Json::as_str) == Some("query") {
-            saw_query_span = true;
-        }
+        spans.extend(event.get("name").and_then(Json::as_str).map(str::to_string));
     }
-    assert!(saw_query_span, "trace lacks the engine query span: {trace}");
+    // The serving core's own span on either backend; a single engine's
+    // query span below it (shard spans are not yet grafted under a
+    // coordinator's scatter).
+    assert!(
+        spans.iter().any(|s| s == "request"),
+        "{kind:?}: trace lacks the request span: {trace}"
+    );
+    if kind == Kind::Single {
+        assert!(
+            spans.iter().any(|s| s == "query"),
+            "trace lacks the engine query span: {trace}"
+        );
+    }
 
     // A later untraced request from another id does not inherit the events.
-    let resp = call(r#"{"id":3,"op":"ping"}"#);
+    let resp = raw.call(r#"{"id":3,"op":"ping"}"#);
     assert!(resp.get("trace").is_none());
-    handle.shutdown();
+    assert!(resp.get("request_id").and_then(Json::as_u64) > Some(0));
 }

@@ -19,6 +19,15 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+# --- One serving core: the cluster endpoint is a `Service` backend of the
+# server crate's loop, not a copy of it. A second listener or a second
+# interruptible frame reader in non-test sources is the fork coming back.
+serving_sources() { find crates/server/src crates/cluster/src -name '*.rs' -print0; }
+for needle in 'TcpListener::bind' 'fn read_frame_interruptible'; do
+    count=$(serving_sources | xargs -0 cat | grep -cF "$needle" || true)
+    [ "$count" -le 1 ] || { echo "serving core forked: $count x '$needle'" >&2; exit 1; }
+done
+
 # --- Server smoke test: serve a small database, query it over TCP, shut
 # down gracefully through the client, and verify the files stayed clean.
 TILESTORE=target/release/tilestore
@@ -123,7 +132,13 @@ echo "cluster coordinator on $COORD_ADDR (shards $SHARD0_ADDR, $SHARD1_ADDR)"
 "$TILESTORE" client "$COORD_ADDR" query 'SELECT sum_cells(img) FROM img' >/dev/null
 "$TILESTORE" client "$COORD_ADDR" explain 'SELECT img FROM img' | grep -q '"shard"'
 "$TILESTORE" client "$COORD_ADDR" cluster | grep -q '"shards": 2'
-kill "$COORD_PID" 2>/dev/null; wait "$COORD_PID" 2>/dev/null || true
+# The coordinator is a backend of the same serving core, so it answers the
+# ops plane too and drains on a client's `shutdown` like a single server.
+"$TILESTORE" client "$COORD_ADDR" metrics | grep -q 'engine.queries'
+"$TILESTORE" client "$COORD_ADDR" health | grep -q '"status": "ok"'
+"$TILESTORE" client "$COORD_ADDR" top | grep -q 'slow queries'
+"$TILESTORE" client "$COORD_ADDR" shutdown >/dev/null
+wait "$COORD_PID"
 COORD_PID=""
 for pid in "$SHARD0_PID" "$SHARD1_PID"; do kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null || true; done
 SHARD0_PID=""
