@@ -310,7 +310,6 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         let mut acc = Accumulator::new(kind);
 
         let search = meta.index.search(region);
-        let candidates = predicate.map(CellPredicate::candidate_bins);
         let io_before = self.blobs.stats().snapshot();
         let mut stats = QueryStats {
             index_nodes: search.nodes_visited,
@@ -322,14 +321,8 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
                 .domain
                 .intersection(region)
                 .expect("index returned an intersecting tile");
-            if let (Some(p), Some(bins)) = (predicate, candidates) {
-                let by_bitmap = p.bins_can_prune()
-                    && meta
-                        .value_index
-                        .as_ref()
-                        .is_some_and(|ix| ix.tile_mask(pos as usize) & bins == 0);
-                let by_synopsis = tile.synopsis.as_ref().is_some_and(|s| p.prunes_tile(s));
-                if by_bitmap || by_synopsis {
+            if let Some(p) = predicate {
+                if p.prune(meta, pos as usize).is_some() {
                     // No cell matches: the whole clip reads as default.
                     acc.feed_default(&cell_type, clip.cells())?;
                     stats.tiles_pruned += 1;

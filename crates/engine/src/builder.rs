@@ -72,8 +72,9 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Attaches a thread pool for parallel query execution and tile
-    /// materialization (see [`Database::set_executor`]).
+    /// Attaches a thread pool that query bands and insert/retile tile tasks
+    /// scatter onto; without one the same task bodies run inline (see
+    /// [`Database::set_executor`]).
     #[must_use]
     pub fn executor(mut self, pool: Arc<ThreadPool>) -> Self {
         self.executor = Some(pool);
@@ -113,8 +114,8 @@ impl DatabaseBuilder {
         if let Some(recorder) = self.recorder {
             db.set_recorder(recorder);
         }
-        if let Some(pool) = self.executor {
-            db.set_executor(pool);
+        if let Some(executor) = self.executor {
+            db.set_executor(executor);
         }
         db
     }

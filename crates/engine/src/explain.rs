@@ -1,7 +1,8 @@
 //! EXPLAIN: the planner's per-tile decisions as an inspectable report.
 //!
 //! [`Snapshot::explain_range`] and [`Snapshot::explain_aggregate`] walk the
-//! same candidate set, in the same order, applying the same rules as the
+//! same candidate set, in the same order, calling the same pruning test
+//! (`CellPredicate::prune`) and read batching (`read_batches`) as the
 //! executors in `snapshot.rs` / `aggregate.rs` — but instead of fetching or
 //! skipping tiles they record *which* rule fired for each one. The report
 //! therefore reconciles exactly with the executor's counters: `fetched`
@@ -14,9 +15,9 @@ use tilestore_storage::PageStore;
 
 use crate::aggregate::{decode_numeric, kind_accepts_synopsis, AggKind};
 use crate::error::{EngineError, Result};
-use crate::mdd::{MddObject, TileMeta};
-use crate::predicate::{CellPredicate, PruneRule};
-use crate::snapshot::Snapshot;
+use crate::mdd::MddObject;
+use crate::predicate::{CellPredicate, Prune, PruneRule};
+use crate::snapshot::{folds_into, read_batches, Snapshot};
 use tilestore_testkit::{Json, ToJson};
 
 /// What the planner decided to do with one candidate tile.
@@ -148,10 +149,9 @@ impl ToJson for ExplainPlan {
     }
 }
 
-/// Upgrades `Fetched` decisions to `FetchCoalesced` where the tile's pages
-/// physically follow the previously fetched tile's — mirroring the run
-/// grouping of the batch read path, which sorts a plan by first page and
-/// folds adjacent contiguous blobs into one positioned read. After a
+/// Upgrades `Fetched` decisions to `FetchCoalesced` where the range read
+/// path folds the tile into its predecessor's positioned read: same batch
+/// of [`read_batches`], pages directly following ([`folds_into`]). After a
 /// defrag, curve-adjacent tiles report `fetch-coalesced` here.
 fn mark_coalesced<S: PageStore>(
     blobs: &tilestore_storage::BlobStore<S>,
@@ -169,44 +169,33 @@ fn mark_coalesced<S: PageStore>(
                 .map(|p| (i, p))
         })
         .collect();
-    fetched.sort_by_key(|&(_, p)| p.first_page.0);
-    for k in 1..fetched.len() {
-        let (prev, cur) = (fetched[k - 1].1, fetched[k].1);
-        if prev.runs == 1 && prev.first_page.0 + prev.pages == cur.first_page.0 {
-            let i = fetched[k].0;
-            tiles[i].decision = TileDecision::FetchCoalesced;
-            tiles[i].rule = "pages adjacent to previous fetch; folded into its read".to_string();
+    for batch in read_batches(&mut fetched, blobs.page_store().page_size()) {
+        for k in batch.start + 1..batch.end {
+            if folds_into(&fetched[k - 1].1, &fetched[k].1) {
+                let i = fetched[k].0;
+                tiles[i].decision = TileDecision::FetchCoalesced;
+                tiles[i].rule =
+                    "pages adjacent to previous fetch; folded into its read".to_string();
+            }
         }
     }
 }
 
-/// Classifies one candidate tile under a predicate, mirroring the pruning
-/// test in `execute_range`/`aggregate_where`: bitmap disjointness is
-/// attributed first (it is the cheaper check and short-circuits the `||`),
-/// then the synopsis rule.
-fn classify_pruning(
-    meta: &MddObject,
-    pos: usize,
-    tile: &TileMeta,
-    p: &CellPredicate,
-    candidates: u64,
-) -> Option<(TileDecision, String)> {
-    let by_bitmap = p.bins_can_prune()
-        && meta
-            .value_index
-            .as_ref()
-            .is_some_and(|ix| ix.tile_mask(pos) & candidates == 0);
-    if by_bitmap {
-        return Some((
-            TileDecision::BitmapPrune,
-            "tile bitmap ∩ candidate bins = ∅".to_string(),
-        ));
-    }
-    let rule = tile.synopsis.as_ref().and_then(|s| p.prune_rule(s))?;
-    let detail = match rule {
-        PruneRule::EmptyTile => "synopsis records zero cells".to_string(),
-        PruneRule::Extrema => {
-            let syn = tile.synopsis.as_ref().expect("rule implies synopsis");
+/// Renders the executors' pruning decision for one candidate tile.
+fn pruning(meta: &MddObject, pos: usize, p: &CellPredicate) -> Option<(TileDecision, String)> {
+    let detail = match p.prune(meta, pos)? {
+        Prune::Bitmap => {
+            return Some((
+                TileDecision::BitmapPrune,
+                "tile bitmap ∩ candidate bins = ∅".to_string(),
+            ))
+        }
+        Prune::Synopsis(PruneRule::EmptyTile) => "synopsis records zero cells".to_string(),
+        Prune::Synopsis(PruneRule::Extrema) => {
+            let syn = meta.tiles[pos]
+                .synopsis
+                .as_ref()
+                .expect("rule implies synopsis");
             format!(
                 "extrema [{}, {}] vs `{p}`: {}",
                 syn.min().unwrap_or(f64::NAN),
@@ -214,7 +203,9 @@ fn classify_pruning(
                 p.extrema_rule()
             )
         }
-        PruneRule::SynopsisBins => "synopsis bins ∩ candidate bins = ∅".to_string(),
+        Prune::Synopsis(PruneRule::SynopsisBins) => {
+            "synopsis bins ∩ candidate bins = ∅".to_string()
+        }
     };
     Some((TileDecision::SynopsisPrune, detail))
 }
@@ -261,17 +252,15 @@ impl<S: PageStore> Snapshot<S> {
         predicate: Option<&CellPredicate>,
     ) -> Result<ExplainPlan> {
         let (meta, hits, index_nodes) = self.explain_candidates(name, region, predicate)?;
-        let candidates = predicate.map(CellPredicate::candidate_bins);
         let mut tiles = Vec::with_capacity(hits.len());
         for &pos in &hits {
             let tile = &meta.tiles[pos as usize];
-            let (decision, rule) = match (predicate, candidates) {
-                (Some(p), Some(bins)) => classify_pruning(&meta, pos as usize, tile, p, bins)
-                    .unwrap_or((
-                        TileDecision::Fetched,
-                        "synopsis cannot disprove a match".to_string(),
-                    )),
-                _ => (TileDecision::Fetched, "no predicate".to_string()),
+            let (decision, rule) = match predicate {
+                Some(p) => pruning(&meta, pos as usize, p).unwrap_or((
+                    TileDecision::Fetched,
+                    "synopsis cannot disprove a match".to_string(),
+                )),
+                None => (TileDecision::Fetched, "no predicate".to_string()),
             };
             tiles.push(TilePlan {
                 tile: pos,
@@ -306,12 +295,11 @@ impl<S: PageStore> Snapshot<S> {
         predicate: Option<&CellPredicate>,
     ) -> Result<ExplainPlan> {
         let (meta, hits, index_nodes) = self.explain_candidates(name, region, predicate)?;
-        let candidates = predicate.map(CellPredicate::candidate_bins);
         let mut tiles = Vec::with_capacity(hits.len());
         for &pos in &hits {
             let tile = &meta.tiles[pos as usize];
-            let (decision, rule) = if let (Some(p), Some(bins)) = (predicate, candidates) {
-                classify_pruning(&meta, pos as usize, tile, p, bins).unwrap_or((
+            let (decision, rule) = if let Some(p) = predicate {
+                pruning(&meta, pos as usize, p).unwrap_or((
                     TileDecision::Fetched,
                     "synopsis cannot disprove a match".to_string(),
                 ))
@@ -404,6 +392,36 @@ mod tests {
             .tiles
             .iter()
             .any(|t| t.decision != TileDecision::Fetched));
+    }
+
+    #[test]
+    fn coalesced_tiles_in_the_plan_match_the_executed_reads() {
+        // 128x128 u32 in 1 KiB tiles: 64 single-page tiles, twice the
+        // 256 KiB / 8 KiB = 32-page batch cap, on a handle with no executor.
+        let db = Database::in_memory().unwrap();
+        db.create_object(
+            "big",
+            MddType::new(CellType::of::<u32>(), DefDomain::unlimited(2).unwrap()),
+            Scheme::Aligned(AlignedTiling::regular(2, 1024)),
+        )
+        .unwrap();
+        let region = d("[0:127,0:127]");
+        db.insert(
+            "big",
+            &Array::from_fn(region.clone(), |p| (p[0] * 128 + p[1]) as u32).unwrap(),
+        )
+        .unwrap();
+        db.defrag("big").unwrap();
+        let snap = db.begin_read();
+        let plan = snap.explain_range("big", &region, None).unwrap();
+        let io = snap.range_query("big", &region).unwrap().stats.io;
+        let coalesced = plan
+            .tiles
+            .iter()
+            .filter(|t| t.decision == TileDecision::FetchCoalesced)
+            .count() as u64;
+        assert!(io.runs_coalesced > 1, "the cap splits the read: {io:?}");
+        assert_eq!(coalesced, io.pages_read_run - io.runs_coalesced, "{io:?}");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use tilestore_index::{bins_eq, bins_ge, bins_le};
 use crate::aggregate::decode_numeric;
 use crate::celltype::CellType;
 use crate::error::Result;
+use crate::mdd::MddObject;
 use crate::synopsis::TileSynopsis;
 
 /// Comparison operators a cell predicate supports.
@@ -69,6 +70,16 @@ impl PruneRule {
             PruneRule::SynopsisBins => "synopsis-bins",
         }
     }
+}
+
+/// Why a candidate tile need not be fetched under a predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prune {
+    /// The bitmap index's per-tile mask is disjoint from the predicate's
+    /// candidate bins.
+    Bitmap,
+    /// A rule of the tile's synopsis proves no cell matches.
+    Synopsis(PruneRule),
 }
 
 /// A value predicate `cell <op> literal` over a numeric cell type.
@@ -162,6 +173,23 @@ impl CellPredicate {
             return Some(PruneRule::SynopsisBins);
         }
         None
+    }
+
+    /// The one pruning test, shared by range queries, aggregates and
+    /// EXPLAIN: whether tile `pos` of `meta` can be skipped, and why.
+    /// Bitmap disjointness is tried first (the cheaper check), then the
+    /// synopsis rules; `None` means the tile must be fetched.
+    pub(crate) fn prune(&self, meta: &MddObject, pos: usize) -> Option<Prune> {
+        let by_bitmap = self.bins_can_prune()
+            && meta
+                .value_index
+                .as_ref()
+                .is_some_and(|ix| ix.tile_mask(pos) & self.candidate_bins() == 0);
+        if by_bitmap {
+            return Some(Prune::Bitmap);
+        }
+        let syn = meta.tiles[pos].synopsis.as_ref()?;
+        self.prune_rule(syn).map(Prune::Synopsis)
     }
 
     /// The extrema comparison `prune_rule` applies for this operator, as a

@@ -6,7 +6,9 @@
 //! `retile`. This crate provides the substrate: a fixed pool of worker
 //! threads (std only: threads, mutexes, condvars) plus a scoped
 //! scatter/gather API in the style of `std::thread::scope`, so tasks may
-//! borrow from the caller's stack.
+//! borrow from the caller's stack. The engine writes each operation's task
+//! body once and hands it to [`scatter_on`], which runs it on the pool when
+//! one is attached and inline on the caller's thread when none is.
 //!
 //! Two deadlock-avoidance properties matter because many server sessions
 //! scatter onto one pool at once, and a scatter may nest another:
@@ -44,15 +46,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// these, and the owning scope joins every task before the borrowed data
 /// can expire.
 type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Work items on the pool's global queue.
-enum Job {
-    /// Run one task of the referenced scope (no-op if the scope's caller
-    /// already ran it while waiting).
-    Ticket(Arc<ScopeShared>),
-    /// A free-standing `'static` job ([`ThreadPool::execute`]).
-    Exec(Task),
-}
 
 /// State shared between a scope handle, the pool workers holding its
 /// tickets, and the waiting caller.
@@ -119,7 +112,9 @@ impl ScopeShared {
 }
 
 struct PoolInner {
-    queue: Mutex<VecDeque<Job>>,
+    /// Tickets: each runs one task of the referenced scope (a no-op if the
+    /// scope's caller already ran it while waiting).
+    queue: Mutex<VecDeque<Arc<ScopeShared>>>,
     available: Condvar,
     shutdown: AtomicBool,
     workers: usize,
@@ -133,9 +128,9 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    fn inject(&self, job: Job) {
+    fn inject(&self, ticket: Arc<ScopeShared>) {
         let mut q = lock(&self.queue);
-        q.push_back(job);
+        q.push_back(ticket);
         self.queue_depth.set(q.len() as i64);
         drop(q);
         self.available.notify_one();
@@ -143,12 +138,12 @@ impl PoolInner {
 
     fn worker_loop(&self) {
         loop {
-            let job = {
+            let scope = {
                 let mut q = lock(&self.queue);
                 loop {
-                    if let Some(job) = q.pop_front() {
+                    if let Some(scope) = q.pop_front() {
                         self.queue_depth.set(q.len() as i64);
-                        break job;
+                        break scope;
                     }
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
@@ -161,16 +156,7 @@ impl PoolInner {
             };
             self.busy_workers.add(1);
             self.tasks.inc();
-            match job {
-                Job::Ticket(scope) => {
-                    scope.run_one();
-                }
-                Job::Exec(task) => {
-                    let _span = tilestore_obs::tracer().span_with("exec_job", String::new);
-                    // A panicking job must not take the worker down with it.
-                    let _ = catch_unwind(AssertUnwindSafe(task));
-                }
-            }
+            scope.run_one();
             self.busy_workers.add(-1);
         }
     }
@@ -231,13 +217,6 @@ impl ThreadPool {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.inner.workers
-    }
-
-    /// Runs a free-standing `'static` job on the pool (fire-and-forget).
-    /// Panics in the job are swallowed; use [`ThreadPool::scope`] when the
-    /// caller needs completion or panic propagation.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.inner.inject(Job::Exec(Box::new(job)));
     }
 
     /// Opens a fork-join scope: tasks spawned inside may borrow data that
@@ -301,26 +280,29 @@ impl ThreadPool {
             .map(|r| r.expect("scope joined every task"))
             .collect()
     }
+}
 
-    /// Splits `items` into at most `chunks` contiguous runs, preserving
-    /// order — the usual granularity for [`ThreadPool::scatter`] when the
-    /// per-item work is small.
-    #[must_use]
-    pub fn chunk<T>(items: Vec<T>, chunks: usize) -> Vec<Vec<T>> {
-        let chunks = chunks.max(1).min(items.len().max(1));
-        let per = items.len().div_ceil(chunks);
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(chunks);
-        let mut run = Vec::with_capacity(per);
-        for item in items {
-            run.push(item);
-            if run.len() == per {
-                out.push(std::mem::take(&mut run));
-            }
-        }
-        if !run.is_empty() {
-            out.push(run);
-        }
-        out
+/// Runs `f(index, item)` for every item and returns the results in input
+/// order: scattered on `pool` like [`ThreadPool::scatter`], or inline on the
+/// calling thread when there is no pool or fewer than two items. This is the
+/// one place that chooses between the two, so a caller writes its task body
+/// once.
+///
+/// # Panics
+/// Propagates task panics, like [`ThreadPool::scatter`].
+pub fn scatter_on<'env, T, R, F>(pool: Option<&ThreadPool>, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send + 'env,
+    R: Send + 'env,
+    F: Fn(usize, T) -> R + Sync + 'env,
+{
+    match pool {
+        Some(pool) if items.len() > 1 => pool.scatter(items, f),
+        _ => items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect(),
     }
 }
 
@@ -366,9 +348,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         // skip the ticket and save the wakeup churn. Progress never
         // depends on tickets: `join` runs every queued task itself.
         if !self.pool.inner.solo_core {
-            self.pool
-                .inner
-                .inject(Job::Ticket(Arc::clone(&self.shared)));
+            self.pool.inner.inject(Arc::clone(&self.shared));
         }
     }
 }
@@ -403,26 +383,38 @@ mod tests {
     #[test]
     fn single_worker_pool_cannot_deadlock_on_nested_scopes() {
         // The caller participates in its own scope, so even a pool of one
-        // worker completes a scatter issued from inside a pool job that
-        // itself occupies the only worker.
+        // worker completes a scatter issued from inside an outer scatter
+        // task that itself occupies the only worker.
         let pool = Arc::new(ThreadPool::new(1));
-        let total = Arc::new(AtomicU64::new(0));
         let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..4 {
-            let pool2 = Arc::clone(&pool);
-            let total2 = Arc::clone(&total);
-            let tx = tx.clone();
-            pool.execute(move || {
-                let parts = pool2.scatter(vec![1u64, 2, 3], |_, x| x * 2);
-                total2.fetch_add(parts.iter().sum::<u64>(), Ordering::Relaxed);
-                tx.send(()).unwrap();
+        let outer = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let parts = outer.scatter(vec![(); 4], |_, ()| {
+                outer
+                    .scatter(vec![1u64, 2, 3], |_, x| x * 2)
+                    .iter()
+                    .sum::<u64>()
             });
-        }
-        for _ in 0..4 {
-            rx.recv_timeout(std::time::Duration::from_secs(30))
-                .expect("nested scatter deadlocked");
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 12);
+            tx.send(parts.iter().sum::<u64>()).unwrap();
+        });
+        let total = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("nested scatter deadlocked");
+        assert_eq!(total, 4 * 12);
+    }
+
+    #[test]
+    fn scatter_on_without_a_pool_runs_inline_in_order() {
+        let caller = std::thread::current().id();
+        let out = scatter_on(None, vec![3u64, 1, 2], |i, x| {
+            assert_eq!(std::thread::current().id(), caller, "ran off-thread");
+            (i, x * 10)
+        });
+        assert_eq!(out, vec![(0, 30), (1, 10), (2, 20)]);
+        // With a pool the order is the same.
+        let pool = ThreadPool::new(2);
+        let pooled = scatter_on(Some(&pool), vec![3u64, 1, 2], |i, x| (i, x * 10));
+        assert_eq!(pooled, out);
     }
 
     #[test]
@@ -443,29 +435,6 @@ mod tests {
         assert_eq!(finished.load(Ordering::Relaxed), 1);
         // The pool survives a poisoned scope and keeps executing.
         assert_eq!(pool.scatter(vec![5u64], |_, x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn chunking_covers_all_items_in_order() {
-        let chunks = ThreadPool::chunk((0..10).collect::<Vec<u32>>(), 3);
-        assert!(chunks.len() <= 3);
-        let flat: Vec<u32> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, (0..10).collect::<Vec<u32>>());
-        assert!(ThreadPool::chunk(Vec::<u32>::new(), 4).is_empty());
-        assert_eq!(ThreadPool::chunk(vec![1], 8), vec![vec![1]]);
-    }
-
-    #[test]
-    fn execute_runs_static_jobs() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for i in 0..8u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        let mut got: Vec<u64> = (0..8).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<u64>>());
     }
 
     #[test]

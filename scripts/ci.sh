@@ -28,6 +28,18 @@ for needle in 'TcpListener::bind' 'fn read_frame_interruptible'; do
     [ "$count" -le 1 ] || { echo "serving core forked: $count x '$needle'" >&2; exit 1; }
 done
 
+# --- One body per engine operation: range fetch, insert and retile pick
+# between the pool and the caller's thread only inside
+# `tilestore_exec::scatter_on`. A branch on the executor in non-test engine
+# code (everything before a file's `#[cfg(test)]`) is the fork coming back.
+engine_non_test() { for f in crates/engine/src/*.rs; do sed '/^#\[cfg(test)\]/q' "$f"; done; }
+for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
+    if engine_non_test | grep -qF "$needle"; then
+        echo "engine forked on the executor: '$needle' in crates/engine/src" >&2
+        exit 1
+    fi
+done
+
 # --- Server smoke test: serve a small database, query it over TCP, shut
 # down gracefully through the client, and verify the files stayed clean.
 TILESTORE=target/release/tilestore
