@@ -90,11 +90,12 @@ impl RemoteShard {
 /// Maps a client error at shard `shard` of `addr` to the cluster's typed
 /// failure. Transport-class failures (connect, reset, busy after retries,
 /// shutdown, protocol violations) become [`ClusterError::ShardUnavailable`]
-/// naming the shard; engine-class failures stay [`ClusterError::Remote`].
+/// naming the shard; engine-class failures (an oversize answer included)
+/// stay [`ClusterError::Remote`].
 pub(crate) fn map_client_error(shard: usize, addr: &str, e: ClientError) -> ClusterError {
     match e {
         ClientError::Deadline(m) => ClusterError::Deadline { shard, detail: m },
-        ClientError::Engine(m) | ClientError::BadRequest(m) => {
+        ClientError::Engine(m) | ClientError::BadRequest(m) | ClientError::ResultTooLarge(m) => {
             ClusterError::Remote { shard, message: m }
         }
         other => ClusterError::ShardUnavailable {
@@ -221,10 +222,13 @@ impl<S: PageStore> ShardPin<S> {
                 pin,
                 ..
             } => {
-                let result = client
-                    .query_pinned_raw(stmt, *pin)
+                let (value, stats) = client
+                    .query_pinned(stmt, *pin)
                     .map_err(|e| map_client_error(*shard, addr, e))?;
-                parse_remote_value(*shard, &result)
+                let value = value
+                    .into_value()
+                    .map_err(tilestore_rasql::QueryError::Engine)?;
+                Ok((value, stats))
             }
         }
     }
@@ -255,7 +259,7 @@ impl<S: PageStore> ShardPin<S> {
                 ..
             } => {
                 let result = client
-                    .query_pinned_raw(&format!("EXPLAIN {stmt}"), *pin)
+                    .explain_pinned(stmt, *pin)
                     .map_err(|e| map_client_error(*shard, addr, e))?;
                 let plan = result.get("plan").ok_or_else(|| ClusterError::Remote {
                     shard: *shard,
@@ -359,63 +363,6 @@ fn parse_remote_info(shard: usize, info: &Json) -> Result<PinnedObject> {
             .and_then(Json::as_u64)
             .unwrap_or(0),
     })
-}
-
-/// Decodes a remote query response (`value` + `stats`) into the rasql
-/// executor's types, byte-identically for arrays.
-fn parse_remote_value(shard: usize, result: &Json) -> Result<(Value, QueryStats)> {
-    let proto = |m: &str| ClusterError::Remote {
-        shard,
-        message: m.to_string(),
-    };
-    let v = result
-        .get("value")
-        .ok_or_else(|| proto("query response lacks value"))?;
-    let value = match v.get("kind").and_then(Json::as_str) {
-        Some("array") => {
-            let domain = v
-                .get("domain")
-                .and_then(Json::as_str)
-                .and_then(|s| s.parse::<Domain>().ok())
-                .ok_or_else(|| proto("array value lacks a valid domain"))?;
-            let cell_size =
-                v.get("cell_size")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| proto("array value lacks cell_size"))? as usize;
-            let cells = v
-                .get("cells_hex")
-                .and_then(Json::as_str)
-                .ok_or_else(|| proto("array value lacks cells_hex"))
-                .and_then(|s| tilestore_server::wire::hex_decode(s).map_err(|e| proto(&e)))?;
-            Value::Array(
-                tilestore_engine::Array::from_bytes(domain, cell_size, cells)
-                    .map_err(tilestore_rasql::QueryError::Engine)?,
-            )
-        }
-        Some("number") => {
-            let bits = v
-                .get("bits")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| proto("number value lacks bits"))?;
-            Value::Number(f64::from_bits(bits))
-        }
-        Some("count") => Value::Count(
-            v.get("value")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| proto("count value lacks value"))?,
-        ),
-        Some("bool") => Value::Bool(
-            v.get("value")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| proto("bool value lacks value"))?,
-        ),
-        _ => return Err(proto("unknown value kind")),
-    };
-    let stats = result
-        .get("stats")
-        .and_then(|s| QueryStats::from_json(s).ok())
-        .unwrap_or_default();
-    Ok((value, stats))
 }
 
 /// Derives a per-shard jitter seed so concurrent shard connections back off

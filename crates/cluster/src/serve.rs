@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use tilestore_engine::Array;
 use tilestore_rasql::QueryError;
-use tilestore_server::wire::{value_to_json, with_epoch, with_field, ErrorCode};
+use tilestore_server::wire::{with_epoch, with_field, ErrorCode};
 use tilestore_server::{
     serve_backend, Answer, Call, ServerConfig, ServerHandle, Service, ServiceError, ServiceResult,
     Serving,
@@ -64,17 +64,15 @@ impl<S: PageStore + 'static> Service for Coordinator<S> {
         Ok(match self.execute_with(q, call.deadline_ms)? {
             ClusterStatement::Value(v) => {
                 let epoch = v.epochs.iter().map(|e| e.epoch).max().unwrap_or(0);
-                let result = value_to_json(&v.value, &v.stats, epoch);
-                Answer {
-                    result: with_field(result, "shard_epochs", epochs_json(&v.epochs)),
-                    epoch,
-                    stats: Some(v.stats),
-                }
+                let mut answer = Answer::value(v.value, v.stats, epoch, call);
+                answer.result = with_field(answer.result, "shard_epochs", epochs_json(&v.epochs));
+                answer
             }
             ClusterStatement::Explain(e) => Answer {
                 result: e.to_json(),
                 epoch: e.shards.iter().map(|s| s.epoch).max().unwrap_or(0),
                 stats: e.analyze.map(|(stats, _)| stats),
+                cells: None,
             },
         })
     }

@@ -1,14 +1,20 @@
 //! Golden equivalence for the scatter-gather path: a 4-shard in-process
 //! cluster must answer the full rasql corpus byte-identically (arrays) or
 //! bit-identically (scalars) to one single-engine database holding the
-//! same cells.
+//! same cells — in process, and served in both wire encodings.
 
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::sync::Arc;
 
-use tilestore_cluster::{ClusterStatement, Coordinator, ShardBackend, ShardMap};
+use tilestore_cluster::{
+    serve_cluster, ClusterConfig, ClusterStatement, Coordinator, ShardBackend, ShardMap,
+};
 use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
 use tilestore_exec::ThreadPool;
 use tilestore_rasql::{parse, parse_statement, Statement, Value};
+use tilestore_server::wire::{hex_decode, read_frame, write_frame};
+use tilestore_server::Client;
 use tilestore_storage::MemPageStore;
 use tilestore_testkit::{Json, ToJson};
 use tilestore_tiling::{AlignedTiling, Scheme};
@@ -118,6 +124,61 @@ fn four_shard_cluster_matches_single_engine_on_the_full_corpus() {
         };
         assert_same(q, &want, &got.value);
         assert_eq!(got.epochs.len(), 4, "{q}: one epoch per shard");
+    }
+}
+
+#[test]
+fn served_cluster_answers_the_corpus_identically_in_both_encodings() {
+    // The coordinator behind the serving core, asked two ways: through
+    // `Client` (cells as binary parts) and with a plain JSON request (cells
+    // as hex). Both must be the single engine's bytes.
+    let single = single_engine();
+    let handle = serve_cluster(
+        Arc::new(cluster(4)),
+        None,
+        "127.0.0.1:0",
+        ClusterConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for (i, q) in GOLDEN.iter().enumerate() {
+        let want = tilestore_rasql::execute(&single.begin_read(), q).unwrap().0;
+        let got = client.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        assert_same(q, &want, &got.into_value().unwrap());
+
+        let request = Json::obj(vec![
+            ("id", Json::UInt(i as u64)),
+            ("op", Json::Str("query".to_string())),
+            ("q", Json::Str(q.to_string())),
+        ]);
+        write_frame(&mut writer, request.to_string_compact().as_bytes()).unwrap();
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let doc = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+        let value = doc.get("result").and_then(|r| r.get("value")).unwrap();
+        assert_same(&format!("{q} (json)"), &want, &from_json_value(value));
+    }
+    handle.shutdown();
+}
+
+/// Decodes a JSON `value` object the way a JSON-only peer would.
+fn from_json_value(v: &Json) -> Value {
+    let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("no {k} in {v}"));
+    match field("kind").as_str().unwrap() {
+        "array" => Value::Array(
+            Array::from_bytes(
+                field("domain").as_str().unwrap().parse().unwrap(),
+                field("cell_size").as_u64().unwrap() as usize,
+                hex_decode(field("cells_hex").as_str().unwrap()).unwrap(),
+            )
+            .unwrap(),
+        ),
+        "number" => Value::Number(f64::from_bits(field("bits").as_u64().unwrap())),
+        "count" => Value::Count(field("value").as_u64().unwrap()),
+        "bool" => Value::Bool(field("value").as_bool().unwrap()),
+        other => panic!("unknown kind {other}"),
     }
 }
 

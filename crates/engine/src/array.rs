@@ -127,6 +127,12 @@ impl Array {
         &mut self.data
     }
 
+    /// The raw row-major bytes, moved out of the array.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.data
+    }
+
     /// Total size in bytes.
     #[must_use]
     pub fn size_bytes(&self) -> u64 {

@@ -231,8 +231,11 @@ impl Domain {
     /// # Errors
     /// [`GeometryError::CellCountOverflow`] when the product exceeds `u64`.
     pub fn cell_count(&self) -> Result<u64> {
+        // The extent itself is checked too: a full `i64` axis has 2^64 cells.
         self.0.iter().try_fold(1u64, |acc, r| {
-            acc.checked_mul(r.extent())
+            r.hi.abs_diff(r.lo)
+                .checked_add(1)
+                .and_then(|extent| acc.checked_mul(extent))
                 .ok_or(GeometryError::CellCountOverflow)
         })
     }

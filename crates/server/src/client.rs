@@ -5,16 +5,22 @@
 //! clients for concurrency). Typed errors mirror the wire's
 //! [`crate::wire::ErrorCode`]s so callers can distinguish
 //! "retry later" from "this request is wrong" without string matching.
+//!
+//! Cells always travel as binary parts: queries ask for them
+//! (`"binary": true`) and inserts send them, so no result or payload is
+//! hex-encoded or decoded here.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use tilestore_engine::Array;
+use tilestore_engine::{Array, QueryStats};
 use tilestore_geometry::Domain;
+use tilestore_rasql::Value;
+use tilestore_testkit::json::FromJson;
 use tilestore_testkit::{Json, Rng};
 
-use crate::wire::{hex_decode, hex_encode, read_frame, write_frame, ErrorCode};
+use crate::wire::{decode_message, read_frame, take_field, ErrorCode, Outgoing, Parts};
 
 /// Everything that can go wrong with a remote request.
 #[derive(Debug)]
@@ -34,6 +40,9 @@ pub enum ClientError {
     /// A cluster coordinator could not reach one of its shards; the message
     /// names the failed shard.
     ShardUnavailable(String),
+    /// The answer would not fit in one frame; the message names its size
+    /// and the limit.
+    ResultTooLarge(String),
     /// The response violated the wire protocol (bad frame, id mismatch,
     /// missing fields).
     Protocol(String),
@@ -49,6 +58,7 @@ impl std::fmt::Display for ClientError {
             ClientError::BadRequest(m) => write!(f, "bad request: {m}"),
             ClientError::Engine(m) => write!(f, "engine: {m}"),
             ClientError::ShardUnavailable(m) => write!(f, "shard unavailable: {m}"),
+            ClientError::ResultTooLarge(m) => write!(f, "result too large: {m}"),
             ClientError::Protocol(m) => write!(f, "protocol: {m}"),
         }
     }
@@ -84,6 +94,26 @@ pub enum RemoteValue {
     Count(u64),
     /// A boolean aggregate (`some_cells` / `all_cells`).
     Bool(bool),
+}
+
+impl RemoteValue {
+    /// The value as the in-process executor returns it.
+    ///
+    /// # Errors
+    /// An array whose cells do not fill its domain (never one this client
+    /// decoded: it checks exactly that).
+    pub fn into_value(self) -> tilestore_engine::Result<Value> {
+        Ok(match self {
+            RemoteValue::Array {
+                domain,
+                cell_size,
+                cells,
+            } => Value::Array(Array::from_bytes(domain, cell_size, cells)?),
+            RemoteValue::Number(n) => Value::Number(n),
+            RemoteValue::Count(c) => Value::Count(c),
+            RemoteValue::Bool(b) => Value::Bool(b),
+        })
+    }
 }
 
 /// Retry behaviour for transient failures ([`ClientError::Busy`] and
@@ -134,7 +164,8 @@ impl RetryPolicy {
 /// A blocking connection to a tilestore server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Unbuffered: every request is one vectored write already.
+    writer: TcpStream,
     /// The server's address, kept for transparent reconnects.
     addr: SocketAddr,
     next_id: u64,
@@ -161,7 +192,7 @@ impl Client {
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
             addr: peer,
             next_id: 1,
             deadline_ms: None,
@@ -198,7 +229,7 @@ impl Client {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
         self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = BufWriter::new(stream);
+        self.writer = stream;
         Ok(())
     }
 
@@ -212,17 +243,28 @@ impl Client {
         self.last_request_id
     }
 
-    /// Sends one request object and returns the `result` payload, applying
-    /// the retry policy (if any): `busy` retries on the same connection,
-    /// transport errors reconnect first. Non-transient failures (bad
-    /// request, engine, deadline, shutdown) surface immediately.
+    /// Sends one request object and returns the `result` payload.
     fn call(&mut self, op: &str, fields: Vec<(&str, Json)>) -> ClientResult<Json> {
+        self.exchange(op, &fields, &[]).map(|(result, _)| result)
+    }
+
+    /// Sends one request object with `parts` and returns the `result`
+    /// payload and the response's parts, applying the retry policy (if
+    /// any): `busy` retries on the same connection, transport errors
+    /// reconnect first. Non-transient failures (bad request, engine,
+    /// deadline, shutdown) surface immediately.
+    fn exchange(
+        &mut self,
+        op: &str,
+        fields: &[(&str, Json)],
+        parts: &[&[u8]],
+    ) -> ClientResult<(Json, Parts)> {
         let Some(policy) = self.retry.clone() else {
-            return self.call_once(op, &fields);
+            return self.exchange_once(op, fields, parts);
         };
         let mut attempt = 0u32;
         loop {
-            let err = match self.call_once(op, &fields) {
+            let err = match self.exchange_once(op, fields, parts) {
                 Ok(v) => return Ok(v),
                 Err(e @ (ClientError::Busy(_) | ClientError::Io(_)))
                     if attempt < policy.max_retries =>
@@ -246,7 +288,12 @@ impl Client {
     }
 
     /// One request/response exchange, no retries.
-    fn call_once(&mut self, op: &str, fields: &[(&str, Json)]) -> ClientResult<Json> {
+    fn exchange_once(
+        &mut self,
+        op: &str,
+        fields: &[(&str, Json)],
+        parts: &[&[u8]],
+    ) -> ClientResult<(Json, Parts)> {
         let id = self.next_id;
         self.next_id += 1;
         let mut all = vec![("id", Json::UInt(id)), ("op", Json::Str(op.to_string()))];
@@ -254,8 +301,7 @@ impl Client {
             all.push(("deadline_ms", Json::UInt(ms)));
         }
         all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-        let payload = Json::obj(all).to_string_compact();
-        write_frame(&mut self.writer, payload.as_bytes())?;
+        Outgoing::new(Json::obj(all), parts).write_to(&mut self.writer)?;
         let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
             // A clean close between frames is a transport failure from the
             // caller's perspective: the request got no answer. Classifying
@@ -265,10 +311,8 @@ impl Client {
                 "server closed the connection",
             ))
         })?;
-        let resp = std::str::from_utf8(&frame)
-            .ok()
-            .and_then(|s| Json::parse(s).ok())
-            .ok_or_else(|| ClientError::Protocol("response is not valid JSON".to_string()))?;
+        let (mut resp, parts) = decode_message(frame)
+            .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))?;
         if let Some(rid) = resp.get("request_id").and_then(Json::as_u64) {
             self.last_request_id = rid;
         }
@@ -279,9 +323,8 @@ impl Client {
             )));
         }
         if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-            return resp
-                .get("result")
-                .cloned()
+            return take_field(&mut resp, "result")
+                .map(|result| (result, parts))
                 .ok_or_else(|| ClientError::Protocol("ok response without result".to_string()));
         }
         let message = resp
@@ -300,6 +343,7 @@ impl Client {
             Some(ErrorCode::BadRequest) => ClientError::BadRequest(message),
             Some(ErrorCode::Engine) => ClientError::Engine(message),
             Some(ErrorCode::ShardUnavailable) => ClientError::ShardUnavailable(message),
+            Some(ErrorCode::ResultTooLarge) => ClientError::ResultTooLarge(message),
             None => ClientError::Protocol(format!("unrecognized error response: {message}")),
         })
     }
@@ -322,15 +366,48 @@ impl Client {
     /// # Errors
     /// Any [`ClientError`].
     pub fn query(&mut self, q: &str) -> ClientResult<RemoteValue> {
-        let result = self.call("query", vec![("q", Json::Str(q.to_string()))])?;
+        self.query_value(q, None).map(|(value, _)| value)
+    }
+
+    /// Executes a rasql query against a pinned snapshot (see
+    /// [`Client::pin`]) and returns the value with the server's execution
+    /// statistics — one shard's answer to a cluster coordinator.
+    ///
+    /// # Errors
+    /// Any [`ClientError`].
+    pub fn query_pinned(&mut self, q: &str, pin: u64) -> ClientResult<(RemoteValue, QueryStats)> {
+        self.query_value(q, Some(pin))
+    }
+
+    /// The one query exchange behind [`Client::query`] and
+    /// [`Client::query_pinned`]: cells come back as a binary part.
+    fn query_value(
+        &mut self,
+        q: &str,
+        pin: Option<u64>,
+    ) -> ClientResult<(RemoteValue, QueryStats)> {
+        let mut fields = vec![
+            ("q", Json::Str(q.to_string())),
+            ("binary", Json::Bool(true)),
+        ];
+        if let Some(pin) = pin {
+            fields.push(("pin", Json::UInt(pin)));
+        }
+        let (result, mut parts) = self.exchange("query", &fields, &[])?;
         let value = result
             .get("value")
             .ok_or_else(|| ClientError::Protocol("query result lacks value".to_string()))?;
-        decode_value(value)
+        let value = decode_value(value, &mut parts)?;
+        let stats = result
+            .get("stats")
+            .and_then(|s| QueryStats::from_json(s).ok())
+            .unwrap_or_default();
+        Ok((value, stats))
     }
 
     /// Executes a rasql query and returns the raw result JSON (value and
-    /// stats), for callers that want the server-side statistics too.
+    /// stats) — the JSON debug surface: array cells come back hex-encoded
+    /// in `cells_hex`.
     ///
     /// # Errors
     /// Any [`ClientError`].
@@ -338,19 +415,18 @@ impl Client {
         self.call("query", vec![("q", Json::Str(q.to_string()))])
     }
 
-    /// Inserts an array into an object.
+    /// Inserts an array into an object, its cells sent as a binary part.
     ///
     /// # Errors
     /// Any [`ClientError`].
     pub fn insert(&mut self, object: &str, array: &Array) -> ClientResult<Json> {
-        self.call(
-            "insert",
-            vec![
-                ("object", Json::Str(object.to_string())),
-                ("domain", Json::Str(array.domain().to_string())),
-                ("cells_hex", Json::Str(hex_encode(array.bytes()))),
-            ],
-        )
+        let fields = [
+            ("object", Json::Str(object.to_string())),
+            ("domain", Json::Str(array.domain().to_string())),
+            ("cells_part", Json::UInt(0)),
+        ];
+        self.exchange("insert", &fields, &[array.bytes()])
+            .map(|(result, _)| result)
     }
 
     /// Re-tiles an object with a textual scheme spec (see
@@ -461,15 +537,18 @@ impl Client {
             .map(|_| ())
     }
 
-    /// Executes a rasql query against a pinned snapshot, returning the raw
-    /// result JSON (value, stats and the pinned epoch).
+    /// Runs `EXPLAIN <query>` against a pinned snapshot and returns the
+    /// raw report JSON.
     ///
     /// # Errors
     /// Any [`ClientError`].
-    pub fn query_pinned_raw(&mut self, q: &str, pin: u64) -> ClientResult<Json> {
+    pub fn explain_pinned(&mut self, query: &str, pin: u64) -> ClientResult<Json> {
         self.call(
             "query",
-            vec![("q", Json::Str(q.to_string())), ("pin", Json::UInt(pin))],
+            vec![
+                ("q", Json::Str(format!("EXPLAIN {query}"))),
+                ("pin", Json::UInt(pin)),
+            ],
         )
     }
 
@@ -496,8 +575,9 @@ impl Client {
     }
 }
 
-/// Decodes the `value` object of a query response.
-fn decode_value(v: &Json) -> ClientResult<RemoteValue> {
+/// Decodes the `value` object of a query response; an array's cells are
+/// the part it names, moved out of `parts` once they fill its domain.
+fn decode_value(v: &Json, parts: &mut Parts) -> ClientResult<RemoteValue> {
     let proto = |m: &str| ClientError::Protocol(m.to_string());
     match v.get("kind").and_then(Json::as_str) {
         Some("array") => {
@@ -506,15 +586,21 @@ fn decode_value(v: &Json) -> ClientResult<RemoteValue> {
                 .and_then(Json::as_str)
                 .and_then(|s| s.parse::<Domain>().ok())
                 .ok_or_else(|| proto("array value lacks a valid domain"))?;
-            let cell_size =
-                v.get("cell_size")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| proto("array value lacks cell_size"))? as usize;
-            let cells = v
-                .get("cells_hex")
-                .and_then(Json::as_str)
-                .ok_or_else(|| proto("array value lacks cells_hex"))
-                .and_then(|s| hex_decode(s).map_err(ClientError::Protocol))?;
+            let cell_size = v
+                .get("cell_size")
+                .and_then(Json::as_u64)
+                .and_then(|s| usize::try_from(s).ok())
+                .filter(|&s| s > 0)
+                .ok_or_else(|| proto("array value lacks a positive cell_size"))?;
+            let want = domain.size_bytes(cell_size).ok();
+            let cells = parts
+                .take_cells(v, |len| match want {
+                    Some(want) if want == len as u64 => Ok(()),
+                    _ => Err(format!(
+                        "a {len}-byte part does not hold {domain} in {cell_size}-byte cells"
+                    )),
+                })
+                .map_err(ClientError::Protocol)?;
             Ok(RemoteValue::Array {
                 domain,
                 cell_size,

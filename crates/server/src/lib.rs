@@ -3,9 +3,11 @@
 //! The engine's query path is a library call; this crate puts it behind a
 //! socket so many clients can share one database process. Four layers:
 //!
-//! * [`wire`] — the protocol: `[u32 LE length][compact JSON]` frames read
-//!   in bounded chunks, typed error codes, hex-encoded cell payloads so
-//!   array results are byte-identical to the in-process path;
+//! * [`wire`] — the protocol: `[u32 LE length][payload]` frames read in
+//!   bounded chunks and written in one vectored write, the payload either
+//!   compact JSON (cells hex-encoded) or a small JSON header followed by
+//!   raw binary parts (cells as they are in memory); typed error codes;
+//!   array results byte-identical to the in-process path either way;
 //! * [`server`] — the one serving core, [`serve_backend`] /
 //!   [`ServerHandle`]: a `std::net` TCP accept loop, one session thread per
 //!   connection that runs its requests inline, bounded admission with typed
@@ -20,7 +22,8 @@
 //!   gives it a tile-fetch [`ThreadPool`](tilestore_exec::ThreadPool);
 //!   `tilestore-cluster` implements it for its coordinator;
 //! * [`client`] — [`Client`]: a blocking connection with typed
-//!   [`ClientError`]s and bit-exact value decoding ([`RemoteValue`]).
+//!   [`ClientError`]s and bit-exact value decoding ([`RemoteValue`]); its
+//!   queries and inserts always move cells as binary parts.
 //!
 //! Everything is `std` only — no async runtime, no serialization crate.
 

@@ -14,7 +14,7 @@ use tilestore_testkit::{Json, ToJson};
 use tilestore_tiling::RetileSpec;
 
 use crate::service::{Answer, Call, Service, ServiceError, ServiceResult, Serving};
-use crate::wire::{value_to_json, with_epoch, ErrorCode};
+use crate::wire::{with_epoch, ErrorCode};
 
 /// Upper bound on snapshots one connection may hold pinned at once. A
 /// cluster coordinator pins one snapshot per in-flight cross-shard read, so
@@ -79,15 +79,12 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
         let epoch = snap.epoch();
         Ok(
             match tilestore_rasql::execute_statement(snap, q).map_err(ServiceError::engine)? {
-                StatementResult::Value(value, stats) => Answer {
-                    result: value_to_json(&value, &stats, epoch),
-                    epoch,
-                    stats: Some(stats),
-                },
+                StatementResult::Value(value, stats) => Answer::value(value, stats, epoch, call),
                 StatementResult::Explain(report) => Answer {
                     stats: report.analyze.as_ref().map(|a| a.stats),
                     result: with_epoch(report.to_json(), epoch),
                     epoch,
+                    cells: None,
                 },
             },
         )

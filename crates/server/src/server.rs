@@ -50,8 +50,8 @@ use tilestore_testkit::{Json, ToJson};
 use crate::service::{Answer, Call, Service, ServiceError, ServiceResult, Serving};
 use crate::slowlog::{SlowQueryEntry, SlowQueryLog};
 use crate::wire::{
-    err_response, hex_decode, ok_response, read_frame_into, with_field, with_request_id,
-    write_frame, ErrorCode,
+    decode_message, err_response, hex_decode, ok_response, read_frame_into, with_field,
+    with_request_id, ErrorCode, Outgoing, Parts, MAX_FRAME,
 };
 
 /// How often blocked reads and the accept loop re-check the shutdown flag.
@@ -295,25 +295,32 @@ impl<B: Service> Core<B> {
             };
             let received = Instant::now();
             self.requests.inc();
-            let response = match std::str::from_utf8(&frame)
-                .map_err(|e| e.to_string())
-                .and_then(|s| Json::parse(s).map_err(|e| e.to_string()))
-            {
-                Ok(req) => self.dispatch(&mut session, &req, received),
-                Err(e) => err_response(0, ErrorCode::BadRequest, &format!("malformed frame: {e}")),
+            let (response, cells) = match decode_message(frame) {
+                Ok((req, mut parts)) => self.dispatch(&mut session, &req, &mut parts, received),
+                Err(e) => {
+                    let message = format!("malformed frame: {e}");
+                    (err_response(0, ErrorCode::BadRequest, &message), None)
+                }
             };
-            if write_frame(&mut stream, response.to_string_compact().as_bytes()).is_err() {
+            if respond(&mut stream, response, cells).is_err() {
                 return;
             }
         }
     }
 
     /// Request id, control plane, admission, trace scope and response
-    /// envelope for one parsed request.
-    fn dispatch(&self, session: &mut B::Session, req: &Json, received: Instant) -> Json {
+    /// envelope for one decoded request; beside the envelope, the cells its
+    /// result names as part 0, if any.
+    fn dispatch(
+        &self,
+        session: &mut B::Session,
+        req: &Json,
+        parts: &mut Parts,
+        received: Instant,
+    ) -> (Json, Option<Vec<u8>>) {
         let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
         let Some(op) = req.get("op").and_then(Json::as_str) else {
-            return err_response(id, ErrorCode::BadRequest, "missing op");
+            return (err_response(id, ErrorCode::BadRequest, "missing op"), None);
         };
         // Every request gets a server-wide request id for tracing and the
         // slow-query log; a client that supplies a nonzero `request_id`
@@ -328,7 +335,8 @@ impl<B: Service> Core<B> {
         // written before the session starts winding down.
         if op == "shutdown" {
             self.shutdown.store(true, Ordering::SeqCst);
-            return with_request_id(ok_response(id, Json::Str("shutting down".to_string())), rid);
+            let done = ok_response(id, Json::Str("shutting down".to_string()));
+            return (with_request_id(done, rid), None);
         }
         // When the request asks for its span tree back, make sure the tracer
         // is collecting (it stays enabled afterwards; the ring is bounded).
@@ -348,18 +356,19 @@ impl<B: Service> Core<B> {
                 request_id: rid,
                 deadline_ms,
                 dir: self.dir.as_deref(),
+                binary: req.get("binary").and_then(Json::as_bool) == Some(true),
             };
-            self.execute(session, op, &call, received)
+            self.execute(session, op, &call, parts, received)
         });
-        let mut response = match outcome {
-            Ok(result) => ok_response(id, result),
-            Err(e) => err_response(id, e.code, &e.message),
+        let (mut response, cells) = match outcome {
+            Ok((result, cells)) => (ok_response(id, result), cells),
+            Err(e) => (err_response(id, e.code, &e.message), None),
         };
         if want_trace {
             let jsonl = tilestore_obs::tracer().take_request_jsonl(rid);
             response = with_field(response, "trace", Json::Str(jsonl));
         }
-        with_request_id(response, rid)
+        (with_request_id(response, rid), cells)
     }
 
     /// Admission and deadline: claims an in-flight slot and resolves the
@@ -414,29 +423,31 @@ impl<B: Service> Core<B> {
     }
 
     /// The op table: what the core answers itself, what it validates and
-    /// hands to the backend, and the backend's own ops last.
+    /// hands to the backend, and the backend's own ops last. Returns the
+    /// `result` and, for a binary array answer, the cells it names.
     fn execute(
         &self,
         session: &mut B::Session,
         op: &str,
         call: &Call<'_>,
+        parts: &mut Parts,
         received: Instant,
-    ) -> ServiceResult<Json> {
+    ) -> ServiceResult<(Json, Option<Vec<u8>>)> {
         let need = |name: &str, missing: &str| {
             let field = call.req.get(name).and_then(Json::as_str);
             field.ok_or_else(|| ServiceError::bad_request(missing))
         };
-        match op {
+        let result = match op {
             "ping" => Ok(Json::Str("pong".to_string())),
             "query" => {
                 let q = need("q", "query needs a `q` string")?;
                 let answer = self.backend.query(session, q, call)?;
                 self.observe_slow(call.request_id, q, &answer, received);
-                Ok(answer.result)
+                return Ok((answer.result, answer.cells));
             }
             "insert" => {
                 let object = need("object", "insert needs an `object`")?;
-                let array = insert_payload(call.req)?;
+                let array = insert_payload(call.req, parts)?;
                 self.backend.insert(object, &array)
             }
             "retile" => {
@@ -476,7 +487,8 @@ impl<B: Service> Core<B> {
                 ]))
             }
             other => self.backend.backend_op(session, other, call),
-        }
+        };
+        result.map(|result| (result, None))
     }
 
     /// Feeds one finished statement to the slow-query log.
@@ -495,28 +507,53 @@ impl<B: Service> Core<B> {
     }
 }
 
-/// Decodes and checks an `insert` request's payload: the cells must tile
-/// the domain exactly, whatever the backend.
-fn insert_payload(req: &Json) -> ServiceResult<Array> {
+/// Writes one response frame, or — when it would exceed [`MAX_FRAME`] — a
+/// typed `result_too_large` refusal in its place, so the peer gets an
+/// answer instead of a closed connection.
+fn respond(stream: &mut TcpStream, response: Json, cells: Option<Vec<u8>>) -> std::io::Result<()> {
+    let envelope = |key: &str| response.get(key).and_then(Json::as_u64);
+    let (id, rid) = (envelope("id").unwrap_or(0), envelope("request_id"));
+    let parts: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+    let frame = Outgoing::new(response, &parts);
+    let len = frame.payload_len();
+    if len <= MAX_FRAME {
+        return frame.write_to(stream);
+    }
+    drop(frame);
+    let message = format!("response of {len} bytes exceeds the frame limit of {MAX_FRAME} bytes");
+    let mut refusal = err_response(id, ErrorCode::ResultTooLarge, &message);
+    if let Some(rid) = rid {
+        refusal = with_request_id(refusal, rid);
+    }
+    Outgoing::new(refusal, &[]).write_to(stream)
+}
+
+/// Decodes and checks an `insert` request's payload, sent as `cells_hex`
+/// or as a `cells_part`: the cells must tile the domain exactly, whatever
+/// the backend.
+fn insert_payload(req: &Json, parts: &mut Parts) -> ServiceResult<Array> {
     let domain = req
         .get("domain")
         .and_then(Json::as_str)
         .and_then(|s| s.parse::<Domain>().ok())
         .ok_or_else(|| ServiceError::bad_request("insert needs a valid `domain`"))?;
-    let cells = req
-        .get("cells_hex")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServiceError::bad_request("insert needs `cells_hex`"))
-        .and_then(|hex| {
-            hex_decode(hex).map_err(|e| ServiceError::bad_request(format!("bad cells_hex: {e}")))
-        })?;
-    let count = domain.cells();
-    if count == 0 || cells.is_empty() || !(cells.len() as u64).is_multiple_of(count) {
-        return Err(ServiceError::bad_request(format!(
-            "{} bytes do not tile {count} cells",
-            cells.len()
-        )));
+    let count = domain
+        .cell_count()
+        .map_err(|e| ServiceError::bad_request(format!("insert domain {domain}: {e}")))?;
+    let tiles = |len: usize| match len as u64 {
+        len if len > 0 && len.is_multiple_of(count) => Ok(()),
+        len => Err(format!("{len} bytes do not tile {count} cells")),
+    };
+    let cells = if req.get("cells_part").is_some() {
+        parts.take_cells(req, tiles)
+    } else {
+        req.get("cells_hex")
+            .and_then(Json::as_str)
+            .ok_or_else(|| "insert needs `cells_hex` or a `cells_part`".to_string())
+            .and_then(|hex| hex_decode(hex).map_err(|e| format!("bad cells_hex: {e}")))
+            .and_then(|cells| tiles(cells.len()).map(|()| cells))
     }
+    .map_err(ServiceError::bad_request)?;
     let cell_size = (cells.len() as u64 / count) as usize;
     Array::from_bytes(domain, cell_size, cells)
         .map_err(|e| ServiceError::bad_request(e.to_string()))

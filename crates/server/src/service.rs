@@ -11,9 +11,10 @@
 use std::path::Path;
 
 use tilestore_engine::{Array, QueryStats};
+use tilestore_rasql::Value;
 use tilestore_testkit::Json;
 
-use crate::wire::ErrorCode;
+use crate::wire::{value_to_json, value_to_parts, ErrorCode};
 
 /// A typed failure: becomes the `error`/`message` pair of the response.
 #[derive(Debug)]
@@ -65,6 +66,9 @@ pub struct Call<'a> {
     pub deadline_ms: Option<u64>,
     /// The directory the endpoint saves into, if it is durable.
     pub dir: Option<&'a Path>,
+    /// Whether the request asked (`"binary": true`) for array cells as a
+    /// binary part of the response instead of hex in its JSON.
+    pub binary: bool,
 }
 
 /// A statement's answer: the `result` payload plus what the slow-query log
@@ -76,6 +80,29 @@ pub struct Answer {
     pub epoch: u64,
     /// Executor counters, when the statement executed.
     pub stats: Option<QueryStats>,
+    /// An array result's cells when they travel as the response's part 0,
+    /// which `result` then names.
+    pub cells: Option<Vec<u8>>,
+}
+
+impl Answer {
+    /// The answer of a statement that produced `value` at `epoch`, encoded
+    /// the way `call` asked: cells moved out of an array result into
+    /// [`Answer::cells`] for a binary request, hex in `result` otherwise.
+    #[must_use]
+    pub fn value(value: Value, stats: QueryStats, epoch: u64, call: &Call<'_>) -> Answer {
+        let (result, cells) = if call.binary {
+            value_to_parts(value, &stats, epoch)
+        } else {
+            (value_to_json(&value, &stats, epoch), None)
+        };
+        Answer {
+            result,
+            epoch,
+            stats: Some(stats),
+            cells,
+        }
+    }
 }
 
 /// Front-door state folded into a backend's `health` report.

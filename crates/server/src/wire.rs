@@ -1,22 +1,45 @@
-//! The wire protocol: length-prefixed JSON frames.
+//! The wire protocol: length-prefixed frames of JSON, with cell bytes
+//! optionally carried raw beside it.
 //!
 //! Every message — request or response — is one frame:
 //!
 //! ```text
-//! [u32 little-endian payload length][payload: compact JSON, UTF-8]
+//! [u32 little-endian payload length][payload]
 //! ```
+//!
+//! A payload that starts with `{` is a **JSON frame**: one compact JSON
+//! object, UTF-8. A payload that starts with [`PARTS_TAG`] is a **parts
+//! frame**:
+//!
+//! ```text
+//! [PARTS_TAG][u32 LE header length][header: compact JSON][part 0][part 1]…
+//! ```
+//!
+//! The header is the object a JSON frame would carry plus a `"parts":
+//! [len, …]` list whose lengths sum to exactly the rest of the frame.
+//! [`decode_message`] hands back the object without that list, so either
+//! kind of frame decodes to the same document. A part is named by index
+//! from the document (an array value's `"cells_part": 0`), and a frame may
+//! carry several.
 //!
 //! Requests are objects `{"id": n, "op": "...", ...}` with an optional
 //! `"deadline_ms"` budget. Responses echo the id:
 //! `{"id": n, "ok": true, "result": ...}` on success,
 //! `{"id": n, "ok": false, "error": "<code>", "message": "..."}` on failure,
-//! where `<code>` is one of the [`ErrorCode`] names. Array payloads travel
-//! hex-encoded (`cells_hex`) so results compare byte-identically across the
-//! in-process and remote paths and the framing stays pure UTF-8 JSON.
+//! where `<code>` is one of the [`ErrorCode`] names.
+//!
+//! Cells travel one of two ways, both byte-identical to the in-process
+//! result. By default — the debug surface, and what every raw-JSON peer
+//! gets — an array value carries them hex-encoded in `cells_hex`. A `query`
+//! that sets `"binary": true` is answered with a parts frame whose array
+//! value names its part instead, and an `insert` may send its cells as a
+//! part the same way; [`Client`](crate::Client) always does both. Nothing
+//! is negotiated: the request's own shape picks the encoding.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
+use std::ops::Range;
 
-use tilestore_engine::QueryStats;
+use tilestore_engine::{Array, QueryStats};
 use tilestore_rasql::Value;
 use tilestore_testkit::{Json, ToJson};
 
@@ -24,6 +47,13 @@ use tilestore_testkit::{Json, ToJson};
 /// Larger frames are rejected instead of letting a corrupt length prefix
 /// trigger an absurd allocation.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// First byte of a parts frame. A JSON frame starts with `{`, so one byte
+/// tells the two apart. ASCII, so a header can be built in a `String`.
+pub const PARTS_TAG: u8 = 0x01;
+
+/// Bytes of a parts frame before its header: the tag and the header length.
+const PARTS_LEAD: usize = 5;
 
 /// Typed failure classes a response can carry. Clients match on these to
 /// distinguish "retry later" ([`ErrorCode::Busy`]) from "this request is
@@ -44,6 +74,10 @@ pub enum ErrorCode {
     /// names the failed shard. Typed so a partial failure surfaces as a
     /// prompt, identifiable error instead of a hung request.
     ShardUnavailable,
+    /// The response would exceed [`MAX_FRAME`]; the message names its size
+    /// and the limit. A hex (JSON) answer is twice the cells, so the same
+    /// statement may fit as binary parts.
+    ResultTooLarge,
 }
 
 impl ErrorCode {
@@ -57,6 +91,7 @@ impl ErrorCode {
             ErrorCode::Engine => "engine",
             ErrorCode::Shutdown => "shutdown",
             ErrorCode::ShardUnavailable => "shard_unavailable",
+            ErrorCode::ResultTooLarge => "result_too_large",
         }
     }
 
@@ -70,6 +105,7 @@ impl ErrorCode {
             "engine" => ErrorCode::Engine,
             "shutdown" => ErrorCode::Shutdown,
             "shard_unavailable" => ErrorCode::ShardUnavailable,
+            "result_too_large" => ErrorCode::ResultTooLarge,
             _ => return None,
         })
     }
@@ -81,16 +117,199 @@ impl ErrorCode {
 /// I/O errors from the underlying stream; `InvalidInput` for an oversized
 /// payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME {
+    write_payload(w, &[payload])
+}
+
+/// Writes the length prefix and then `pieces`, the payload, as one vectored
+/// write: a frame the socket takes whole costs one system call, prefix
+/// included.
+fn write_payload(w: &mut impl Write, pieces: &[&[u8]]) -> std::io::Result<()> {
+    let len: usize = pieces.iter().map(|p| p.len()).sum();
+    if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    let len = u32::try_from(payload.len()).expect("MAX_FRAME fits in u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = u32::try_from(len)
+        .expect("MAX_FRAME fits in u32")
+        .to_le_bytes();
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&prefix[..])
+        .chain(pieces.iter().copied())
+        .map(IoSlice::new)
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
+}
+
+/// A message serialized for the wire and not yet written: a JSON frame, or
+/// a parts frame's tag, header length and header followed by the parts it
+/// borrows.
+pub struct Outgoing<'a> {
+    head: Vec<u8>,
+    parts: &'a [&'a [u8]],
+}
+
+impl<'a> Outgoing<'a> {
+    /// `doc` alone as a JSON frame — exactly [`write_frame`] of its compact
+    /// form — or, with parts, as the header of a parts frame whose
+    /// `"parts"` lists their lengths. The document is serialized once,
+    /// straight into the frame's buffer; the parts are not copied.
+    #[must_use]
+    pub fn new(doc: Json, parts: &'a [&'a [u8]]) -> Self {
+        if parts.is_empty() {
+            let head = doc.to_string_compact().into_bytes();
+            return Outgoing { head, parts };
+        }
+        let lens = parts.iter().map(|p| Json::UInt(p.len() as u64)).collect();
+        let mut head = String::new();
+        head.push(char::from(PARTS_TAG));
+        // The header length, patched in once the header is written.
+        head.push_str("\0\0\0\0");
+        with_field(doc, "parts", Json::Array(lens)).write_compact(&mut head);
+        let mut head = head.into_bytes();
+        // Saturating: a header this long fails the frame limit anyway.
+        let header_len = u32::try_from(head.len() - PARTS_LEAD).unwrap_or(u32::MAX);
+        head[1..PARTS_LEAD].copy_from_slice(&header_len.to_le_bytes());
+        Outgoing { head, parts }
+    }
+
+    /// The payload's size: what the length prefix will announce.
+    #[must_use]
+    pub(crate) fn payload_len(&self) -> usize {
+        self.head.len() + self.parts.iter().map(|p| p.len()).sum::<usize>()
+    }
+
+    /// Writes the frame — prefix, head and parts — in one vectored write
+    /// (more only when the stream accepts a large frame in pieces).
+    ///
+    /// # Errors
+    /// I/O errors; `InvalidInput` when the payload exceeds [`MAX_FRAME`].
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let pieces: Vec<&[u8]> = std::iter::once(&self.head[..])
+            .chain(self.parts.iter().copied())
+            .collect();
+        write_payload(w, &pieces)
+    }
+}
+
+/// The binary parts of a received frame. They stay where they arrived, in
+/// the frame's buffer, until one is taken.
+#[derive(Debug, Default)]
+pub struct Parts {
+    payload: Vec<u8>,
+    ranges: Vec<Range<usize>>,
+}
+
+impl Parts {
+    /// Moves out the part an array value names as `"cells_part"`, once
+    /// `check` has accepted its length. The frame's buffer becomes the
+    /// part's: nothing is allocated, the bytes ahead of the part shift
+    /// down, and every other part is gone afterwards.
+    ///
+    /// # Errors
+    /// No `cells_part` index, an index past the frame's parts, or `check`'s
+    /// message.
+    pub fn take_cells(
+        &mut self,
+        value: &Json,
+        check: impl FnOnce(usize) -> Result<(), String>,
+    ) -> Result<Vec<u8>, String> {
+        let index = value
+            .get("cells_part")
+            .and_then(Json::as_u64)
+            .ok_or("array value names no `cells_part`")?;
+        let range = usize::try_from(index)
+            .ok()
+            .and_then(|i| self.ranges.get(i))
+            .cloned()
+            .ok_or_else(|| {
+                format!(
+                    "cells_part {index} is out of range: the frame has {} part(s)",
+                    self.ranges.len()
+                )
+            })?;
+        check(range.len())?;
+        self.ranges.clear();
+        let mut cells = std::mem::take(&mut self.payload);
+        cells.truncate(range.end);
+        cells.drain(..range.start);
+        Ok(cells)
+    }
+}
+
+/// Removes `key` from an object and returns its value (no clone).
+pub(crate) fn take_field(doc: &mut Json, key: &str) -> Option<Json> {
+    let Json::Object(fields) = doc else {
+        return None;
+    };
+    let at = fields.iter().position(|(k, _)| k == key)?;
+    Some(fields.remove(at).1)
+}
+
+/// Splits a received payload into its JSON document and its parts: none
+/// for a JSON frame; for a parts frame the header, without its `"parts"`
+/// list, and the byte ranges that list describes. Nothing is allocated in
+/// proportion to any length the frame claims — only to the bytes it holds.
+///
+/// # Errors
+/// Invalid UTF-8 or JSON; a header length past the end of the frame; a
+/// header without a `parts` list of lengths; part lengths that do not sum
+/// to exactly the rest of the frame.
+pub fn decode_message(payload: Vec<u8>) -> Result<(Json, Parts), String> {
+    fn parse(bytes: &[u8]) -> Result<Json, String> {
+        std::str::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|s| Json::parse(s).map_err(|e| e.to_string()))
+    }
+    if payload.first() != Some(&PARTS_TAG) {
+        return Ok((parse(&payload)?, Parts::default()));
+    }
+    let header_len = payload
+        .get(1..PARTS_LEAD)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("four bytes")) as usize)
+        .ok_or("parts frame ends inside its header length")?;
+    let header_end = PARTS_LEAD
+        .checked_add(header_len)
+        .filter(|&end| end <= payload.len())
+        .ok_or_else(|| {
+            format!(
+                "header of {header_len} bytes runs past the end of a {}-byte frame",
+                payload.len()
+            )
+        })?;
+    let mut doc = parse(&payload[PARTS_LEAD..header_end])?;
+    let Some(Json::Array(lens)) = take_field(&mut doc, "parts") else {
+        return Err("parts frame header lacks a `parts` list".to_string());
+    };
+    let body = payload.len() - header_end;
+    let mut ranges = Vec::with_capacity(lens.len());
+    let mut at = header_end;
+    for len in &lens {
+        let end = len
+            .as_u64()
+            .and_then(|l| usize::try_from(l).ok())
+            .and_then(|l| at.checked_add(l))
+            .filter(|&end| end <= payload.len())
+            .ok_or_else(|| format!("part lengths overrun the {body} bytes after the header"))?;
+        ranges.push(at..end);
+        at = end;
+    }
+    if at != payload.len() {
+        return Err(format!(
+            "part lengths sum to {} bytes, but {body} follow the header",
+            at - header_end
+        ));
+    }
+    Ok((doc, Parts { payload, ranges }))
 }
 
 /// Payload bytes a reader allocates ahead of the bytes it has received. A
@@ -305,12 +524,42 @@ pub fn with_request_id(json: Json, request_id: u64) -> Json {
 /// so the remote bytes are exactly the in-process bytes.
 #[must_use]
 pub fn value_to_json(value: &Value, stats: &QueryStats, epoch: u64) -> Json {
+    result_json(value, stats, epoch, |a| {
+        ("cells_hex", Json::Str(hex_encode(a.bytes())))
+    })
+}
+
+/// [`value_to_json`] for a parts frame: an array value names part 0
+/// (`"cells_part": 0`) instead of carrying its cells, and the cells come
+/// back beside the result, moved out of the array, to be that part.
+#[must_use]
+pub(crate) fn value_to_parts(
+    value: Value,
+    stats: &QueryStats,
+    epoch: u64,
+) -> (Json, Option<Vec<u8>>) {
+    let result = result_json(&value, stats, epoch, |_| ("cells_part", Json::UInt(0)));
+    let cells = match value {
+        Value::Array(a) => Some(a.into_bytes()),
+        _ => None,
+    };
+    (result, cells)
+}
+
+/// The `result` object of a query; `cells` gives an array value's last
+/// field, the one that carries or names its cells.
+fn result_json(
+    value: &Value,
+    stats: &QueryStats,
+    epoch: u64,
+    cells: impl FnOnce(&Array) -> (&'static str, Json),
+) -> Json {
     let v = match value {
         Value::Array(a) => Json::obj(vec![
             ("kind", Json::Str("array".to_string())),
             ("domain", Json::Str(a.domain().to_string())),
             ("cell_size", Json::UInt(a.cell_size() as u64)),
-            ("cells_hex", Json::Str(hex_encode(a.bytes()))),
+            cells(a),
         ]),
         Value::Number(n) => Json::obj(vec![
             ("kind", Json::Str("number".to_string())),
@@ -461,9 +710,204 @@ mod tests {
             ErrorCode::Engine,
             ErrorCode::Shutdown,
             ErrorCode::ShardUnavailable,
+            ErrorCode::ResultTooLarge,
         ] {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
         }
         assert_eq!(ErrorCode::parse("nope"), None);
+    }
+
+    /// The payload `Outgoing` writes for `doc` and `parts`.
+    fn encode(doc: Json, parts: &[&[u8]]) -> Vec<u8> {
+        let mut framed = Vec::new();
+        Outgoing::new(doc, parts).write_to(&mut framed).unwrap();
+        read_frame(&mut std::io::Cursor::new(framed))
+            .unwrap()
+            .unwrap()
+    }
+
+    /// A response whose array value is its second part, after a first one
+    /// nothing names: the shape band streaming will send.
+    fn two_part_frame() -> Vec<u8> {
+        let value = Json::obj(vec![
+            ("kind", Json::Str("array".to_string())),
+            ("domain", Json::Str("[0:1,0:2]".to_string())),
+            ("cell_size", Json::UInt(2)),
+            ("cells_part", Json::UInt(1)),
+        ]);
+        let doc = ok_response(7, Json::obj(vec![("value", value)]));
+        let cells: Vec<u8> = (0..12).collect();
+        encode(doc, &[b"band", &cells])
+    }
+
+    /// A parts payload with the given header text and body bytes.
+    fn parts_payload(header: &str, body: &[u8]) -> Vec<u8> {
+        let mut p = vec![PARTS_TAG];
+        p.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        p.extend_from_slice(header.as_bytes());
+        p.extend_from_slice(body);
+        p
+    }
+
+    #[test]
+    fn a_frame_without_parts_is_todays_json_frame() {
+        let doc = ok_response(3, Json::Str("pong".to_string()));
+        let mut json = Vec::new();
+        write_frame(&mut json, doc.to_string_compact().as_bytes()).unwrap();
+        let mut out = Vec::new();
+        Outgoing::new(doc.clone(), &[]).write_to(&mut out).unwrap();
+        assert_eq!(out, json);
+        let (got, parts) = decode_message(encode(doc.clone(), &[])).unwrap();
+        assert_eq!((got, parts.ranges.len()), (doc, 0));
+    }
+
+    #[test]
+    fn parts_round_trip_and_the_header_reads_like_a_json_frame() {
+        let payload = two_part_frame();
+        assert_eq!(payload[0], PARTS_TAG);
+        let (doc, mut parts) = decode_message(payload).unwrap();
+        assert!(doc.get("parts").is_none(), "the parts list is framing");
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
+        assert_eq!(parts.ranges.len(), 2);
+        let value = doc.get("result").and_then(|r| r.get("value")).unwrap();
+        let cells = parts.take_cells(value, |len| {
+            assert_eq!(len, 12);
+            Ok(())
+        });
+        assert_eq!(cells.unwrap(), (0..12).collect::<Vec<u8>>());
+        assert_eq!(parts.ranges.len(), 0, "taking a part releases the frame");
+    }
+
+    #[test]
+    fn cells_move_out_of_the_frame_buffer_without_a_copy() {
+        let payload = two_part_frame();
+        let buffer = payload.as_ptr();
+        let (doc, mut parts) = decode_message(payload).unwrap();
+        let value = doc.get("result").and_then(|r| r.get("value")).unwrap();
+        let cells = parts.take_cells(value, |_| Ok(())).unwrap();
+        assert_eq!(cells.as_ptr(), buffer, "the part reuses the frame's buffer");
+    }
+
+    #[test]
+    fn value_to_parts_names_part_zero_and_moves_the_cells() {
+        let a = Array::from_cells::<u16>("[0:1,0:1]".parse().unwrap(), &[1, 2, 3, 4]).unwrap();
+        let bytes = a.bytes().to_vec();
+        let at = a.bytes().as_ptr();
+        let stats = QueryStats::default();
+        let hex = value_to_json(&Value::Array(a.clone()), &stats, 4);
+        let (result, cells) = value_to_parts(Value::Array(a), &stats, 4);
+        let cells = cells.unwrap();
+        assert_eq!(cells, bytes);
+        assert_eq!(cells.as_ptr(), at, "the array's own buffer, not a copy");
+        let v = result.get("value").unwrap();
+        assert_eq!(v.get("cells_part").and_then(Json::as_u64), Some(0));
+        assert!(v.get("cells_hex").is_none());
+        // Everything but the cells field is value_to_json's output.
+        let strip = |j: &Json, key: &str| {
+            let mut j = j.clone();
+            let mut v = take_field(&mut j, "value").unwrap();
+            take_field(&mut v, key).unwrap();
+            (j, v)
+        };
+        assert_eq!(strip(&result, "cells_part"), strip(&hex, "cells_hex"));
+        // Scalars have no part.
+        let (n, cells) = value_to_parts(Value::Count(3), &stats, 4);
+        assert_eq!(n, value_to_json(&Value::Count(3), &stats, 4));
+        assert!(cells.is_none());
+    }
+
+    #[test]
+    fn hostile_parts_frames_are_errors() {
+        let body = [0u8; 8];
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("lead cut short", vec![PARTS_TAG, 0, 0]),
+            ("header length past the end", {
+                let mut p = parts_payload(r#"{"parts":[8]}"#, &body);
+                p[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+                p
+            }),
+            ("header one byte too long", {
+                let mut p = parts_payload(r#"{"parts":[]}"#, &[]);
+                p[1] += 1;
+                p
+            }),
+            (
+                "parts sum short",
+                parts_payload(r#"{"parts":[4,3]}"#, &body),
+            ),
+            ("parts sum long", parts_payload(r#"{"parts":[4,5]}"#, &body)),
+            (
+                "a part longer than memory",
+                parts_payload(r#"{"parts":[18446744073709551615,8]}"#, &body),
+            ),
+            (
+                "negative length",
+                parts_payload(r#"{"parts":[-1,9]}"#, &body),
+            ),
+            ("no parts list", parts_payload(r#"{"id":1}"#, &body)),
+            ("parts not a list", parts_payload(r#"{"parts":8}"#, &body)),
+            ("header not JSON", parts_payload(r#"{"parts":[8]"#, &body)),
+        ];
+        for (what, payload) in cases {
+            assert!(decode_message(payload).is_err(), "{what}");
+        }
+        let mut bad_utf8 = parts_payload("{}", &[]);
+        bad_utf8[5] = 0xFF;
+        assert!(decode_message(bad_utf8).is_err());
+        // A frame may carry no parts at all, and zero-length parts.
+        assert!(decode_message(parts_payload(r#"{"parts":[]}"#, &[])).is_ok());
+        assert!(decode_message(parts_payload(r#"{"parts":[0,8,0]}"#, &body)).is_ok());
+    }
+
+    #[test]
+    fn hostile_cells_part_indices_are_errors() {
+        let (doc, mut parts) = decode_message(two_part_frame()).unwrap();
+        let value = doc.get("result").and_then(|r| r.get("value")).unwrap();
+        for index in [
+            Json::UInt(2),
+            Json::UInt(u64::MAX),
+            Json::Int(-1),
+            Json::Null,
+        ] {
+            let v = with_field(Json::obj(vec![]), "cells_part", index.clone());
+            assert!(parts.take_cells(&v, |_| Ok(())).is_err(), "{index:?}");
+        }
+        // A length the caller rejects leaves the frame intact.
+        let e = parts.take_cells(value, |len| Err(format!("{len} is wrong")));
+        assert_eq!(e.unwrap_err(), "12 is wrong");
+        assert_eq!(parts.ranges.len(), 2);
+    }
+
+    #[test]
+    fn byte_mutations_of_a_two_part_frame_never_panic() {
+        let valid = two_part_frame();
+        let mut rng = tilestore_testkit::Rng::seed_from_u64(0x7061_7274);
+        let (mut decoded, mut rejected) = (0u32, 0u32);
+        for _ in 0..4000 {
+            let mut payload = valid.clone();
+            for _ in 0..rng.gen_range(1..=4u32) {
+                let at = rng.gen_range(0..payload.len());
+                payload[at] = rng.next_u64() as u8;
+            }
+            if rng.gen_range(0..8u32) == 0 {
+                payload.truncate(rng.gen_range(0..payload.len()));
+            }
+            match decode_message(payload) {
+                Ok((doc, mut parts)) => {
+                    decoded += 1;
+                    // Whatever survives must still honour the frame's own
+                    // bounds when a part is taken.
+                    let value = doc.get("result").and_then(|r| r.get("value"));
+                    if let Some(v) = value {
+                        let _ = parts.take_cells(v, |_| Ok(()));
+                    }
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            decoded > 0 && rejected > 0,
+            "{decoded} decoded, {rejected} rejected"
+        );
     }
 }

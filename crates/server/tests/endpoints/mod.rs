@@ -69,9 +69,14 @@ impl Raw {
     }
 
     pub fn call(&mut self, payload: &str) -> Json {
-        write_frame(&mut self.writer, payload.as_bytes()).unwrap();
-        let frame = read_frame(&mut self.reader).unwrap().unwrap();
+        let frame = self.frame(payload.as_bytes());
         Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap()
+    }
+
+    /// Sends one request payload and returns the response payload as sent.
+    pub fn frame(&mut self, payload: &[u8]) -> Vec<u8> {
+        write_frame(&mut self.writer, payload).unwrap();
+        read_frame(&mut self.reader).unwrap().unwrap()
     }
 
     /// The `error` code of a refusal (`None` for an `ok` response).

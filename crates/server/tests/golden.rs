@@ -1,12 +1,17 @@
 //! Golden equivalence: every rasql statement answered over the wire must be
 //! byte-identical (arrays) or bit-identical (scalars) to the in-process
-//! result. The in-process baseline runs serially *before* the server
-//! attaches its executor, so this also pins the parallel query path to the
-//! serial one.
+//! result — through `Client`, whose cells travel as binary parts, and
+//! through a plain JSON request, whose cells travel as hex. The in-process
+//! baseline runs serially *before* the server attaches its executor, so
+//! this also pins the parallel query path to the serial one.
 
-use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
+use tilestore_engine::{Array, CellType, Database, MddType, QueryStats, SharedDatabase};
 use tilestore_rasql::{StatementResult, Value};
-use tilestore_server::{serve, Client, RemoteValue, ServerConfig, ServerHandle};
+use tilestore_server::wire::{
+    hex_decode, ok_response, value_to_json, with_request_id, write_frame,
+};
+use tilestore_server::{serve, Client, RemoteValue, ServerConfig, ServerHandle, MAX_FRAME};
+use tilestore_testkit::json::FromJson;
 use tilestore_testkit::{Json, ToJson};
 use tilestore_tiling::{AlignedTiling, Scheme};
 
@@ -89,31 +94,104 @@ fn every_statement_is_byte_identical_over_the_wire() {
     .unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     client.ping().unwrap();
+    let mut raw = endpoints::Raw::connect(handle.addr());
 
-    for (q, want) in GOLDEN.iter().zip(&expected) {
+    for (i, (q, want)) in GOLDEN.iter().zip(&expected).enumerate() {
         let got = client.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-        match (want, &got) {
-            (
-                Value::Array(a),
-                RemoteValue::Array {
-                    domain,
-                    cell_size,
-                    cells,
-                },
-            ) => {
-                assert_eq!(domain, a.domain(), "{q}: domain");
-                assert_eq!(*cell_size, a.cell_size(), "{q}: cell size");
-                assert_eq!(cells, a.bytes(), "{q}: cell bytes");
-            }
-            (Value::Number(n), RemoteValue::Number(m)) => {
-                assert_eq!(n.to_bits(), m.to_bits(), "{q}: number bits");
-            }
-            (Value::Count(c), RemoteValue::Count(d)) => assert_eq!(c, d, "{q}: count"),
-            (Value::Bool(b), RemoteValue::Bool(c)) => assert_eq!(b, c, "{q}: bool"),
-            (want, got) => panic!("{q}: kind mismatch: {want:?} vs {got:?}"),
-        }
+        assert_remote_identical(q, want, &got);
+        let doc = raw.call(&json_query(i as u64, q));
+        let value = doc.get("result").and_then(|r| r.get("value"));
+        let got = from_json_value(value.unwrap_or_else(|| panic!("{q}: {doc}")));
+        assert_remote_identical(&format!("{q} (json)"), want, &got);
     }
+
+    // A response without cells is the frame the JSON-only protocol built,
+    // byte for byte: `ping`, and an aggregate whose result is
+    // `value_to_json` of the in-process value.
+    let mut want = Vec::new();
+    let pong = with_request_id(ok_response(90, Json::Str("pong".to_string())), 91);
+    write_frame(&mut want, pong.to_string_compact().as_bytes()).unwrap();
+    let got = raw.frame(br#"{"id":90,"op":"ping","request_id":91}"#);
+    assert_eq!(framed(&got), want, "ping frame");
+
+    let (i, q) = (4, GOLDEN[4]);
+    assert!(q.starts_with("SELECT sum_cells"), "{q}");
+    let got = raw.frame(
+        with_request_id(Json::parse(&json_query(92, q)).unwrap(), 93)
+            .to_string_compact()
+            .as_bytes(),
+    );
+    let doc = Json::parse(std::str::from_utf8(&got).unwrap()).unwrap();
+    let result = doc.get("result").unwrap();
+    let stats = QueryStats::from_json(result.get("stats").unwrap()).unwrap();
+    let epoch = result.get("epoch").and_then(Json::as_u64).unwrap();
+    let rebuilt = ok_response(92, value_to_json(&expected[i], &stats, epoch));
+    let mut want = Vec::new();
+    write_frame(
+        &mut want,
+        with_request_id(rebuilt, 93).to_string_compact().as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(framed(&got), want, "{q}: aggregate frame");
     handle.shutdown();
+}
+
+/// A `query` request without `"binary"`: the JSON debug surface.
+fn json_query(id: u64, q: &str) -> String {
+    Json::obj(vec![
+        ("id", Json::UInt(id)),
+        ("op", Json::Str("query".to_string())),
+        ("q", Json::Str(q.to_string())),
+    ])
+    .to_string_compact()
+}
+
+/// A response payload with its length prefix back in front.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Decodes a JSON `value` object the way a JSON-only peer would: cells
+/// from `cells_hex`, numbers from their IEEE-754 `bits`.
+fn from_json_value(v: &Json) -> RemoteValue {
+    let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("no {k} in {v}"));
+    match field("kind").as_str().unwrap() {
+        "array" => RemoteValue::Array {
+            domain: field("domain").as_str().unwrap().parse().unwrap(),
+            cell_size: field("cell_size").as_u64().unwrap() as usize,
+            cells: hex_decode(field("cells_hex").as_str().unwrap()).unwrap(),
+        },
+        "number" => RemoteValue::Number(f64::from_bits(field("bits").as_u64().unwrap())),
+        "count" => RemoteValue::Count(field("value").as_u64().unwrap()),
+        "bool" => RemoteValue::Bool(field("value").as_bool().unwrap()),
+        other => panic!("unknown kind {other}"),
+    }
+}
+
+/// Strict byte/bit identity between an in-process and a remote result.
+fn assert_remote_identical(q: &str, want: &Value, got: &RemoteValue) {
+    match (want, got) {
+        (
+            Value::Array(a),
+            RemoteValue::Array {
+                domain,
+                cell_size,
+                cells,
+            },
+        ) => {
+            assert_eq!(domain, a.domain(), "{q}: domain");
+            assert_eq!(*cell_size, a.cell_size(), "{q}: cell size");
+            assert_eq!(cells, a.bytes(), "{q}: cell bytes");
+        }
+        (Value::Number(n), RemoteValue::Number(m)) => {
+            assert_eq!(n.to_bits(), m.to_bits(), "{q}: number bits");
+        }
+        (Value::Count(c), RemoteValue::Count(d)) => assert_eq!(c, d, "{q}: count"),
+        (Value::Bool(b), RemoteValue::Bool(c)) => assert_eq!(b, c, "{q}: bool"),
+        (want, got) => panic!("{q}: kind mismatch: {want:?} vs {got:?}"),
+    }
 }
 
 /// EXPLAIN-able subset of the corpus: plain accesses and condensers over
@@ -272,6 +350,32 @@ fn malformed_requests_get_typed_errors(kind: Kind, handle: &ServerHandle) {
         } else {
             assert_eq!(got.as_deref(), Some("bad_request"), "{kind:?}: {op}");
         }
+    }
+
+    // A result whose hex answer is just over the frame limit is a typed
+    // refusal naming both sizes, not a dropped connection. The trim reaches
+    // past the stored cells, so the object stays 1000 cells and the answer
+    // is mostly default fill: 100 x 83887 u32 cells = MAX_FRAME / 2 + 368.
+    let q = "SELECT cube[0:9, 0:9, 0:83886] FROM cube";
+    let cell_bytes = 100 * 83_887 * 4;
+    assert!(cell_bytes > MAX_FRAME / 2 && cell_bytes < MAX_FRAME / 2 + 4096);
+    let resp = raw.call(&json_query(9, q));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("result_too_large"),
+        "{kind:?}"
+    );
+    let message = resp.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains(&MAX_FRAME.to_string()),
+        "{kind:?}: {message}"
+    );
+    assert_eq!(resp.get("id").and_then(Json::as_u64), Some(9));
+    assert!(resp.get("request_id").is_some(), "{kind:?}: {resp}");
+    // The same cells fit as a binary part.
+    match client.query(q) {
+        Ok(RemoteValue::Array { cells, .. }) => assert_eq!(cells.len(), cell_bytes),
+        other => panic!("{kind:?}: {other:?}"),
     }
 
     // The connections survived all of that.

@@ -5,13 +5,17 @@
 //! a typed BUSY/DEADLINE, the server must shut down gracefully, and the
 //! database directory must fsck clean afterwards.
 
-use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
-use tilestore_server::{serve, Client, ClientError, RemoteValue, ServerConfig};
-use tilestore_testkit::tempdir;
+use tilestore_server::{
+    serve, serve_backend, Answer, Call, Client, ClientError, RemoteValue, ServerConfig, Service,
+    ServiceError, ServiceResult, Serving,
+};
+use tilestore_testkit::{tempdir, Json};
 use tilestore_tiling::{AlignedTiling, Scheme};
 
 /// Cell formula for the grid object; queries verify every byte against it.
@@ -177,67 +181,103 @@ fn concurrent_clients_with_inserts_and_a_retile() {
     );
 }
 
+/// A backend whose every `query` waits for [`Gate::open`]: a request that
+/// provably holds its admission slot for as long as a test needs.
+#[derive(Default)]
+struct Gate {
+    /// (a query is waiting inside, the gate is open)
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn wait_until(&self, done: impl Fn(&(bool, bool)) -> bool) {
+        let mut state = self.state.lock().unwrap();
+        while !done(&state) {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Service for Gate {
+    type Session = ();
+
+    fn query(&self, _: &mut (), _: &str, _: &Call<'_>) -> ServiceResult<Answer> {
+        self.state.lock().unwrap().0 = true;
+        self.changed.notify_all();
+        self.wait_until(|&(_, open)| open);
+        Ok(Answer {
+            result: Json::Str("released".to_string()),
+            epoch: 0,
+            stats: None,
+            cells: None,
+        })
+    }
+
+    fn insert(&self, _: &str, _: &Array) -> ServiceResult<Json> {
+        Err(ServiceError::unknown_op("insert"))
+    }
+
+    fn retile(&self, _: &str, _: &str) -> ServiceResult<Json> {
+        Err(ServiceError::unknown_op("retile"))
+    }
+
+    fn info(&self, _: &mut (), _: &str, _: &Call<'_>) -> ServiceResult<Json> {
+        Err(ServiceError::unknown_op("info"))
+    }
+
+    fn stats(&self) -> ServiceResult<Json> {
+        Err(ServiceError::unknown_op("stats"))
+    }
+
+    fn health(&self, _: Serving) -> Json {
+        Json::obj(vec![("status", Json::Str("ok".to_string()))])
+    }
+
+    fn backend_op(&self, _: &mut (), op: &str, _: &Call<'_>) -> ServiceResult<Json> {
+        Err(ServiceError::unknown_op(op))
+    }
+
+    fn save(&self, _: &Path) -> ServiceResult<()> {
+        Ok(())
+    }
+}
+
 #[test]
 fn admission_limit_refuses_with_typed_busy() {
-    // One worker, one slot: while a pipelined burst of whole-object queries
-    // holds the slot, a second connection's pings must see typed `busy`.
-    let db = Database::in_memory().unwrap();
-    db.create_object(
-        "big",
-        MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
-        Scheme::Aligned(AlignedTiling::regular(2, 8192)),
-    )
-    .unwrap();
-    db.insert(
-        "big",
-        &Array::from_fn("[0:255,0:255]".parse().unwrap(), |p| cell(p[0], p[1])).unwrap(),
-    )
-    .unwrap();
-    let handle = serve(
-        SharedDatabase::new(db),
-        None,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 1,
-            max_inflight: 1,
-            default_deadline_ms: 0,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    // One slot, held by a query the backend keeps until a second
+    // connection's ping has been refused `busy`: the refusal is certain,
+    // not a race against how long a query happens to take.
+    let gate = Arc::new(Gate::default());
+    let config = ServerConfig {
+        max_inflight: 1,
+        default_deadline_ms: 0,
+        ..ServerConfig::default()
+    };
+    let handle = serve_backend(Arc::clone(&gate), None, "127.0.0.1:0", &config).unwrap();
 
-    // Connection A: pipeline query frames without reading responses, so the
-    // single slot stays occupied for several query durations.
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-    let burst = 8u64;
-    for id in 0..burst {
-        let req = format!("{{\"id\":{id},\"op\":\"query\",\"q\":\"SELECT big FROM big\"}}");
-        let payload = req.as_bytes();
-        raw.write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        raw.write_all(payload).unwrap();
-    }
-    raw.flush().unwrap();
-
-    // Connection B: hammer pings until the burst drains; some must bounce.
-    let mut busy = 0u64;
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let done = std::thread::spawn(move || {
-        let mut r = std::io::BufReader::new(raw);
-        for _ in 0..burst {
-            tilestore_server::wire::read_frame(&mut r).unwrap().unwrap();
-        }
+    let addr = handle.addr();
+    let holder = std::thread::spawn(move || {
+        Client::connect(addr)
+            .unwrap()
+            .query_raw("hold the slot")
+            .unwrap()
     });
-    while !done.is_finished() {
-        match client.ping() {
-            Ok(()) => {}
-            Err(ClientError::Busy(_)) => busy += 1,
-            Err(e) => panic!("unexpected: {e}"),
-        }
+    gate.wait_until(|&(waiting, _)| waiting);
+
+    let mut client = Client::connect(addr).unwrap();
+    match client.ping() {
+        Err(ClientError::Busy(m)) => assert!(m.contains("limit 1"), "{m}"),
+        other => panic!("expected a busy refusal, got {other:?}"),
     }
-    done.join().unwrap();
-    assert!(busy > 0, "no busy rejection observed across the burst");
-    // The limit releases once the burst drains.
+    gate.open();
+    assert_eq!(holder.join().unwrap().as_str(), Some("released"));
+    // The limit releases with the slot.
     client.ping().unwrap();
     handle.shutdown();
 }

@@ -144,9 +144,16 @@ impl Json {
         // Seeding capacity from the embedded string payloads avoids the
         // doubling-growth copies that otherwise dominate serialization of
         // responses carrying large (e.g. hex tile) strings.
-        let mut out = String::with_capacity(self.size_hint() + 64);
-        write_json(self, &mut out, None, 0);
+        let mut out = String::new();
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact serialization to `out`, so a caller can put
+    /// bytes in front of a document without copying it afterwards.
+    pub fn write_compact(&self, out: &mut String) {
+        out.reserve(self.size_hint() + 64);
+        write_json(self, out, None, 0);
     }
 
     /// A lower bound on the serialized size: string/key bytes plus

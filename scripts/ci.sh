@@ -32,13 +32,21 @@ done
 # between the pool and the caller's thread only inside
 # `tilestore_exec::scatter_on`. A branch on the executor in non-test engine
 # code (everything before a file's `#[cfg(test)]`) is the fork coming back.
-engine_non_test() { for f in crates/engine/src/*.rs; do sed '/^#\[cfg(test)\]/q' "$f"; done; }
+non_test() { for f in "$@"; do sed '/^#\[cfg(test)\]/q' "$f"; done; }
+engine_non_test() { non_test crates/engine/src/*.rs; }
 for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
     if engine_non_test | grep -qF "$needle"; then
         echo "engine forked on the executor: '$needle' in crates/engine/src" >&2
         exit 1
     fi
 done
+
+# --- In-tree clients move cells as binary parts: the hex codec is the JSON
+# debug surface of the server, never on the `Client` or coordinator path.
+if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_(en|de)code'; then
+    echo "hex codec on an in-tree client path (client.rs or crates/cluster/src)" >&2
+    exit 1
+fi
 
 # --- Server smoke test: serve a small database, query it over TCP, shut
 # down gracefully through the client, and verify the files stayed clean.
