@@ -8,7 +8,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tilestore_engine::Array;
-use tilestore_rasql::QueryError;
 use tilestore_server::wire::{with_epoch, with_field, ErrorCode};
 use tilestore_server::{
     serve_backend, Answer, Call, ServerConfig, ServerHandle, Service, ServiceError, ServiceResult,
@@ -39,12 +38,11 @@ pub fn serve_cluster<S: PageStore + 'static>(
 /// Maps a cluster failure to its wire error class.
 impl From<ClusterError> for ServiceError {
     fn from(e: ClusterError) -> Self {
-        let code = match &e {
+        let code = match e {
+            ClusterError::Query(q) => return q.into(),
             ClusterError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
             ClusterError::Deadline { .. } => ErrorCode::Deadline,
-            ClusterError::Query(QueryError::Engine(_)) => ErrorCode::Engine,
             ClusterError::Remote { .. } | ClusterError::Io(_) => ErrorCode::Engine,
-            ClusterError::Query(_) => ErrorCode::BadRequest,
             ClusterError::Config(_) | ClusterError::Unsupported { .. } => ErrorCode::BadRequest,
         };
         ServiceError::new(code, e.to_string())

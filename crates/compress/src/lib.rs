@@ -26,6 +26,8 @@ pub mod delta;
 mod error;
 pub mod packbits;
 mod synopsis;
+#[cfg(test)]
+mod test_payloads;
 mod varint;
 
 pub use codec::{

@@ -13,15 +13,15 @@
 //! the first mismatch) and the literal scan finds the next `>= 3` repeat
 //! with a SWAR zero-byte test over two shifted XORs, so incompressible
 //! stretches advance 8 positions per iteration instead of 1. The output is
-//! byte-identical to [`scalar::encode`], which [`crate::compress`] property
-//! suites pin and `BENCH_PR8` uses as the before side.
+//! byte-identical to the byte-at-a-time reference encoder the unit tests
+//! pin it against.
 
 use crate::error::{CompressError, Result};
 
-/// Reference byte-at-a-time implementation. Kept as the semantic baseline:
-/// the word-wide [`encode`] must produce byte-identical streams, and the
-/// codec benchmark reports its throughput as the "before" figure.
-pub mod scalar {
+/// Reference byte-at-a-time implementation, test-only: the word-wide
+/// [`encode`] must produce byte-identical streams.
+#[cfg(test)]
+mod scalar {
     use super::{CompressError, Result};
 
     /// Encodes `input` with PackBits, one byte at a time.
@@ -193,8 +193,8 @@ fn next_repeat(input: &[u8], from: usize, cap_end: usize) -> usize {
     cap_end
 }
 
-/// Encodes `input` with PackBits. Byte-identical to [`scalar::encode`],
-/// with word-wide run detection and literal scanning.
+/// Encodes `input` with PackBits. Byte-identical to a byte-at-a-time
+/// encoder, with word-wide run detection and literal scanning.
 #[must_use]
 pub fn encode(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 4 + 8);
@@ -329,6 +329,31 @@ mod tests {
             data.extend((0..200u8).map(|v| v ^ 0x5A));
             round_trip(&data);
         }
+    }
+
+    /// The word-wide encoder emits byte-identical streams to the reference,
+    /// and both decoders agree, on payloads spanning constant runs, ramps,
+    /// sparse spikes and noise.
+    #[test]
+    fn word_wide_packbits_matches_scalar() {
+        use crate::test_payloads::structured;
+        use tilestore_testkit::prop::check;
+        use tilestore_testkit::prop_assert_eq;
+        check(
+            "word_wide_packbits_matches_scalar",
+            256,
+            |s| {
+                let cell_size = s.usize_in(1, 4);
+                structured(s, cell_size)
+            },
+            |data| {
+                let fast = encode(data);
+                prop_assert_eq!(&fast, &scalar::encode(data), "encoded streams diverge");
+                prop_assert_eq!(decode(&fast, data.len()).unwrap(), *data);
+                prop_assert_eq!(scalar::decode(&fast, data.len()).unwrap(), *data);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -6,46 +6,9 @@ use tilestore_compress::{compress, decompress, CellContext, Codec, CompressionPo
 use tilestore_testkit::prop::{check, Source};
 use tilestore_testkit::{prop_assert, prop_assert_eq};
 
-fn payload(s: &mut Source, cell_size: usize) -> Vec<u8> {
-    let cells_seed = s.vec_of(0, 63, Source::u8);
-    // Expand to whole cells.
-    let mut out = Vec::with_capacity(cells_seed.len() * cell_size);
-    for b in cells_seed {
-        for lane in 0..cell_size {
-            out.push(b.wrapping_add(lane as u8));
-        }
-    }
-    out
-}
-
-/// Structured payloads that exercise the codecs' sweet spots.
-fn structured(s: &mut Source, cell_size: usize) -> Vec<u8> {
-    match s.weighted(&[1, 1, 1, 1]) {
-        0 => {
-            // constant
-            let b = s.u8();
-            let n = s.usize_in(1, 199);
-            vec![b; n * cell_size]
-        }
-        1 => {
-            // ramp
-            let n = s.usize_in(1, 199);
-            (0..n * cell_size).map(|i| (i / cell_size) as u8).collect()
-        }
-        2 => {
-            // sparse
-            let n = s.usize_in(1, 199);
-            let hits = s.vec_of(0, 7, |s| s.usize_in(0, 199));
-            let mut v = vec![0u8; n * cell_size];
-            for h in hits {
-                let i = (h % n) * cell_size;
-                v[i] = 0xEE;
-            }
-            v
-        }
-        _ => payload(s, cell_size),
-    }
-}
+#[path = "../src/test_payloads.rs"]
+mod test_payloads;
+use test_payloads::structured;
 
 #[test]
 fn every_codec_round_trips() {
@@ -121,59 +84,6 @@ fn decompress_rejects_mutations() {
             s[i] ^= 0xFF;
             // Mutation must either error or produce *something* — never panic.
             let _ = decompress(&s, &ctx);
-            Ok(())
-        },
-    );
-}
-
-/// The word-wide PackBits encoder must emit byte-identical streams to the
-/// scalar reference, and both decoders must agree, on payloads spanning
-/// constant runs, ramps, sparse spikes and noise.
-#[test]
-fn word_wide_packbits_matches_scalar() {
-    use tilestore_compress::packbits;
-    check(
-        "word_wide_packbits_matches_scalar",
-        256,
-        |s| {
-            let cell_size = s.usize_in(1, 4);
-            structured(s, cell_size)
-        },
-        |data| {
-            let fast = packbits::encode(data);
-            let slow = packbits::scalar::encode(data);
-            prop_assert_eq!(&fast, &slow, "encoded streams diverge");
-            let decoded = packbits::decode(&fast, data.len()).unwrap();
-            prop_assert_eq!(decoded.as_slice(), data.as_slice());
-            let decoded = packbits::scalar::decode(&fast, data.len()).unwrap();
-            prop_assert_eq!(decoded.as_slice(), data.as_slice());
-            Ok(())
-        },
-    );
-}
-
-/// The blocked delta kernels must match the scalar reference byte for byte
-/// in both directions, across cell sizes straddling the 8-lane kernel.
-#[test]
-fn blocked_delta_matches_scalar() {
-    use tilestore_compress::delta;
-    check(
-        "blocked_delta_matches_scalar",
-        256,
-        |s| {
-            let cell_size = s.usize_in(1, 17);
-            (cell_size, structured(s, cell_size))
-        },
-        |(cell_size, data)| {
-            let len = data.len() / cell_size * cell_size;
-            let data = &data[..len];
-            let fast = delta::forward(data, *cell_size).unwrap();
-            let slow = delta::scalar::forward(data, *cell_size).unwrap();
-            prop_assert_eq!(&fast, &slow, "forward diverges");
-            let back = delta::inverse(&fast, *cell_size).unwrap();
-            prop_assert_eq!(back.as_slice(), data);
-            let back = delta::scalar::inverse(&fast, *cell_size).unwrap();
-            prop_assert_eq!(back.as_slice(), data);
             Ok(())
         },
     );

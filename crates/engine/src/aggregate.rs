@@ -7,6 +7,8 @@
 //! without ever materializing the full result array. Uncovered areas
 //! contribute the type's default value.
 
+use std::time::Instant;
+
 use tilestore_geometry::{Domain, RunIter};
 use tilestore_storage::PageStore;
 
@@ -304,6 +306,7 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         let _span = tilestore_obs::tracer().span_with("aggregate", || {
             format!("object={name} region={region} kind={}", kind.as_str())
         });
+        let started = Instant::now();
         entry.log.record(region);
         let cell_type = meta.mdd_type.cell.clone();
         let cell_size = cell_type.size;
@@ -361,7 +364,7 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         acc.feed_default(&cell_type, total - covered)?;
         stats.cells_defaulted = total - covered;
         stats.io = self.blobs.stats().snapshot().since(&io_before);
-        tilestore_obs::hot().tiles_pruned.add(stats.tiles_pruned);
+        crate::snapshot::record_query(&mut stats, started);
         Ok((acc.finish(), stats))
     }
 }
@@ -440,6 +443,19 @@ mod tests {
         assert_eq!(min.as_number().unwrap(), 5.0);
         let (max, _) = db.aggregate("grid", &region, AggKind::Max).unwrap();
         assert_eq!(max.as_number().unwrap(), 9.0);
+    }
+
+    #[test]
+    fn aggregates_are_timed_and_counted_as_queries() {
+        let db = setup();
+        // The counter is process-global and other tests query concurrently,
+        // so only its growth is checked.
+        let before = tilestore_obs::hot().queries.get();
+        let (_, stats) = db
+            .aggregate("grid", &d("[5:9,0:19]"), AggKind::Sum)
+            .unwrap();
+        assert!(stats.elapsed_ns > 0, "{stats:?}");
+        assert!(tilestore_obs::hot().queries.get() > before);
     }
 
     #[test]

@@ -27,32 +27,19 @@ use std::sync::Arc;
 use tilestore_compress::CompressionPolicy;
 use tilestore_exec::ThreadPool;
 use tilestore_obs::AccessRecorder;
-use tilestore_storage::{MemPageStore, PageStore, DEFAULT_SHARDS};
+use tilestore_storage::{MemPageStore, PageStore};
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::persist::{CachedFileStore, DEFAULT_CACHE_PAGES};
+use crate::persist::CachedFileStore;
 
 /// Configures the optional collaborators of a [`Database`] and then builds
 /// it over any backing store. Obtained from [`Database::builder`].
+#[derive(Default)]
 pub struct DatabaseBuilder {
     recorder: Option<AccessRecorder>,
     executor: Option<Arc<ThreadPool>>,
     compression: Option<CompressionPolicy>,
-    cache_pages: usize,
-    cache_shards: usize,
-}
-
-impl Default for DatabaseBuilder {
-    fn default() -> Self {
-        DatabaseBuilder {
-            recorder: None,
-            executor: None,
-            compression: None,
-            cache_pages: DEFAULT_CACHE_PAGES,
-            cache_shards: DEFAULT_SHARDS,
-        }
-    }
 }
 
 impl DatabaseBuilder {
@@ -90,23 +77,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Total buffer-pool frames for file-backed databases (default
-    /// [`DEFAULT_CACHE_PAGES`]). Only affects `create_dir`/`open_dir`.
-    #[must_use]
-    pub fn cache_pages(mut self, pages: usize) -> Self {
-        self.cache_pages = pages;
-        self
-    }
-
-    /// Buffer-pool shard count for file-backed databases (default
-    /// [`DEFAULT_SHARDS`]; rounded to a power of two and clamped so every
-    /// shard owns at least one frame). Only affects `create_dir`/`open_dir`.
-    #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
-        self
-    }
-
     fn apply<S: PageStore>(self, mut db: Database<S>) -> Database<S> {
         if let Some(policy) = self.compression {
             db.set_default_compression(policy);
@@ -135,25 +105,21 @@ impl DatabaseBuilder {
     }
 
     /// Creates a new file-backed database directory and builds over it,
-    /// served through a sharded [`CachedFileStore`] buffer pool with this
-    /// builder's cache geometry.
+    /// served through a sharded [`CachedFileStore`] buffer pool.
     ///
     /// # Errors
     /// See [`Database::create_dir`].
     pub fn create_dir<P: AsRef<Path>>(self, dir: P) -> Result<Database<CachedFileStore>> {
-        let db = Database::create_dir_with_cache(dir, self.cache_pages, self.cache_shards)?;
-        Ok(self.apply(db))
+        Ok(self.apply(Database::create_dir(dir)?))
     }
 
     /// Reopens a saved database directory and builds over it, served
-    /// through a sharded [`CachedFileStore`] buffer pool with this
-    /// builder's cache geometry.
+    /// through a sharded [`CachedFileStore`] buffer pool.
     ///
     /// # Errors
     /// See [`Database::open_dir`].
     pub fn open_dir<P: AsRef<Path>>(self, dir: P) -> Result<Database<CachedFileStore>> {
-        let db = Database::open_dir_with_cache(dir, self.cache_pages, self.cache_shards)?;
-        Ok(self.apply(db))
+        Ok(self.apply(Database::open_dir(dir)?))
     }
 }
 

@@ -30,7 +30,6 @@ use tilestore_index::BitmapIndex;
 use tilestore_obs::AccessRecorder;
 use tilestore_storage::{
     BlobDirectory, BlobId, BlobStore, BufferPool, FilePageStore, PageStore, DEFAULT_PAGE_SIZE,
-    DEFAULT_SHARDS,
 };
 use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 
@@ -253,28 +252,15 @@ pub const DEFAULT_CACHE_PAGES: usize = 1024;
 impl Database<CachedFileStore> {
     /// Creates a new file-backed database in `dir` (created if missing),
     /// served through a [`CachedFileStore`] with [`DEFAULT_CACHE_PAGES`]
-    /// frames across [`DEFAULT_SHARDS`] shards.
+    /// frames across [`tilestore_storage::DEFAULT_SHARDS`] shards.
     ///
     /// # Errors
     /// Directory/file I/O errors.
     pub fn create_dir<P: AsRef<Path>>(dir: P) -> Result<Self> {
-        Database::create_dir_with_cache(dir, DEFAULT_CACHE_PAGES, DEFAULT_SHARDS)
-    }
-
-    /// [`Database::create_dir`] with an explicit buffer-pool geometry
-    /// (`cache_pages` total frames split across `cache_shards` shards).
-    ///
-    /// # Errors
-    /// Directory/file I/O errors.
-    pub fn create_dir_with_cache<P: AsRef<Path>>(
-        dir: P,
-        cache_pages: usize,
-        cache_shards: usize,
-    ) -> Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(|e| EngineError::Catalog(e.to_string()))?;
         let store = FilePageStore::create(dir.join(PAGES_FILE), DEFAULT_PAGE_SIZE)?;
-        let db = Database::with_store(BufferPool::with_shards(store, cache_pages, cache_shards)?);
+        let db = Database::with_store(BufferPool::new(store, DEFAULT_CACHE_PAGES)?);
         let recorder = AccessRecorder::open(dir.join(ACCESS_LOG_FILE))
             .map_err(|e| catalog_err("opening access log", e))?;
         db.set_recorder(recorder);
@@ -292,19 +278,6 @@ impl Database<CachedFileStore> {
     /// Missing/corrupt catalog, unrepairable page accounting, or page-file
     /// I/O errors.
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> Result<Self> {
-        Database::open_dir_with_cache(dir, DEFAULT_CACHE_PAGES, DEFAULT_SHARDS)
-    }
-
-    /// [`Database::open_dir`] with an explicit buffer-pool geometry
-    /// (`cache_pages` total frames split across `cache_shards` shards).
-    ///
-    /// # Errors
-    /// As [`Database::open_dir`].
-    pub fn open_dir_with_cache<P: AsRef<Path>>(
-        dir: P,
-        cache_pages: usize,
-        cache_shards: usize,
-    ) -> Result<Self> {
         let dir = dir.as_ref();
         // A leftover tmp is a commit that never reached its rename; the
         // authoritative catalog is the committed one.
@@ -317,10 +290,7 @@ impl Database<CachedFileStore> {
         let catalog: Catalog = tilestore_testkit::json::from_str(&json)
             .map_err(|e| catalog_err("parsing catalog", e))?;
         let store = FilePageStore::open(dir.join(PAGES_FILE), catalog.page_size)?;
-        let db = Database::from_catalog(
-            BufferPool::with_shards(store, cache_pages, cache_shards)?,
-            catalog,
-        );
+        let db = Database::from_catalog(BufferPool::new(store, DEFAULT_CACHE_PAGES)?, catalog);
         // Cross-check the page file against the committed directory.
         let check = db.blob_store().check_pages();
         if !check.is_repairable() {

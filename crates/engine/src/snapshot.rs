@@ -504,13 +504,21 @@ pub(crate) fn execute_range<S: PageStore>(
     }
     stats.io = blobs.stats().snapshot().since(&io_before);
     stats.cells_defaulted = region.cells() - stats.cells_copied;
+    record_query(&mut stats, started);
+    Ok((result, stats))
+}
+
+/// Closes one query's accounting: stamps its wall-clock time and feeds the
+/// engine's hot metrics. Range reads and aggregates both end here, so
+/// `engine.queries` and its latency/tile histograms count every statement
+/// that consults the index.
+pub(crate) fn record_query(stats: &mut QueryStats, started: Instant) {
     stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let hot = tilestore_obs::hot();
     hot.queries.inc();
     hot.query_latency_ns.record(stats.elapsed_ns);
     hot.query_tiles.record(stats.tiles_read);
     hot.tiles_pruned.add(stats.tiles_pruned);
-    Ok((result, stats))
 }
 
 /// Tile composition: splits the query region (and the result byte buffer)

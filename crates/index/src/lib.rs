@@ -3,18 +3,15 @@
 //! §5 of the paper stores, per MDD object, "an index on tiles" that returns
 //! the tiles intersected by a query region. [`RPlusTree`] is the
 //! R+-tree-like structure the paper builds on (reference \[9\]); tiles are
-//! disjoint, so leaf entries never overlap. [`LinearIndex`] is a flat
-//! directory used as the ablation baseline for the `t_ix` measurements.
+//! disjoint, so leaf entries never overlap.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 mod bitmap;
 mod error;
-mod linear;
 mod rplus;
 
 pub use bitmap::{bins_eq, bins_ge, bins_le, value_bin, BitmapIndex, BINS};
 pub use error::{IndexError, Result};
-pub use linear::LinearIndex;
 pub use rplus::{RPlusTree, SearchResult, DEFAULT_FANOUT};

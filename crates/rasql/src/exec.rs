@@ -357,12 +357,15 @@ fn resolve_access<S: PageStore>(
             "condensers take an array access as argument, not another condenser".to_string(),
         ));
     };
+    // The FROM object is resolved before the expression is checked against
+    // it, as the cluster coordinator does, so a statement over a missing
+    // object is an engine error on every endpoint.
+    let meta = snap.object(from)?;
     if collection != from {
         return Err(QueryError::Semantic(format!(
             "expression references {collection:?} but FROM names {from:?}"
         )));
     }
-    let meta = snap.object(collection)?;
     let current = meta.current_domain.clone().ok_or_else(|| {
         QueryError::Engine(tilestore_engine::EngineError::EmptyObject(
             collection.clone(),

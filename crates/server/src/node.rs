@@ -77,17 +77,15 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
         };
         snap.set_request_id(call.request_id);
         let epoch = snap.epoch();
-        Ok(
-            match tilestore_rasql::execute_statement(snap, q).map_err(ServiceError::engine)? {
-                StatementResult::Value(value, stats) => Answer::value(value, stats, epoch, call),
-                StatementResult::Explain(report) => Answer {
-                    stats: report.analyze.as_ref().map(|a| a.stats),
-                    result: with_epoch(report.to_json(), epoch),
-                    epoch,
-                    cells: None,
-                },
+        Ok(match tilestore_rasql::execute_statement(snap, q)? {
+            StatementResult::Value(value, stats) => Answer::value(value, stats, epoch, call),
+            StatementResult::Explain(report) => Answer {
+                stats: report.analyze.as_ref().map(|a| a.stats),
+                result: with_epoch(report.to_json(), epoch),
+                epoch,
+                cells: None,
             },
-        )
+        })
     }
 
     fn insert(&self, object: &str, array: &Array) -> ServiceResult<Json> {

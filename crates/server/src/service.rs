@@ -11,7 +11,7 @@
 use std::path::Path;
 
 use tilestore_engine::{Array, QueryStats};
-use tilestore_rasql::Value;
+use tilestore_rasql::{QueryError, Value};
 use tilestore_testkit::Json;
 
 use crate::wire::{value_to_json, value_to_parts, ErrorCode};
@@ -48,6 +48,21 @@ impl ServiceError {
     #[must_use]
     pub fn unknown_op(op: &str) -> Self {
         Self::bad_request(format!("unknown op {op:?}"))
+    }
+}
+
+/// One rule for a failed statement on every endpoint: a statement that does
+/// not lex, parse or type-check is the request's fault; only a failure of
+/// the engine running it is the backend's.
+impl From<QueryError> for ServiceError {
+    fn from(e: QueryError) -> Self {
+        let code = match e {
+            QueryError::Engine(_) => ErrorCode::Engine,
+            QueryError::Lex { .. } | QueryError::Parse { .. } | QueryError::Semantic(_) => {
+                ErrorCode::BadRequest
+            }
+        };
+        Self::new(code, e.to_string())
     }
 }
 

@@ -303,13 +303,9 @@ fn malformed_requests_get_typed_errors(kind: Kind, handle: &ServerHandle) {
 
     let e = client.query("SELECT nothing FROM nowhere").unwrap_err();
     assert!(matches!(e, ClientError::Engine(_)), "{kind:?}: {e}");
-    // A single engine reports every statement failure as `engine`; the
-    // coordinator parses the statement itself and blames the request.
+    // A statement that does not parse is the request's fault on both.
     let e = client.query("SELEC cube FROM cube").unwrap_err();
-    match kind {
-        Kind::Single => assert!(matches!(e, ClientError::Engine(_)), "{e}"),
-        Kind::Coordinator => assert!(matches!(e, ClientError::BadRequest(_)), "{e}"),
-    }
+    assert!(matches!(e, ClientError::BadRequest(_)), "{kind:?}: {e}");
     let e = client.retile("cube", "bogus:spec").unwrap_err();
     assert!(matches!(e, ClientError::BadRequest(_)), "{kind:?}: {e}");
     let e = client.info("missing").unwrap_err();

@@ -194,12 +194,6 @@ impl<S: PageStore> BufferPool<S> {
         &self.store
     }
 
-    /// Number of lock shards the frame table is split across.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of frames currently cached, across all shards.
     #[must_use]
     pub fn cached_frames(&self) -> usize {
@@ -498,11 +492,11 @@ mod tests {
             BufferPool::with_shards(MemPageStore::new(1024).unwrap(), cap, shards).unwrap()
         };
         // Rounded down to a power of two, clamped so each shard has ≥ 1 frame.
-        assert_eq!(mk(64, 7).shard_count(), 4);
-        assert_eq!(mk(64, 16).shard_count(), 16);
-        assert_eq!(mk(3, 16).shard_count(), 2);
-        assert_eq!(mk(1, 16).shard_count(), 1);
-        assert_eq!(mk(5, 0).shard_count(), 1);
+        assert_eq!(mk(64, 7).shards.len(), 4);
+        assert_eq!(mk(64, 16).shards.len(), 16);
+        assert_eq!(mk(3, 16).shards.len(), 2);
+        assert_eq!(mk(1, 16).shards.len(), 1);
+        assert_eq!(mk(5, 0).shards.len(), 1);
         // Capacities sum to the requested total, remainder to low shards.
         let p = mk(11, 4);
         let caps: Vec<usize> = p.shards.iter().map(|s| s.capacity).collect();

@@ -1,7 +1,7 @@
 //! In-tree test toolkit keeping the workspace free of external crates.
 //!
 //! The workspace builds hermetically — no registry dependencies — so every
-//! facility the tests, benches and persistence layer need is provided here:
+//! facility the tests and persistence layer need is provided here:
 //!
 //! * [`rng`] — a deterministic seedable PRNG (SplitMix64-seeded
 //!   xoshiro256++) with `gen_range`/`gen_bool`/`shuffle`/`fill_bytes`
@@ -9,8 +9,6 @@
 //! * [`prop`] — a minimal property-testing harness with configurable case
 //!   counts, deterministic per-property seeds, failing-seed reporting and
 //!   greedy input shrinking over the recorded random-choice tape.
-//! * [`mod@bench`] — a wall-clock micro-benchmark runner (warmup + N timed
-//!   iterations, median/p95 report) for `harness = false` bench targets.
 //! * [`json`] — a small JSON value model, parser and printer plus the
 //!   [`ToJson`]/[`FromJson`] traits used by catalog persistence and the
 //!   benchmark reports.
@@ -20,7 +18,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod crc;
 pub mod json;
 pub mod prop;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Canonical CI gate: hermetic build + full test suite + formatting, then an
+# Canonical CI gate: hermetic build + full test suite + formatting, a quick
+# pass of the benchmark and the paper-reproduction binary, then an
 # end-to-end smoke test of the TCP serving layer on the loopback interface.
 #
 # The workspace has zero external dependencies (everything lives in
@@ -47,6 +48,26 @@ if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_
     echo "hex codec on an in-tree client path (client.rs or crates/cluster/src)" >&2
     exit 1
 fi
+
+# --- One benchmark harness: `benchmark/` measures, `repro` regenerates the
+# paper's tables. Bench binaries beside `repro`, `crates/bench/benches`, a
+# bench script or root `BENCH_*.json` reports are the old harness coming back.
+stray_bins=$(find crates/bench/src/bin -type f ! -name repro.rs)
+if [ -n "$stray_bins" ]; then
+    echo "bench binary beside repro: $stray_bins" >&2
+    exit 1
+fi
+for old in crates/bench/benches scripts/bench*.sh BENCH_*.json; do
+    if [ -e "$old" ]; then
+        echo "superseded bench harness is back: $old" >&2
+        exit 1
+    fi
+done
+
+# --- Keep both harnesses compiling and running against today's APIs.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --workload all --quick >/dev/null
+cargo run -q --release --offline -p tilestore-bench --bin repro -- table2 >/dev/null
 
 # --- Server smoke test: serve a small database, query it over TCP, shut
 # down gracefully through the client, and verify the files stayed clean.
