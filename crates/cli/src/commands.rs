@@ -331,30 +331,11 @@ pub fn retile(db: &Database<CachedFileStore>, name: &str, spec: &str) -> CliResu
                 stats.tiles_before, stats.tiles_after
             ))
         }
-        RetileSpec::Defrag { budget_bytes: None } => {
-            let stats = db.defrag(name).map_err(err)?.stats;
+        RetileSpec::Defrag { budget_bytes } => {
+            let stats = db.defrag_paced(name, budget_bytes).map_err(err)?.stats;
             Ok(format!(
                 "defragmented: {} tiles, {} bytes rewritten",
                 stats.tiles_after, stats.bytes_rewritten
-            ))
-        }
-        RetileSpec::Defrag {
-            budget_bytes: Some(budget),
-        } => {
-            let mut steps = 0u64;
-            let mut bytes = 0u64;
-            let mut tiles = 0u64;
-            loop {
-                let step = db.defrag_step(name, budget).map_err(err)?.stats;
-                steps += 1;
-                bytes += step.bytes_moved;
-                tiles += step.tiles_moved;
-                if step.tiles_remaining == 0 {
-                    break;
-                }
-            }
-            Ok(format!(
-                "defragmented in {steps} paced step(s): {tiles} tiles moved, {bytes} bytes rewritten"
             ))
         }
         RetileSpec::Scheme(spec) => {
@@ -957,6 +938,14 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("analyze:"), "{out}");
+        // A statement that fetches tiles, run twice: the analyzed third run
+        // is served from the buffer pool and reports its own cache hits.
+        for _ in 0..2 {
+            query(&db, "SELECT sum_cells(img) FROM img").unwrap();
+        }
+        let out = explain(&db, "EXPLAIN ANALYZE SELECT sum_cells(img) FROM img").unwrap();
+        assert!(out.contains(" cache hits, 0 misses"), "{out}");
+        assert!(!out.contains(" 0 cache hits"), "{out}");
         // Induced expressions carry no tile plan.
         assert!(explain(&db, "SELECT img + 1 FROM img").is_err());
     }
@@ -1028,13 +1017,17 @@ mod tests {
         let (_dir, db) = fresh();
         create(&db, "m", "u8", 2, Some("regular:4")).unwrap();
         load(&db, "m", "[0:31,0:31]", "checker").unwrap();
-        query(&db, "SELECT m[0:7,0:7] FROM m").unwrap();
+        // The second run of the same query is served from the buffer pool.
+        for _ in 0..2 {
+            query(&db, "SELECT m[0:7,0:7] FROM m").unwrap();
+        }
         let out = stats(&db).unwrap();
         assert!(out.contains("m: "), "{out}");
         assert!(out.contains("session I/O:"), "{out}");
         assert!(out.contains("access log: "), "{out}");
         assert!(out.contains("engine.query_latency_ns"), "{out}");
         assert!(out.contains("cache:"), "{out}");
+        assert!(!out.contains("cache: 0 hits"), "{out}");
     }
 
     #[test]

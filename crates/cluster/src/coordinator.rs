@@ -665,19 +665,18 @@ impl<S: PageStore> Coordinator<S> {
                     // to rewrite; skip them instead of failing the cluster.
                     let applied = match &parsed {
                         RetileSpec::Defrag { budget_bytes } => {
-                            Self::defrag_local(db, object, *budget_bytes)
+                            db.defrag_paced(object, *budget_bytes)
                         }
                         RetileSpec::Scheme(_) => {
                             let dim = db.object(object)?.mdd_type.dim();
                             let scheme: Scheme = tilestore_tiling::parse_scheme_spec(spec, dim)
                                 .map_err(ClusterError::Config)?;
                             db.retile(object, scheme)
-                                .map(|receipt| (receipt.epoch, receipt.stats))
                         }
                         RetileSpec::FromLog { .. } => unreachable!("rejected above"),
                     };
                     match applied {
-                        Ok((epoch, stats)) => per_shard.push((k, epoch, stats)),
+                        Ok(receipt) => per_shard.push((k, receipt.epoch, receipt.stats)),
                         Err(tilestore_engine::EngineError::EmptyObject(_)) => {}
                         Err(e) => return Err(e.into()),
                     }
@@ -702,34 +701,6 @@ impl<S: PageStore> Coordinator<S> {
             }
         }
         Ok(ClusterWrite { per_shard })
-    }
-
-    /// Runs a (possibly budget-paced) defrag on one local shard and
-    /// normalises both pacing modes to `(epoch, RetileStats)` so the
-    /// cluster write report has one shape.
-    fn defrag_local(
-        db: &tilestore_engine::SharedDatabase<S>,
-        object: &str,
-        budget_bytes: Option<u64>,
-    ) -> std::result::Result<(u64, RetileStats), tilestore_engine::EngineError> {
-        let Some(budget) = budget_bytes else {
-            let receipt = db.defrag(object)?;
-            return Ok((receipt.epoch, receipt.stats));
-        };
-        let tiles = db.object(object)?.tiles.len() as u64;
-        let mut stats = RetileStats {
-            tiles_before: tiles,
-            tiles_after: tiles,
-            ..RetileStats::default()
-        };
-        loop {
-            let step = db.defrag_step(object, budget)?;
-            stats.bytes_rewritten += step.stats.bytes_moved;
-            stats.elapsed_ns = stats.elapsed_ns.saturating_add(step.stats.elapsed_ns);
-            if step.stats.tiles_remaining == 0 {
-                return Ok((step.epoch, stats));
-            }
-        }
     }
 
     /// Creates an object on every **local** shard. Remote shards are

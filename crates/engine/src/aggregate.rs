@@ -313,7 +313,6 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         let mut acc = Accumulator::new(kind);
 
         let search = meta.index.search(region);
-        let io_before = self.blobs.stats().snapshot();
         let mut stats = QueryStats {
             index_nodes: search.nodes_visited,
             ..QueryStats::default()
@@ -340,7 +339,8 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
                     }
                 }
             }
-            let bytes = crate::snapshot::read_tile_payload(&self.blobs, meta, tile)?;
+            let (bytes, io) = crate::snapshot::read_tile_payload(&self.blobs, meta, tile)?;
+            stats.io += &io;
             for run in RunIter::new(&tile.domain, &clip)? {
                 let start = run.outer_offset as usize * cell_size;
                 for k in 0..run.len as usize {
@@ -363,7 +363,6 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         let total = region.cells();
         acc.feed_default(&cell_type, total - covered)?;
         stats.cells_defaulted = total - covered;
-        stats.io = self.blobs.stats().snapshot().since(&io_before);
         crate::snapshot::record_query(&mut stats, started);
         Ok((acc.finish(), stats))
     }

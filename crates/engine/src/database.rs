@@ -213,7 +213,9 @@ impl<S: PageStore> Database<S> {
         });
     }
 
-    /// The shared I/O statistics of the underlying BLOB store.
+    /// Database-wide running I/O totals of the underlying BLOB store, pool
+    /// hits and misses included. A query's own counts are in its
+    /// [`QueryResult::stats`].
     #[must_use]
     pub fn io_stats(&self) -> &IoStats {
         self.blobs.stats()
@@ -490,7 +492,6 @@ impl<S: PageStore> Database<S> {
         // already-written BLOBs uncommitted — they surface as reclaimable
         // orphans, exactly like a crash between page writes and the catalog
         // commit.
-        let io_before = self.blobs.stats().snapshot();
         let mut stats = InsertStats::default();
         let ctx = CellContext {
             cell_size,
@@ -499,19 +500,21 @@ impl<S: PageStore> Database<S> {
         let created = scatter_on(
             self.executor().as_deref(),
             spec.tiles().to_vec(),
-            |_, tile_domain| -> Result<(Domain, BlobId, TileSynopsis)> {
+            |_, tile_domain| -> Result<(Domain, BlobId, TileSynopsis, u64)> {
                 let tile = array.extract(&tile_domain)?;
                 // The encoder's byte scan doubles as the synopsis base.
                 let (stream, scan) =
                     tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
                         .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
                 let synopsis = TileSynopsis::from_scan(&meta.mdd_type.cell, tile.bytes(), scan);
-                Ok((tile_domain, self.blobs.create(&stream)?, synopsis))
+                let blob = self.blobs.create(&stream)?;
+                Ok((tile_domain, blob, synopsis, stream.len() as u64))
             },
         );
         let mut new_meta = (**meta).clone();
+        let mut written = Vec::new();
         for created in created {
-            let (tile_domain, blob, synopsis) = created?;
+            let (tile_domain, blob, synopsis, len) = created?;
             let pos = new_meta.tiles.len() as u64;
             new_meta.tiles.push(TileMeta {
                 domain: tile_domain.clone(),
@@ -520,14 +523,18 @@ impl<S: PageStore> Database<S> {
             });
             new_meta.index.insert(tile_domain, pos)?;
             stats.tiles_created += 1;
+            written.push(len);
         }
         let retired: Vec<BlobId> = self
             .refresh_value_index(&mut new_meta)?
             .into_iter()
             .collect();
-        let io = self.blobs.stats().snapshot().since(&io_before);
-        stats.bytes_written = io.bytes_written;
-        stats.pages_written = io.pages_written;
+        // The statement also wrote the object's new value-bitmap blob.
+        if let Some(ix) = new_meta.value_index_blob {
+            written.push(self.blobs.blob_len(ix)?);
+        }
+        stats.bytes_written = written.iter().sum();
+        stats.pages_written = written.iter().map(|&len| self.blobs.pages_for(len)).sum();
 
         new_meta.current_domain = Some(match new_meta.current_domain.take() {
             Some(cur) => cur.hull(array.domain())?,
@@ -631,9 +638,9 @@ impl<S: PageStore> Database<S> {
                     let Some(overlap) = old.domain.intersection(&tile_domain) else {
                         continue;
                     };
-                    let n = self.blobs.read_into(old.blob, &mut scratch)?;
-                    let payload = tilestore_compress::decompress_view(&scratch[..n], &ctx)
-                        .map_err(|e| {
+                    self.blobs.read_into(old.blob, &mut scratch)?;
+                    let payload =
+                        tilestore_compress::decompress_view(&scratch, &ctx).map_err(|e| {
                             EngineError::Catalog(format!("tile decompression failed: {e}"))
                         })?;
                     copy_region(
@@ -699,46 +706,49 @@ impl<S: PageStore> Database<S> {
     /// One atomic commit: live snapshots keep reading the old placement,
     /// and the displaced blobs are quarantined and reclaimed through the
     /// usual epoch-deferred path. Already-defragmented objects commit
-    /// nothing and return the current epoch.
+    /// nothing and return the current epoch. Same as
+    /// [`Database::defrag_paced`] with no budget.
     ///
     /// # Errors
     /// [`EngineError::UnknownObject`], [`EngineError::EmptyObject`],
     /// storage errors.
     pub fn defrag(&self, name: &str) -> Result<WriteReceipt<RetileStats>> {
+        self.defrag_paced(name, None)
+    }
+
+    /// [`Database::defrag`] in commits of at most `budget_bytes` each
+    /// (`None`: one commit): runs [`Database::defrag_step`] until no tile is
+    /// left out of curve order and folds the steps into one
+    /// [`RetileStats`]. The writer lock is released between steps. The
+    /// CLI, the server and the cluster coordinator run every
+    /// `--defrag[:<budgetKB>]` through here.
+    ///
+    /// # Errors
+    /// The errors of [`Database::defrag_step`].
+    pub fn defrag_paced(
+        &self,
+        name: &str,
+        budget_bytes: Option<u64>,
+    ) -> Result<WriteReceipt<RetileStats>> {
         let _span = tilestore_obs::tracer().span_with("defrag", || format!("object={name}"));
         let started = Instant::now();
-        let _w = self.lock_writer();
-        let cat = self.current_catalog();
-        let meta = Arc::clone(&cat.entry(name)?.meta);
-        meta.current_domain
-            .as_ref()
-            .ok_or_else(|| EngineError::EmptyObject(name.to_string()))?;
-        let order = curve_order(&meta.tiles);
+        let tiles = self.object(name)?.tiles.len() as u64;
         let mut stats = RetileStats {
-            tiles_before: meta.tiles.len() as u64,
-            tiles_after: meta.tiles.len() as u64,
+            tiles_before: tiles,
+            tiles_after: tiles,
             ..RetileStats::default()
         };
-        if self.contiguous_prefix(&meta.tiles, &order)? == order.len() {
-            stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            return Ok(WriteReceipt {
-                stats,
-                epoch: cat.version,
-            });
+        loop {
+            let step = self.defrag_step(name, budget_bytes.unwrap_or(u64::MAX))?;
+            stats.bytes_rewritten += step.bytes_moved;
+            if step.tiles_remaining == 0 {
+                stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                return Ok(WriteReceipt {
+                    stats,
+                    epoch: step.epoch,
+                });
+            }
         }
-        let mut new_meta = (*meta).clone();
-        let mut retired = Vec::with_capacity(order.len());
-        let mut scratch = Vec::new();
-        for &pos in &order {
-            let old = meta.tiles[pos].blob;
-            let len = self.blobs.read_into(old, &mut scratch)?;
-            new_meta.tiles[pos].blob = self.blobs.create_contiguous(&scratch[..len])?;
-            retired.push(old);
-            stats.bytes_rewritten += len as u64;
-        }
-        let epoch = self.install_object(&cat, name, new_meta, retired);
-        stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Ok(WriteReceipt { stats, epoch })
     }
 
     /// One budget-paced step of [`Database::defrag`]: rewrites at most
@@ -797,11 +807,11 @@ impl<S: PageStore> Database<S> {
         while end < n && (stats.tiles_moved < 2 || stats.bytes_moved < budget_bytes) {
             let pos = order[end];
             let old = meta.tiles[pos].blob;
-            let len = self.blobs.read_into(old, &mut scratch)?;
-            new_meta.tiles[pos].blob = self.blobs.create_contiguous(&scratch[..len])?;
+            self.blobs.read_into(old, &mut scratch)?;
+            new_meta.tiles[pos].blob = self.blobs.create_contiguous(&scratch)?;
             retired.push(old);
             stats.tiles_moved += 1;
-            stats.bytes_moved += len as u64;
+            stats.bytes_moved += scratch.len() as u64;
             end += 1;
         }
         stats.tiles_remaining = (n - end) as u64;
@@ -1259,9 +1269,7 @@ mod tests {
             for t in &meta_after.tiles {
                 assert_eq!(db.blob_store().blob_placement(t.blob).unwrap().runs, 1);
             }
-            db.io_stats().reset();
-            let _ = db.range_query("obj", &d("[0:63,0:63]")).unwrap();
-            let io = db.io_stats().snapshot();
+            let io = db.range_query("obj", &d("[0:63,0:63]")).unwrap().stats.io;
             assert!(
                 io.runs_coalesced > 0 && io.runs_coalesced < io.pages_read,
                 "{case}: expected coalesced runs, got {io:?}"
@@ -1309,6 +1317,44 @@ mod tests {
             assert_eq!(done.stats.tiles_remaining, 0);
             assert_eq!(done.epoch, epoch);
         }
+    }
+
+    #[test]
+    fn paced_defrag_folds_its_steps_into_one_report() {
+        let db = scattered_db(None);
+        let before = db.range_query("obj", &d("[0:63,0:63]")).unwrap();
+        let tiles = db.object("obj").unwrap().tile_count() as u64;
+        let paced = db.defrag_paced("obj", Some(1)).unwrap();
+        assert_eq!((paced.tiles_before, paced.tiles_after), (tiles, tiles));
+        assert!(paced.bytes_rewritten > 0);
+        assert_eq!(
+            paced.epoch,
+            db.begin_read().epoch(),
+            "reports the last step"
+        );
+        let meta = db.object("obj").unwrap();
+        let order = curve_order(&meta.tiles);
+        assert_eq!(
+            db.contiguous_prefix(&meta.tiles, &order).unwrap(),
+            order.len()
+        );
+        let after = db.range_query("obj", &d("[0:63,0:63]")).unwrap();
+        assert_eq!(after.array, before.array);
+    }
+
+    #[test]
+    fn insert_stats_count_exactly_the_blobs_written() {
+        let db = fresh_db_with_object(Scheme::Aligned(AlignedTiling::regular(2, 1024)));
+        let before = db.io_stats().snapshot();
+        let ins = db.insert("obj", &checkerboard("[0:39,0:39]")).unwrap();
+        let io = db.io_stats().snapshot().since(&before);
+        assert_eq!(ins.bytes_written, io.bytes_written);
+        assert_eq!(ins.pages_written, io.pages_written);
+        assert_eq!(
+            io.blobs_written,
+            ins.tiles_created + 1,
+            "tiles + value bitmap"
+        );
     }
 
     #[test]

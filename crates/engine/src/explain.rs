@@ -453,7 +453,7 @@ mod tests {
         let db = setup();
         let snap = db.begin_read();
         let log_before = snap.access_log("grid").unwrap().total_accesses();
-        let io_before = snap.stats();
+        let io_before = db.io_stats().snapshot();
         let p = CellPredicate {
             op: PredOp::Lt,
             literal: 50.0,
@@ -461,7 +461,7 @@ mod tests {
         let _ = snap
             .explain_range("grid", &d("[0:15,0:15]"), Some(&p))
             .unwrap();
-        assert_eq!(snap.stats().blobs_read, io_before.blobs_read);
+        assert_eq!(db.io_stats().snapshot().blobs_read, io_before.blobs_read);
         assert_eq!(
             snap.access_log("grid").unwrap().total_accesses(),
             log_before,

@@ -93,7 +93,7 @@ impl<S: PageStore> Database<S> {
         // Rewrite intersected tiles copy-on-write.
         for pos in &hits {
             let old = &meta.tiles[*pos as usize];
-            let payload = read_tile_payload(self.blob_store(), meta, old)?;
+            let (payload, _) = read_tile_payload(self.blob_store(), meta, old)?;
             let mut tile = Array::from_bytes(old.domain.clone(), cell_size, payload)?;
             let updated = tile.paste(array)?;
             let (stream, scan) =
@@ -173,7 +173,7 @@ impl<S: PageStore> Database<S> {
             }
             // Border tile: keep only the remainder boxes, each in a fresh
             // BLOB; the original stays readable for live snapshots.
-            let payload = read_tile_payload(self.blob_store(), meta, old)?;
+            let (payload, _) = read_tile_payload(self.blob_store(), meta, old)?;
             let tile = Array::from_bytes(old.domain.clone(), cell_size, payload)?;
             for piece in difference(&old.domain, region) {
                 let part = tile.extract(&piece)?;

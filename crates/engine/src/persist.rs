@@ -156,7 +156,7 @@ impl<S: PageStore> Database<S> {
         let mut rescanned: Vec<(usize, TileSynopsis)> = Vec::new();
         for (i, tile) in meta.tiles.iter().enumerate() {
             if tile.synopsis.is_none() {
-                if let Ok(payload) = read_tile_payload(self.blob_store(), meta, tile) {
+                if let Ok((payload, _)) = read_tile_payload(self.blob_store(), meta, tile) {
                     rescanned.push((i, TileSynopsis::scan(&meta.mdd_type.cell, &payload)));
                 }
             }

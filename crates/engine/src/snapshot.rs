@@ -281,14 +281,6 @@ impl<S: PageStore> Snapshot<S> {
         self.catalog.entry(name).map(|e| Arc::clone(&e.log))
     }
 
-    /// A point-in-time snapshot of the shared store's I/O counters. The
-    /// counters are store-wide (concurrent writers advance them too);
-    /// per-query deltas are in [`QueryResult::stats`].
-    #[must_use]
-    pub fn stats(&self) -> IoSnapshot {
-        self.blobs.stats().snapshot()
-    }
-
     /// Records an executed access for statistic tiling: the in-process
     /// log always, the persistent recorder when attached.
     fn record_access(&self, name: &str, entry: &ObjectEntry, region: &Domain) {
@@ -442,19 +434,22 @@ pub(crate) fn folds_into(prev: &BlobPlacement, next: &BlobPlacement) -> bool {
     prev.runs == 1 && prev.first_page.0 + prev.pages == next.first_page.0
 }
 
-/// Fetches and decompresses one tile's cell payload.
+/// Fetches and decompresses one tile's cell payload, with the counts of
+/// the read.
 pub(crate) fn read_tile_payload<S: PageStore>(
     blobs: &BlobStore<S>,
     meta: &MddObject,
     tile: &TileMeta,
-) -> Result<Vec<u8>> {
-    let stream = blobs.read(tile.blob)?;
+) -> Result<(Vec<u8>, IoSnapshot)> {
+    let mut stream = Vec::new();
+    let io = blobs.read_into(tile.blob, &mut stream)?;
     let ctx = CellContext {
         cell_size: meta.cell_size(),
         default: &meta.mdd_type.cell.default,
     };
-    tilestore_compress::decompress(&stream, &ctx)
-        .map_err(|e| EngineError::Catalog(format!("tile decompression failed: {e}")))
+    let payload = tilestore_compress::decompress(&stream, &ctx)
+        .map_err(|e| EngineError::Catalog(format!("tile decompression failed: {e}")))?;
+    Ok((payload, io))
 }
 
 /// The shared query executor: index lookup, tile fetch, composition.
@@ -473,7 +468,6 @@ pub(crate) fn execute_range<S: PageStore>(
     let started = Instant::now();
     let search = meta.index.search(region);
     let mut result = Array::filled(region.clone(), &meta.mdd_type.cell.default)?;
-    let io_before = blobs.stats().snapshot();
     let mut stats = QueryStats {
         index_nodes: search.nodes_visited,
         ..QueryStats::default()
@@ -502,7 +496,6 @@ pub(crate) fn execute_range<S: PageStore>(
         stats.tiles_read += 1;
         stats.cells_processed += meta.tiles[pos as usize].domain.cells();
     }
-    stats.io = blobs.stats().snapshot().since(&io_before);
     stats.cells_defaulted = region.cells() - stats.cells_copied;
     record_query(&mut stats, started);
     Ok((result, stats))
@@ -541,8 +534,9 @@ pub(crate) fn record_query(stats: &mut QueryStats, started: Instant) {
 /// straight into the band's scratch buffer).
 ///
 /// Returns the per-band statistics merged (saturating) into one
-/// [`QueryStats`]; only the per-cell counters are populated — the caller
-/// owns tile counts, I/O deltas and timing.
+/// [`QueryStats`]; only the per-cell counters and `io` — the sum of the
+/// counts each band's `read_batch` calls returned — are populated; the
+/// caller owns tile counts and timing.
 fn fetch_tiles<S: PageStore>(
     blobs: &BlobStore<S>,
     executor: Option<&ThreadPool>,
@@ -623,7 +617,8 @@ fn fetch_tiles<S: PageStore>(
                     .iter()
                     .map(|((t, _), _)| t.blob)
                     .collect();
-                let ranges = blobs.read_batch(&ids, &mut scratch)?;
+                let (ranges, io) = blobs.read_batch(&ids, &mut scratch)?;
+                band.io += &io;
                 for (((tile, overlap), _), &(off, len)) in plan[batch].iter().zip(&ranges) {
                     let payload =
                         tilestore_compress::decompress_view(&scratch[off..off + len], &ctx)

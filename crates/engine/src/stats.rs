@@ -14,7 +14,8 @@ pub struct QueryStats {
     /// query's value predicate false (or a condenser was answered from the
     /// synopsis alone) — their blobs were never read.
     pub tiles_pruned: u64,
-    /// I/O performed while fetching tiles.
+    /// I/O performed while fetching tiles: the sum of the counts this
+    /// query's own reads returned.
     pub io: IoSnapshot,
     /// Cells of fetched tiles handled during post-processing — the basis of
     /// `t_cpu` (border tiles are processed whole even when only part of
@@ -48,11 +49,11 @@ impl QueryStats {
         QueryTimes { t_ix, t_o, t_cpu }
     }
 
-    /// Folds another stats record into this one with saturating counter
-    /// arithmetic, for combining per-band records of a parallel fetch.
-    /// Saturation matters because bands observe a shared I/O stats source:
-    /// a counter torn across bands could otherwise wrap on subtraction and
-    /// the merged sum overflow.
+    /// Folds another stats record into this one, counter by counter, for
+    /// combining the per-band records of a fetch. Every band's `io` holds
+    /// only the counts its own reads returned, so the merged record is the
+    /// query's I/O and nothing a concurrent query did. Sums saturate rather
+    /// than wrap.
     pub fn merge(&mut self, other: &QueryStats) {
         self.index_nodes = self.index_nodes.saturating_add(other.index_nodes);
         self.tiles_read = self.tiles_read.saturating_add(other.tiles_read);
@@ -61,18 +62,7 @@ impl QueryStats {
         self.cells_copied = self.cells_copied.saturating_add(other.cells_copied);
         self.cells_defaulted = self.cells_defaulted.saturating_add(other.cells_defaulted);
         self.elapsed_ns = self.elapsed_ns.saturating_add(other.elapsed_ns);
-        let (a, b) = (&mut self.io, &other.io);
-        a.pages_read = a.pages_read.saturating_add(b.pages_read);
-        a.pages_written = a.pages_written.saturating_add(b.pages_written);
-        a.blobs_read = a.blobs_read.saturating_add(b.blobs_read);
-        a.blobs_written = a.blobs_written.saturating_add(b.blobs_written);
-        a.bytes_read = a.bytes_read.saturating_add(b.bytes_read);
-        a.bytes_written = a.bytes_written.saturating_add(b.bytes_written);
-        a.cache_hits = a.cache_hits.saturating_add(b.cache_hits);
-        a.cache_misses = a.cache_misses.saturating_add(b.cache_misses);
-        a.runs_coalesced = a.runs_coalesced.saturating_add(b.runs_coalesced);
-        a.pages_read_run = a.pages_read_run.saturating_add(b.pages_read_run);
-        a.readahead_bytes = a.readahead_bytes.saturating_add(b.readahead_bytes);
+        self.io += &other.io;
     }
 }
 

@@ -99,17 +99,13 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
         // Same grammar as the CLI: scheme | --from-log[:..] | --defrag[:..].
         let parsed =
             tilestore_tiling::parse_retile_spec(spec).map_err(ServiceError::bad_request)?;
-        let (epoch, stats) = match parsed {
-            RetileSpec::Defrag { budget_bytes } => {
-                defrag_to_retile_stats(self, object, budget_bytes)
-            }
+        let receipt = match parsed {
+            RetileSpec::Defrag { budget_bytes } => self.defrag_paced(object, budget_bytes),
             RetileSpec::FromLog {
                 distance,
                 frequency,
                 max_tile_bytes,
-            } => self
-                .auto_retile_from_log(object, distance, frequency, max_tile_bytes)
-                .map(|receipt| (receipt.epoch, receipt.stats)),
+            } => self.auto_retile_from_log(object, distance, frequency, max_tile_bytes),
             RetileSpec::Scheme(_) => {
                 let dim = self
                     .object(object)
@@ -118,11 +114,11 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
                     .dim();
                 let scheme = tilestore_tiling::parse_scheme_spec(spec, dim)
                     .map_err(ServiceError::bad_request)?;
-                Database::retile(self, object, scheme).map(|receipt| (receipt.epoch, receipt.stats))
+                Database::retile(self, object, scheme)
             }
         }
         .map_err(ServiceError::engine)?;
-        Ok(with_epoch(stats.to_json(), epoch))
+        Ok(with_epoch(receipt.stats.to_json(), receipt.epoch))
     }
 
     fn info(&self, pins: &mut PinTable<S>, object: &str, call: &Call<'_>) -> ServiceResult<Json> {
@@ -148,7 +144,7 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
             .collect::<Vec<_>>();
         Ok(Json::obj(vec![
             ("objects", Json::Array(objects)),
-            ("io", snap.stats().to_json()),
+            ("io", self.io_stats().snapshot().to_json()),
             ("metrics", tilestore_obs::metrics().snapshot().to_json()),
             ("epoch", Json::UInt(snap.epoch())),
         ]))
@@ -230,36 +226,6 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
         Database::save(self, dir)
             .map(|_| ())
             .map_err(ServiceError::engine)
-    }
-}
-
-/// Runs `retile --defrag[:<budgetKB>]` for the wire handler, folding a
-/// budget-paced step loop into one [`RetileStats`]-shaped report so the
-/// response schema matches the other retile verbs.
-///
-/// [`RetileStats`]: tilestore_engine::RetileStats
-fn defrag_to_retile_stats<S: PageStore>(
-    db: &SharedDatabase<S>,
-    object: &str,
-    budget_bytes: Option<u64>,
-) -> tilestore_engine::Result<(u64, tilestore_engine::RetileStats)> {
-    let Some(budget) = budget_bytes else {
-        let receipt = db.defrag(object)?;
-        return Ok((receipt.epoch, receipt.stats));
-    };
-    let tiles = db.object(object)?.tiles.len() as u64;
-    let mut stats = tilestore_engine::RetileStats {
-        tiles_before: tiles,
-        tiles_after: tiles,
-        ..tilestore_engine::RetileStats::default()
-    };
-    loop {
-        let step = db.defrag_step(object, budget)?;
-        stats.bytes_rewritten += step.stats.bytes_moved;
-        stats.elapsed_ns = stats.elapsed_ns.saturating_add(step.stats.elapsed_ns);
-        if step.stats.tiles_remaining == 0 {
-            return Ok((step.epoch, stats));
-        }
     }
 }
 

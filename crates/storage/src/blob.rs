@@ -22,7 +22,7 @@ use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 
 use crate::error::{Result, StorageError};
 use crate::page::{lock, PageId, PageStore};
-use crate::stats::IoStats;
+use crate::stats::{IoSnapshot, IoStats};
 
 /// Identifier of a BLOB within a [`BlobStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -160,6 +160,31 @@ struct Directory {
     next_id: u64,
 }
 
+impl Directory {
+    /// Takes up to `needed` pages off the back of the free list, last
+    /// freed first.
+    fn take_free(&mut self, needed: u64) -> Vec<PageId> {
+        let keep = self.free_pages.len().saturating_sub(needed as usize);
+        let mut pages = self.free_pages.split_off(keep);
+        pages.reverse();
+        pages
+    }
+
+    /// Registers a new blob over `pages`, returning its id.
+    fn register(&mut self, pages: Vec<PageId>, len: usize) -> BlobId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.entries.insert(
+            id,
+            BlobEntry {
+                pages,
+                len: len as u64,
+            },
+        );
+        BlobId(id)
+    }
+}
+
 impl<S: PageStore> BlobStore<S> {
     /// Wraps a page store with an empty BLOB directory.
     #[must_use]
@@ -248,7 +273,8 @@ impl<S: PageStore> BlobStore<S> {
         lock(&self.inner).limbo.len()
     }
 
-    /// The shared I/O statistics of this store.
+    /// Running totals of this store's calls: the sum of the counts every
+    /// read returned (pool hits and misses included) plus every write.
     #[must_use]
     pub fn stats(&self) -> &IoStats {
         &self.stats
@@ -294,57 +320,37 @@ impl<S: PageStore> BlobStore<S> {
     pub fn create(&self, data: &[u8]) -> Result<BlobId> {
         let _span =
             tilestore_obs::tracer().span_with("blob_create", || format!("bytes={}", data.len()));
-        let page_size = self.store.page_size();
         let needed = self.pages_for(data.len() as u64);
-        let pages = {
-            let mut inner = lock(&self.inner);
-            let mut pages = Vec::with_capacity(needed as usize);
-            while (pages.len() as u64) < needed {
-                match inner.free_pages.pop() {
-                    Some(p) => pages.push(p),
-                    None => break,
-                }
-            }
-            pages
-        };
-        let mut pages = pages;
+        let mut pages = lock(&self.inner).take_free(needed);
         if (pages.len() as u64) < needed {
-            let fresh = self.store.allocate(needed - pages.len() as u64)?;
-            pages.extend(fresh);
+            pages.extend(self.store.allocate(needed - pages.len() as u64)?);
         }
-        // Write the payload page by page, zero-padding the tail.
+        self.write_payload(&pages, data)?;
+        Ok(lock(&self.inner).register(pages, data.len()))
+    }
+
+    /// Writes `data` across `pages` page by page, zero-padding the tail,
+    /// and counts the write in the totals.
+    fn write_payload(&self, pages: &[PageId], data: &[u8]) -> Result<()> {
+        let page_size = self.store.page_size();
         let mut buf = vec![0u8; page_size];
         for (i, &page) in pages.iter().enumerate() {
-            let start = i * page_size;
-            let end = ((i + 1) * page_size).min(data.len());
-            if start < data.len() {
-                let chunk = &data[start..end];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                buf[chunk.len()..].fill(0);
-            } else {
-                buf.fill(0);
-            }
+            let start = (i * page_size).min(data.len());
+            let chunk = &data[start..(start + page_size).min(data.len())];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            buf[chunk.len()..].fill(0);
             self.store.write_page(page, &buf)?;
         }
-        self.stats.add_pages_written(pages.len() as u64);
-        self.stats.add_blob_written(data.len() as u64);
+        self.stats.add(&IoSnapshot {
+            pages_written: pages.len() as u64,
+            blobs_written: 1,
+            bytes_written: data.len() as u64,
+            ..IoSnapshot::default()
+        });
         let hot = tilestore_obs::hot();
         hot.blob_writes.inc();
         hot.tile_bytes.record(data.len() as u64);
-        let id = {
-            let mut inner = lock(&self.inner);
-            let id = inner.next_id;
-            inner.next_id += 1;
-            inner.entries.insert(
-                id,
-                BlobEntry {
-                    pages,
-                    len: data.len() as u64,
-                },
-            );
-            BlobId(id)
-        };
-        Ok(id)
+        Ok(())
     }
 
     /// Reads a whole BLOB.
@@ -358,13 +364,14 @@ impl<S: PageStore> BlobStore<S> {
     }
 
     /// Reads a whole BLOB into a caller-supplied buffer, returning the
-    /// payload length. The buffer is resized as needed; reusing one buffer
-    /// across calls avoids a fresh zeroed allocation per tile, which matters
-    /// on the parallel query path where each worker reads many tiles.
+    /// counts of this call; `data` ends up exactly the payload length. The
+    /// buffer is resized as needed; reusing one buffer across calls avoids a
+    /// fresh zeroed allocation per tile, which matters on the parallel query
+    /// path where each worker reads many tiles.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] or backend read errors.
-    pub fn read_into(&self, id: BlobId, data: &mut Vec<u8>) -> Result<usize> {
+    pub fn read_into(&self, id: BlobId, data: &mut Vec<u8>) -> Result<IoSnapshot> {
         let _span = tilestore_obs::tracer().span_with("blob_read", || format!("blob={}", id.0));
         let entry = {
             let inner = lock(&self.inner);
@@ -380,15 +387,15 @@ impl<S: PageStore> BlobStore<S> {
         // a single lock acquisition and copies misses straight into `data`,
         // so no pinning window exists and band-parallel tile fetches stop
         // convoying on per-page pin/read/unpin lock traffic.
-        let run = self.store.read_pages(&entry.pages, data)?;
+        let mut io = self.store.read_pages(&entry.pages, data)?;
         data.truncate(entry.len as usize);
-        self.stats.add_pages_read(entry.pages.len() as u64);
-        self.stats.add_blob_read(entry.len);
-        self.stats.add_run_read(run);
+        io.blobs_read = 1;
+        io.bytes_read = entry.len;
+        self.stats.add(&io);
         let hot = tilestore_obs::hot();
         hot.blob_reads.inc();
         hot.tile_bytes.record(entry.len);
-        Ok(entry.len as usize)
+        Ok(io)
     }
 
     /// Physical placement of a BLOB: its first page, page count, and how
@@ -418,15 +425,19 @@ impl<S: PageStore> BlobStore<S> {
 
     /// Reads several BLOBs with one batched page read, returning each
     /// BLOB's payload as a `(offset, len)` byte range into `out` (in the
-    /// order of `ids`). The page lists are concatenated before the read, so
-    /// blobs that sit on physically consecutive pages — the invariant the
-    /// defragmenter establishes — coalesce into single positioned reads
-    /// even across blob boundaries.
+    /// order of `ids`) and the counts of this call. The page lists are
+    /// concatenated before the read, so blobs that sit on physically
+    /// consecutive pages — the invariant the defragmenter establishes —
+    /// coalesce into single positioned reads even across blob boundaries.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] (no pages are read) or backend read
     /// errors.
-    pub fn read_batch(&self, ids: &[BlobId], out: &mut Vec<u8>) -> Result<Vec<(usize, usize)>> {
+    pub fn read_batch(
+        &self,
+        ids: &[BlobId],
+        out: &mut Vec<u8>,
+    ) -> Result<(Vec<(usize, usize)>, IoSnapshot)> {
         let _span =
             tilestore_obs::tracer().span_with("blob_read_batch", || format!("blobs={}", ids.len()));
         let page_size = self.store.page_size();
@@ -451,16 +462,16 @@ impl<S: PageStore> BlobStore<S> {
             pages.extend_from_slice(&e.pages);
         }
         out.resize(pages.len() * page_size, 0);
-        let run = self.store.read_pages(&pages, out)?;
-        self.stats.add_pages_read(pages.len() as u64);
-        self.stats.add_run_read(run);
+        let mut io = self.store.read_pages(&pages, out)?;
+        io.blobs_read = entries.len() as u64;
         let hot = tilestore_obs::hot();
         for e in &entries {
-            self.stats.add_blob_read(e.len);
+            io.bytes_read += e.len;
             hot.blob_reads.inc();
             hot.tile_bytes.record(e.len);
         }
-        Ok(ranges)
+        self.stats.add(&io);
+        Ok((ranges, io))
     }
 
     /// Creates a BLOB like [`BlobStore::create`], but on freshly allocated,
@@ -475,41 +486,9 @@ impl<S: PageStore> BlobStore<S> {
     pub fn create_contiguous(&self, data: &[u8]) -> Result<BlobId> {
         let _span = tilestore_obs::tracer()
             .span_with("blob_create_contiguous", || format!("bytes={}", data.len()));
-        let page_size = self.store.page_size();
-        let needed = self.pages_for(data.len() as u64);
-        let pages = self.store.allocate(needed)?;
-        let mut buf = vec![0u8; page_size];
-        for (i, &page) in pages.iter().enumerate() {
-            let start = i * page_size;
-            let end = ((i + 1) * page_size).min(data.len());
-            if start < data.len() {
-                let chunk = &data[start..end];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                buf[chunk.len()..].fill(0);
-            } else {
-                buf.fill(0);
-            }
-            self.store.write_page(page, &buf)?;
-        }
-        self.stats.add_pages_written(pages.len() as u64);
-        self.stats.add_blob_written(data.len() as u64);
-        let hot = tilestore_obs::hot();
-        hot.blob_writes.inc();
-        hot.tile_bytes.record(data.len() as u64);
-        let id = {
-            let mut inner = lock(&self.inner);
-            let id = inner.next_id;
-            inner.next_id += 1;
-            inner.entries.insert(
-                id,
-                BlobEntry {
-                    pages,
-                    len: data.len() as u64,
-                },
-            );
-            BlobId(id)
-        };
-        Ok(id)
+        let pages = self.store.allocate(self.pages_for(data.len() as u64))?;
+        self.write_payload(&pages, data)?;
+        Ok(lock(&self.inner).register(pages, data.len()))
     }
 
     /// Overwrites a BLOB with new contents, copy-on-write: the new payload
@@ -523,7 +502,6 @@ impl<S: PageStore> BlobStore<S> {
     /// [`StorageError::UnknownBlob`] or backend errors; the blob keeps its
     /// prior contents in every error case.
     pub fn update(&self, id: BlobId, data: &[u8]) -> Result<()> {
-        let page_size = self.store.page_size();
         let needed = self.pages_for(data.len() as u64);
         // Check existence and take scratch pages from the free list without
         // touching the entry itself.
@@ -532,33 +510,13 @@ impl<S: PageStore> BlobStore<S> {
             if !inner.entries.contains_key(&id.0) {
                 return Err(StorageError::UnknownBlob { blob: id.0 });
             }
-            let mut pages = Vec::with_capacity(needed as usize);
-            while (pages.len() as u64) < needed {
-                match inner.free_pages.pop() {
-                    Some(p) => pages.push(p),
-                    None => break,
-                }
-            }
-            pages
+            inner.take_free(needed)
         };
         let write_all = |new_pages: &mut Vec<PageId>| -> Result<()> {
             if (new_pages.len() as u64) < needed {
                 new_pages.extend(self.store.allocate(needed - new_pages.len() as u64)?);
             }
-            let mut buf = vec![0u8; page_size];
-            for (i, &page) in new_pages.iter().enumerate() {
-                let start = i * page_size;
-                let end = ((i + 1) * page_size).min(data.len());
-                if start < data.len() {
-                    let chunk = &data[start..end];
-                    buf[..chunk.len()].copy_from_slice(chunk);
-                    buf[chunk.len()..].fill(0);
-                } else {
-                    buf.fill(0);
-                }
-                self.store.write_page(page, &buf)?;
-            }
-            Ok(())
+            self.write_payload(new_pages, data)
         };
         if let Err(e) = write_all(&mut new_pages) {
             // Roll back: the scratch pages never joined the entry, so they
@@ -567,11 +525,6 @@ impl<S: PageStore> BlobStore<S> {
             lock(&self.inner).free_pages.extend(new_pages);
             return Err(e);
         }
-        self.stats.add_pages_written(new_pages.len() as u64);
-        self.stats.add_blob_written(data.len() as u64);
-        let hot = tilestore_obs::hot();
-        hot.blob_writes.inc();
-        hot.tile_bytes.record(data.len() as u64);
         let mut inner = lock(&self.inner);
         let old_pages = match inner.entries.get_mut(&id.0) {
             Some(entry) => {
@@ -717,12 +670,31 @@ mod tests {
     fn io_accounting_counts_whole_pages() {
         let bs = store();
         let id = bs.create(&vec![1u8; 2500]).unwrap(); // 3 pages of 1024
-        bs.stats().reset();
-        bs.read(id).unwrap();
-        let s = bs.stats().snapshot();
+        let written = bs.stats().snapshot();
+        assert_eq!((written.pages_written, written.bytes_written), (3, 2500));
+        let mut data = Vec::new();
+        let s = bs.read_into(id, &mut data).unwrap();
+        assert_eq!(data.len(), 2500);
         assert_eq!(s.pages_read, 3);
         assert_eq!(s.blobs_read, 1);
         assert_eq!(s.bytes_read, 2500);
+        assert_eq!(s.pages_written, 0, "a read returns only its own counts");
+        assert_eq!(bs.stats().snapshot().since(&written), s);
+    }
+
+    #[test]
+    fn totals_pick_up_the_pool_counts_each_read_returns() {
+        let pool = crate::BufferPool::new(MemPageStore::new(1024).unwrap(), 8).unwrap();
+        let bs = BlobStore::new(pool);
+        let id = bs.create(&vec![3u8; 2048]).unwrap();
+        let mut data = Vec::new();
+        let cold = bs.read_into(id, &mut data).unwrap();
+        let warm = bs.read_into(id, &mut data).unwrap();
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
+        assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
+        let total = bs.stats().snapshot();
+        assert_eq!((total.cache_hits, total.cache_misses), (2, 2));
+        assert_eq!(total.pages_read, 4);
     }
 
     #[test]
@@ -759,15 +731,16 @@ mod tests {
             .map(|i| vec![i; 700 + 400 * i as usize]) // 1..=3 pages each
             .collect();
         let ids: Vec<BlobId> = payloads.iter().map(|p| bs.create(p).unwrap()).collect();
-        bs.stats().reset();
+        let before = bs.stats().snapshot();
         let mut out = Vec::new();
-        let ranges = bs.read_batch(&ids, &mut out).unwrap();
+        let (ranges, s) = bs.read_batch(&ids, &mut out).unwrap();
         assert_eq!(ranges.len(), 4);
         for (i, &(off, len)) in ranges.iter().enumerate() {
             assert_eq!(&out[off..off + len], payloads[i].as_slice());
         }
-        let s = bs.stats().snapshot();
+        assert_eq!(bs.stats().snapshot().since(&before), s);
         assert_eq!(s.blobs_read, 4);
+        assert_eq!(s.bytes_read, payloads.iter().map(|p| p.len() as u64).sum());
         let total_pages: u64 = payloads.iter().map(|p| bs.pages_for(p.len() as u64)).sum();
         assert_eq!(s.pages_read, total_pages);
         // Sequential creates land on consecutive pages, so the whole batch
@@ -775,9 +748,9 @@ mod tests {
         assert_eq!(s.runs_coalesced, 1);
         assert_eq!(s.pages_read_run, total_pages);
         // An unknown id fails the whole batch before any I/O.
-        bs.stats().reset();
+        let before = bs.stats().snapshot();
         assert!(bs.read_batch(&[ids[0], BlobId(99)], &mut out).is_err());
-        assert_eq!(bs.stats().snapshot().pages_read, 0);
+        assert_eq!(bs.stats().snapshot(), before);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use tilestore_obs::Counter;
 
 use crate::error::Result;
-use crate::page::{lock, PageId, PageStore, RunRead};
-use crate::stats::IoStats;
+use crate::page::{lock, PageId, PageStore};
+use crate::stats::{IoSnapshot, IoStats};
 
 /// Default number of shards, clamped down so every shard holds ≥ 1 frame.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -182,7 +182,8 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// Cache hit/miss statistics.
+    /// Running totals of the pool's reads: pages served, cache hits and
+    /// misses, coalesced miss runs.
     #[must_use]
     pub fn stats(&self) -> &IoStats {
         &self.stats
@@ -233,53 +234,10 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         self.store.allocate(count)
     }
 
+    /// A one-page batch: the single-page read runs the same hit/miss/install
+    /// protocol as [`PageStore::read_pages`].
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
-        let shard = self.shard(page.0);
-        let miss_version = {
-            let mut inner = self.lock_shard(shard);
-            let tick = inner.next_tick();
-            if let Some((frame, last)) = inner.frames.get_mut(&page.0) {
-                buf.copy_from_slice(frame);
-                let old = *last;
-                *last = tick;
-                inner.touch(page.0, old, tick);
-                self.stats.add_cache_hit();
-                shard.hits.inc();
-                tilestore_obs::hot().cache_hits.inc();
-                return Ok(());
-            }
-            inner.writes
-        };
-        // Miss: fetch outside the lock, then install under a version guard.
-        self.stats.add_cache_miss();
-        shard.misses.inc();
-        tilestore_obs::hot().cache_misses.inc();
-        self.store.read_page(page, buf)?;
-        let mut inner = self.lock_shard(shard);
-        if inner.writes != miss_version {
-            // A write landed on this shard while the fetch was in flight,
-            // so the fetched bytes may predate a write that has already
-            // returned to its caller. Installing them would leave the cache
-            // permanently stale; hand them to the caller (the read merely
-            // overlapped the write) but leave the frame table alone.
-            return Ok(());
-        }
-        let tick = inner.next_tick();
-        if let Some((_, last)) = inner.frames.get_mut(&page.0) {
-            // A concurrent miss installed the page first. Its bytes are as
-            // fresh as ours (same unmoved write version): just touch.
-            let old = *last;
-            *last = tick;
-            inner.touch(page.0, old, tick);
-            return Ok(());
-        }
-        inner.install(
-            page.0,
-            buf.to_vec().into_boxed_slice(),
-            tick,
-            shard.capacity,
-        );
-        Ok(())
+        self.read_pages(std::slice::from_ref(&page), buf).map(drop)
     }
 
     fn run_read_supported(&self) -> bool {
@@ -293,9 +251,13 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         self.store.read_page_run(first, count, buf)
     }
 
-    fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<RunRead> {
+    fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<IoSnapshot> {
         let ps = self.store.page_size();
         assert_eq!(buf.len(), pages.len() * ps, "buffer/pages length mismatch");
+        let mut io = IoSnapshot {
+            pages_read: pages.len() as u64,
+            ..IoSnapshot::default()
+        };
         // Pass 1: group by shard and serve hits under one lock acquisition
         // per shard — the convoy-killer for band-parallel tile fetches,
         // which used to take three pool locks (pin, read, unpin) per page.
@@ -330,18 +292,19 @@ impl<S: PageStore> PageStore for BufferPool<S> {
             }
             let misses = (miss_idx.len() - misses_before) as u64;
             if hits > 0 {
-                self.stats.add_cache_hits(hits);
                 shard.hits.add(hits);
                 tilestore_obs::hot().cache_hits.add(hits);
             }
             if misses > 0 {
-                self.stats.add_cache_misses(misses);
                 shard.misses.add(misses);
                 tilestore_obs::hot().cache_misses.add(misses);
             }
+            io.cache_hits += hits;
+            io.cache_misses += misses;
         }
         if miss_idx.is_empty() {
-            return Ok(RunRead::default());
+            self.stats.add(&io);
+            return Ok(io);
         }
         // Pass 2: fetch misses from the store straight into the caller's
         // buffer. The bytes never transit the cache, so no pinning is needed
@@ -353,7 +316,6 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         // are untouched, so the stale-frame invariant holds as before.
         miss_idx.sort_unstable();
         let coalesce = self.store.run_read_supported();
-        let mut run = RunRead::default();
         let mut k = 0;
         while k < miss_idx.len() {
             let start = miss_idx[k];
@@ -371,23 +333,22 @@ impl<S: PageStore> PageStore for BufferPool<S> {
                     len,
                     &mut buf[start * ps..(start + len) * ps],
                 )?;
-                run.runs_coalesced += 1;
-                run.pages_in_runs += len as u64;
-                run.readahead_bytes += (len * ps) as u64;
+                io.count_run(len, ps);
             } else {
                 self.store
                     .read_page(pages[start], &mut buf[start * ps..(start + 1) * ps])?;
             }
             k += len;
         }
-        if run.runs_coalesced > 0 {
-            self.stats.add_run_read(run);
-            let hot = tilestore_obs::hot();
-            hot.runs_coalesced.add(run.runs_coalesced);
-            hot.readahead_bytes.add(run.readahead_bytes);
-        }
+        io.publish_runs();
         // Pass 3: install the fetched frames, one lock per shard, each
-        // guarded by that shard's write version sampled in pass 1.
+        // guarded by that shard's write version sampled in pass 1. If a
+        // write landed on the shard while the fetch was in flight, the
+        // fetched bytes may predate a write that has already returned to
+        // its caller: installing them would leave the cache permanently
+        // stale, so the caller gets them (the read merely overlapped the
+        // write) but the frame table is left alone. A frame a concurrent
+        // miss installed first is as fresh as ours and is just touched.
         let mut installs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for &i in &miss_idx {
             installs[self.shard_index(pages[i].0)].push(i);
@@ -399,7 +360,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
             let shard = &self.shards[si];
             let mut inner = self.lock_shard(shard);
             if inner.writes != versions[si] {
-                continue; // see read_page: the fetch may predate a write
+                continue;
             }
             for &i in idxs {
                 let tick = inner.next_tick();
@@ -413,7 +374,8 @@ impl<S: PageStore> PageStore for BufferPool<S> {
                 inner.install(pages[i].0, payload, tick, shard.capacity);
             }
         }
-        Ok(run)
+        self.stats.add(&io);
+        Ok(io)
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> Result<()> {
@@ -468,6 +430,12 @@ mod tests {
     /// order need one lock domain; sharded behavior has its own tests.
     fn pool(capacity: usize) -> BufferPool<MemPageStore> {
         BufferPool::with_shards(MemPageStore::new(1024).unwrap(), capacity, 1).unwrap()
+    }
+
+    /// Reads one page, reporting whether this call was a cache hit.
+    fn hit(p: &BufferPool<MemPageStore>, page: PageId) -> bool {
+        let mut buf = vec![0u8; p.page_size()];
+        p.read_pages(&[page], &mut buf).unwrap().cache_hits == 1
     }
 
     /// Checks the `frames`/`order` cross-invariant on every shard.
@@ -545,11 +513,8 @@ mod tests {
         p.read_page(pages[0], &mut buf).unwrap(); // refresh 0
         p.read_page(pages[2], &mut buf).unwrap(); // evicts 1
         assert_eq!(p.cached_frames(), 2);
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_hits, 1);
-        p.read_page(pages[1], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_misses, 1);
+        assert!(hit(&p, pages[0]));
+        assert!(!hit(&p, pages[1]));
         assert_coherent(&p);
     }
 
@@ -562,9 +527,7 @@ mod tests {
         p.read_page(pages[1], &mut buf).unwrap(); // cache: {0,1}
         p.write_page(pages[0], &vec![1u8; 1024]).unwrap(); // refresh 0
         p.read_page(pages[2], &mut buf).unwrap(); // evicts 1, not 0
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_hits, 1, "page 0 was refreshed");
+        assert!(hit(&p, pages[0]), "page 0 was refreshed");
         assert_coherent(&p);
     }
 
@@ -610,9 +573,7 @@ mod tests {
         p.read_page(pages[0], &mut buf).unwrap();
         p.clear();
         assert_eq!(p.cached_frames(), 0);
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_misses, 1);
+        assert!(!hit(&p, pages[0]));
         assert_coherent(&p);
     }
 
@@ -628,22 +589,23 @@ mod tests {
         for &pg in &pages[..4] {
             p.read_page(pg, &mut one).unwrap();
         }
-        p.stats().reset();
+        let before = p.stats().snapshot();
         let mut buf = vec![0u8; 12 * 1024];
-        p.read_pages(&pages, &mut buf).unwrap();
+        let s = p.read_pages(&pages, &mut buf).unwrap();
         for (i, chunk) in buf.chunks(1024).enumerate() {
             assert_eq!(chunk, &vec![i as u8 + 1; 1024][..], "page {i}");
         }
-        let s = p.stats().snapshot();
-        assert_eq!(s.cache_hits, 4);
-        assert_eq!(s.cache_misses, 8);
+        assert_eq!((s.pages_read, s.cache_hits, s.cache_misses), (12, 4, 8));
+        assert_eq!(
+            p.stats().snapshot().since(&before),
+            s,
+            "totals add the call"
+        );
         // Whatever survived eviction (capacity is 8 < 12 pages) now hits;
         // every page is exactly one hit or one miss either way.
         let resident = p.cached_frames() as u64;
         assert!(resident > 0 && resident <= 8);
-        p.stats().reset();
-        p.read_pages(&pages, &mut buf).unwrap();
-        let s = p.stats().snapshot();
+        let s = p.read_pages(&pages, &mut buf).unwrap();
         assert_eq!(s.cache_hits, resident);
         assert_eq!(s.cache_hits + s.cache_misses, 12);
         assert!(p.cached_frames() <= 8);
@@ -664,9 +626,8 @@ mod tests {
         for &pg in &pages[1..] {
             p.read_page(pg, &mut buf).unwrap();
         }
-        p.stats().reset();
+        assert!(hit(&p, pages[0]), "pinned frame evicted");
         p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_hits, 1, "pinned frame evicted");
         assert_eq!(buf, vec![7u8; 1024]);
         // Pins nest: one unpin of a doubly-pinned page keeps it protected.
         p.pin_page(pages[0]);
@@ -674,18 +635,14 @@ mod tests {
         for &pg in &pages[1..] {
             p.read_page(pg, &mut buf).unwrap();
         }
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_hits, 1);
+        assert!(hit(&p, pages[0]));
         // After the last unpin it becomes evictable again.
         p.unpin_page(pages[0]);
         assert_eq!(p.pinned_pages(), 0);
         for &pg in &pages[1..] {
             p.read_page(pg, &mut buf).unwrap();
         }
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_misses, 1);
+        assert!(!hit(&p, pages[0]));
         assert_coherent(&p);
     }
 
@@ -703,10 +660,7 @@ mod tests {
         // dropping a pinned frame.
         p.read_page(pages[2], &mut buf).unwrap();
         assert_eq!(p.cached_frames(), 3);
-        p.stats().reset();
-        p.read_page(pages[0], &mut buf).unwrap();
-        p.read_page(pages[1], &mut buf).unwrap();
-        assert_eq!(p.stats().snapshot().cache_hits, 2);
+        assert!(hit(&p, pages[0]) && hit(&p, pages[1]));
         p.unpin_page(pages[0]);
         p.unpin_page(pages[1]);
         // The next install drains the overflow back under capacity.

@@ -22,6 +22,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use tilestore_testkit::{crc32, FromJson, Json, JsonError, ToJson};
 
 use crate::error::{Result, StorageError};
+use crate::stats::IoSnapshot;
 
 /// Locks a mutex, recovering from poisoning: storage must stay usable after
 /// a worker thread panicked while holding a lock (one bad request must not
@@ -56,30 +57,6 @@ impl ToJson for PageId {
 impl FromJson for PageId {
     fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
         Ok(PageId(u64::from_json(v)?))
-    }
-}
-
-/// Accounting for one batch read: how many physically consecutive page
-/// runs were fetched with a single positioned read each, how many pages
-/// those runs covered, and the payload bytes they transferred. Callers
-/// fold it into their [`crate::IoStats`] so per-query counters can prove
-/// coalescing happened (not just that latency moved).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunRead {
-    /// Multi-page runs served by one positioned read each.
-    pub runs_coalesced: u64,
-    /// Pages covered by those runs.
-    pub pages_in_runs: u64,
-    /// Payload bytes fetched by those runs.
-    pub readahead_bytes: u64,
-}
-
-impl RunRead {
-    /// Folds another batch's accounting into this one.
-    pub fn merge(&mut self, other: RunRead) {
-        self.runs_coalesced += other.runs_coalesced;
-        self.pages_in_runs += other.pages_in_runs;
-        self.readahead_bytes += other.readahead_bytes;
     }
 }
 
@@ -139,21 +116,26 @@ pub trait PageStore: Send + Sync {
     /// numbered pages and fetches each with one [`PageStore::read_page_run`]
     /// call when the backend supports it; caching stores override the whole
     /// method to batch their locking (the buffer pool serves all hits in a
-    /// shard under one lock acquisition). Returns the run accounting so
-    /// callers can record how much of the batch was coalesced.
+    /// shard under one lock acquisition). Returns the counts of this one
+    /// call — pages read, pool hits and misses, coalesced runs, the pages
+    /// and bytes those runs carried — so a caller's accounting holds its
+    /// own reads and nothing a concurrent caller did.
     ///
     /// # Errors
     /// As [`PageStore::read_page`]; on error the buffer contents are
     /// unspecified.
-    fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<RunRead> {
+    fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<IoSnapshot> {
         let ps = self.page_size();
         assert_eq!(buf.len(), pages.len() * ps, "buffer/pages length mismatch");
-        let mut run = RunRead::default();
+        let mut io = IoSnapshot {
+            pages_read: pages.len() as u64,
+            ..IoSnapshot::default()
+        };
         if !self.run_read_supported() {
             for (i, &page) in pages.iter().enumerate() {
                 self.read_page(page, &mut buf[i * ps..(i + 1) * ps])?;
             }
-            return Ok(run);
+            return Ok(io);
         }
         let mut i = 0;
         while i < pages.len() {
@@ -163,20 +145,14 @@ pub trait PageStore: Send + Sync {
             }
             if j - i > 1 {
                 self.read_page_run(pages[i], j - i, &mut buf[i * ps..j * ps])?;
-                run.runs_coalesced += 1;
-                run.pages_in_runs += (j - i) as u64;
-                run.readahead_bytes += ((j - i) * ps) as u64;
+                io.count_run(j - i, ps);
             } else {
                 self.read_page(pages[i], &mut buf[i * ps..(i + 1) * ps])?;
             }
             i = j;
         }
-        if run.runs_coalesced > 0 {
-            let hot = tilestore_obs::hot();
-            hot.runs_coalesced.add(run.runs_coalesced);
-            hot.readahead_bytes.add(run.readahead_bytes);
-        }
-        Ok(run)
+        io.publish_runs();
+        Ok(io)
     }
 
     /// Writes one page from `buf` (must be exactly `page_size` long).
@@ -726,7 +702,8 @@ mod tests {
             PageId(3),
         ];
         let mut buf = vec![0u8; batch.len() * ps];
-        let run = store.read_pages(&batch, &mut buf).unwrap();
+        let io = store.read_pages(&batch, &mut buf).unwrap();
+        assert_eq!(io.pages_read, batch.len() as u64);
         for (i, &p) in batch.iter().enumerate() {
             assert!(
                 buf[i * ps..(i + 1) * ps]
@@ -737,11 +714,11 @@ mod tests {
             );
         }
         if store.run_read_supported() {
-            assert_eq!(run.runs_coalesced, 1, "exactly the [0,1,2] run");
-            assert_eq!(run.pages_in_runs, 3);
-            assert_eq!(run.readahead_bytes, 3 * ps as u64);
+            assert_eq!(io.runs_coalesced, 1, "exactly the [0,1,2] run");
+            assert_eq!(io.pages_read_run, 3);
+            assert_eq!(io.readahead_bytes, 3 * ps as u64);
         } else {
-            assert_eq!(run, RunRead::default());
+            assert_eq!((io.runs_coalesced, io.pages_read_run), (0, 0));
         }
         // A run straight through read_page_run, plus out-of-range checks.
         let mut buf = vec![0u8; 2 * ps];

@@ -1,32 +1,43 @@
-//! I/O statistics shared across the storage stack.
+//! I/O accounting for the storage stack: every read returns the counts of
+//! that one call as an [`IoSnapshot`], and [`IoStats`] keeps running totals
+//! by adding those per-call snapshots.
 
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 
-/// Thread-safe I/O counters. Cloning shares the underlying counters.
+/// Number of counters in an [`IoSnapshot`].
+const COUNTERS: usize = 11;
+
+/// JSON field names, in [`IoSnapshot::counters`] order.
+const NAMES: [&str; COUNTERS] = [
+    "pages_read",
+    "pages_written",
+    "blobs_read",
+    "blobs_written",
+    "bytes_read",
+    "bytes_written",
+    "cache_hits",
+    "cache_misses",
+    "runs_coalesced",
+    "pages_read_run",
+    "readahead_bytes",
+];
+
+/// Index of the first run counter: these postdate persisted stats from
+/// older builds, so absent fields read as zero.
+const FIRST_RUN_COUNTER: usize = 8;
+
+/// Thread-safe running totals. Cloning shares the underlying counters.
 #[derive(Debug, Clone, Default)]
 pub struct IoStats {
-    inner: Arc<Counters>,
+    inner: Arc<[AtomicU64; COUNTERS]>,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    pages_read: AtomicU64,
-    pages_written: AtomicU64,
-    blobs_read: AtomicU64,
-    blobs_written: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    runs_coalesced: AtomicU64,
-    pages_read_run: AtomicU64,
-    readahead_bytes: AtomicU64,
-}
-
-/// An immutable snapshot of [`IoStats`].
+/// I/O counts: those of one store call, a sum of calls (one query's), or a
+/// point-in-time copy of an [`IoStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
     /// Pages fetched from the page store.
@@ -57,69 +68,95 @@ pub struct IoSnapshot {
 }
 
 impl IoSnapshot {
+    /// The counters in [`NAMES`] order.
+    fn counters(&self) -> [u64; COUNTERS] {
+        [
+            self.pages_read,
+            self.pages_written,
+            self.blobs_read,
+            self.blobs_written,
+            self.bytes_read,
+            self.bytes_written,
+            self.cache_hits,
+            self.cache_misses,
+            self.runs_coalesced,
+            self.pages_read_run,
+            self.readahead_bytes,
+        ]
+    }
+
+    fn from_counters(c: [u64; COUNTERS]) -> Self {
+        IoSnapshot {
+            pages_read: c[0],
+            pages_written: c[1],
+            blobs_read: c[2],
+            blobs_written: c[3],
+            bytes_read: c[4],
+            bytes_written: c[5],
+            cache_hits: c[6],
+            cache_misses: c[7],
+            runs_coalesced: c[8],
+            pages_read_run: c[9],
+            readahead_bytes: c[10],
+        }
+    }
+
+    /// Records one coalesced run of `pages` pages fetched by one
+    /// positioned read.
+    pub(crate) fn count_run(&mut self, pages: usize, page_size: usize) {
+        self.runs_coalesced += 1;
+        self.pages_read_run += pages as u64;
+        self.readahead_bytes += (pages * page_size) as u64;
+    }
+
+    /// Adds this call's runs to the process-wide `io.*` run metrics.
+    pub(crate) fn publish_runs(&self) {
+        if self.runs_coalesced > 0 {
+            let hot = tilestore_obs::hot();
+            hot.runs_coalesced.add(self.runs_coalesced);
+            hot.readahead_bytes.add(self.readahead_bytes);
+        }
+    }
+
     /// Difference between two snapshots (`self` taken after `earlier`).
     #[must_use]
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            pages_read: self.pages_read - earlier.pages_read,
-            pages_written: self.pages_written - earlier.pages_written,
-            blobs_read: self.blobs_read - earlier.blobs_read,
-            blobs_written: self.blobs_written - earlier.blobs_written,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            runs_coalesced: self.runs_coalesced - earlier.runs_coalesced,
-            pages_read_run: self.pages_read_run - earlier.pages_read_run,
-            readahead_bytes: self.readahead_bytes - earlier.readahead_bytes,
-        }
+        let (a, b) = (self.counters(), earlier.counters());
+        IoSnapshot::from_counters(std::array::from_fn(|i| a[i] - b[i]))
+    }
+}
+
+/// Field-wise saturating sum: a counter that reached `u64::MAX` stays there
+/// instead of wrapping.
+impl AddAssign<&IoSnapshot> for IoSnapshot {
+    fn add_assign(&mut self, other: &IoSnapshot) {
+        let (a, b) = (self.counters(), other.counters());
+        *self = IoSnapshot::from_counters(std::array::from_fn(|i| a[i].saturating_add(b[i])));
     }
 }
 
 impl ToJson for IoSnapshot {
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("pages_read", self.pages_read.to_json()),
-            ("pages_written", self.pages_written.to_json()),
-            ("blobs_read", self.blobs_read.to_json()),
-            ("blobs_written", self.blobs_written.to_json()),
-            ("bytes_read", self.bytes_read.to_json()),
-            ("bytes_written", self.bytes_written.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
-            ("runs_coalesced", self.runs_coalesced.to_json()),
-            ("pages_read_run", self.pages_read_run.to_json()),
-            ("readahead_bytes", self.readahead_bytes.to_json()),
-        ])
+        Json::obj(
+            NAMES
+                .into_iter()
+                .zip(self.counters())
+                .map(|(name, n)| (name, n.to_json()))
+                .collect(),
+        )
     }
 }
 
 impl FromJson for IoSnapshot {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(IoSnapshot {
-            pages_read: u64::from_json(v.field("pages_read")?)?,
-            pages_written: u64::from_json(v.field("pages_written")?)?,
-            blobs_read: u64::from_json(v.field("blobs_read")?)?,
-            blobs_written: u64::from_json(v.field("blobs_written")?)?,
-            bytes_read: u64::from_json(v.field("bytes_read")?)?,
-            bytes_written: u64::from_json(v.field("bytes_written")?)?,
-            cache_hits: u64::from_json(v.field("cache_hits")?)?,
-            cache_misses: u64::from_json(v.field("cache_misses")?)?,
-            // Run counters postdate persisted stats from older builds;
-            // absent fields read as zero.
-            runs_coalesced: match v.get("runs_coalesced") {
-                Some(j) => u64::from_json(j)?,
-                None => 0,
-            },
-            pages_read_run: match v.get("pages_read_run") {
-                Some(j) => u64::from_json(j)?,
-                None => 0,
-            },
-            readahead_bytes: match v.get("readahead_bytes") {
-                Some(j) => u64::from_json(j)?,
-                None => 0,
-            },
-        })
+        let mut c = [0u64; COUNTERS];
+        for (i, name) in NAMES.into_iter().enumerate() {
+            c[i] = match v.get(name) {
+                None if i >= FIRST_RUN_COUNTER => 0,
+                _ => u64::from_json(v.field(name)?)?,
+            };
+        }
+        Ok(IoSnapshot::from_counters(c))
     }
 }
 
@@ -130,97 +167,19 @@ impl IoStats {
         IoStats::default()
     }
 
-    /// Records `n` pages read.
-    pub fn add_pages_read(&self, n: u64) {
-        self.inner.pages_read.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` pages written.
-    pub fn add_pages_written(&self, n: u64) {
-        self.inner.pages_written.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one BLOB read of `bytes` payload bytes.
-    pub fn add_blob_read(&self, bytes: u64) {
-        self.inner.blobs_read.fetch_add(1, Ordering::Relaxed);
-        self.inner.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one BLOB write of `bytes` payload bytes.
-    pub fn add_blob_written(&self, bytes: u64) {
-        self.inner.blobs_written.fetch_add(1, Ordering::Relaxed);
-        self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records a buffer-pool hit.
-    pub fn add_cache_hit(&self) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` buffer-pool hits (batch read paths).
-    pub fn add_cache_hits(&self, n: u64) {
-        self.inner.cache_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a buffer-pool miss.
-    pub fn add_cache_miss(&self) {
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` buffer-pool misses (batch read paths).
-    pub fn add_cache_misses(&self, n: u64) {
-        self.inner.cache_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records the run accounting of one batch read: how many coalesced
-    /// runs it issued, how many pages they covered, and the payload bytes
-    /// they fetched.
-    pub fn add_run_read(&self, run: crate::page::RunRead) {
-        if run.runs_coalesced == 0 {
-            return;
+    /// Adds the counts of one store call to the totals.
+    pub fn add(&self, io: &IoSnapshot) {
+        for (total, n) in self.inner.iter().zip(io.counters()) {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
-        self.inner
-            .runs_coalesced
-            .fetch_add(run.runs_coalesced, Ordering::Relaxed);
-        self.inner
-            .pages_read_run
-            .fetch_add(run.pages_in_runs, Ordering::Relaxed);
-        self.inner
-            .readahead_bytes
-            .fetch_add(run.readahead_bytes, Ordering::Relaxed);
     }
 
     /// Takes a snapshot of all counters.
     #[must_use]
     pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            pages_read: self.inner.pages_read.load(Ordering::Relaxed),
-            pages_written: self.inner.pages_written.load(Ordering::Relaxed),
-            blobs_read: self.inner.blobs_read.load(Ordering::Relaxed),
-            blobs_written: self.inner.blobs_written.load(Ordering::Relaxed),
-            bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.load(Ordering::Relaxed),
-            runs_coalesced: self.inner.runs_coalesced.load(Ordering::Relaxed),
-            pages_read_run: self.inner.pages_read_run.load(Ordering::Relaxed),
-            readahead_bytes: self.inner.readahead_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.inner.pages_read.store(0, Ordering::Relaxed);
-        self.inner.pages_written.store(0, Ordering::Relaxed);
-        self.inner.blobs_read.store(0, Ordering::Relaxed);
-        self.inner.blobs_written.store(0, Ordering::Relaxed);
-        self.inner.bytes_read.store(0, Ordering::Relaxed);
-        self.inner.bytes_written.store(0, Ordering::Relaxed);
-        self.inner.cache_hits.store(0, Ordering::Relaxed);
-        self.inner.cache_misses.store(0, Ordering::Relaxed);
-        self.inner.runs_coalesced.store(0, Ordering::Relaxed);
-        self.inner.pages_read_run.store(0, Ordering::Relaxed);
-        self.inner.readahead_bytes.store(0, Ordering::Relaxed);
+        IoSnapshot::from_counters(self.inner.each_ref().map(|c| c.load(Ordering::Relaxed)))
     }
 }
 
@@ -229,37 +188,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn totals_add_per_call_counts() {
         let stats = IoStats::new();
-        stats.add_pages_read(4);
-        stats.add_blob_read(1000);
-        stats.add_cache_hit();
-        stats.add_cache_miss();
+        stats.add(&IoSnapshot {
+            pages_read: 4,
+            blobs_read: 1,
+            bytes_read: 1000,
+            cache_hits: 1,
+            cache_misses: 1,
+            ..IoSnapshot::default()
+        });
+        stats.add(&IoSnapshot {
+            pages_read: 2,
+            ..IoSnapshot::default()
+        });
         let s = stats.snapshot();
-        assert_eq!(s.pages_read, 4);
+        assert_eq!(s.pages_read, 6);
         assert_eq!(s.blobs_read, 1);
         assert_eq!(s.bytes_read, 1000);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
-        stats.reset();
-        assert_eq!(stats.snapshot(), IoSnapshot::default());
+        assert_eq!(s.pages_written, 0);
     }
 
     #[test]
     fn clones_share_counters() {
         let a = IoStats::new();
         let b = a.clone();
-        b.add_pages_written(2);
+        b.add(&IoSnapshot {
+            pages_written: 2,
+            ..IoSnapshot::default()
+        });
         assert_eq!(a.snapshot().pages_written, 2);
     }
 
     #[test]
     fn since_computes_deltas() {
         let stats = IoStats::new();
-        stats.add_pages_read(10);
+        stats.add(&IoSnapshot {
+            pages_read: 10,
+            ..IoSnapshot::default()
+        });
         let before = stats.snapshot();
-        stats.add_pages_read(7);
-        stats.add_blob_read(100);
+        stats.add(&IoSnapshot {
+            pages_read: 7,
+            blobs_read: 1,
+            bytes_read: 100,
+            ..IoSnapshot::default()
+        });
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.pages_read, 7);
         assert_eq!(delta.blobs_read, 1);
@@ -267,22 +243,30 @@ mod tests {
     }
 
     #[test]
-    fn run_reads_accumulate_and_round_trip() {
-        let stats = IoStats::new();
-        stats.add_run_read(crate::page::RunRead {
-            runs_coalesced: 2,
-            pages_in_runs: 9,
-            readahead_bytes: 9 * 4096,
-        });
-        stats.add_run_read(crate::page::RunRead::default()); // no-op
-        let s = stats.snapshot();
-        assert_eq!(s.runs_coalesced, 2);
-        assert_eq!(s.pages_read_run, 9);
-        assert_eq!(s.readahead_bytes, 9 * 4096);
-        let back = IoSnapshot::from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
-        stats.reset();
-        assert_eq!(stats.snapshot(), IoSnapshot::default());
+    fn add_assign_covers_every_counter_and_saturates() {
+        let ones = IoSnapshot::from_counters([1; COUNTERS]);
+        let mut sum = IoSnapshot::from_counters(std::array::from_fn(|i| i as u64));
+        sum += &ones;
+        assert_eq!(sum.counters(), std::array::from_fn(|i| i as u64 + 1));
+        let mut max = IoSnapshot {
+            readahead_bytes: u64::MAX,
+            ..IoSnapshot::default()
+        };
+        max += &ones;
+        assert_eq!(
+            max.readahead_bytes,
+            u64::MAX,
+            "saturates instead of wrapping"
+        );
+        assert_eq!(max.pages_read, 1);
+    }
+
+    #[test]
+    fn snapshots_round_trip_through_json() {
+        let s = IoSnapshot::from_counters(std::array::from_fn(|i| 10 * i as u64 + 1));
+        let json = s.to_json();
+        assert_eq!(json.field("readahead_bytes").unwrap().as_u64(), Some(101));
+        assert_eq!(IoSnapshot::from_json(&json).unwrap(), s);
     }
 
     #[test]
@@ -299,5 +283,8 @@ mod tests {
         assert_eq!(s.runs_coalesced, 0);
         assert_eq!(s.pages_read_run, 0);
         assert_eq!(s.readahead_bytes, 0);
+        // The older counters stay required.
+        let j = Json::parse(r#"{"pages_read": 3}"#).unwrap();
+        assert!(IoSnapshot::from_json(&j).is_err());
     }
 }

@@ -42,6 +42,19 @@ for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
     fi
 done
 
+# --- One I/O accounting path: every read returns the counts of that call
+# and a query adds up its own. Diffing the store's shared totals around a
+# query counts whatever ran concurrently, so no snapshot/`since` pair may
+# come back into non-test engine code, nor the per-batch `RunRead` summary.
+if engine_non_test | grep -qF -e '.since(' -e 'stats().snapshot()'; then
+    echo "per-query I/O diffed from shared counters in crates/engine/src" >&2
+    exit 1
+fi
+if grep -rqw RunRead crates/*/src; then
+    echo "RunRead is back in crates/*/src" >&2
+    exit 1
+fi
+
 # --- In-tree clients move cells as binary parts: the hex codec is the JSON
 # debug surface of the server, never on the `Client` or coordinator path.
 if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_(en|de)code'; then
@@ -65,7 +78,15 @@ for old in crates/bench/benches scripts/bench*.sh BENCH_*.json; do
 done
 
 # --- Keep both harnesses compiling and running against today's APIs.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# The benchmark's tests drive its binary, so they run on one CPU the way
+# `run.sh` runs it. A served query's response carries its own buffer-pool
+# hits and misses; when the bands of a query whose pages overflow the pool
+# race on several CPUs, which band's installs evict pages the other was
+# about to hit changes from run to run, and with it the frame sizes the
+# determinism test compares.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --no-run
+bench_cpu=$(awk '/^Cpus_allowed_list/ { n = split($2, a, /[,-]/); print a[n] }' /proc/self/status)
+taskset -c "$bench_cpu" cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --workload all --quick >/dev/null
 cargo run -q --release --offline -p tilestore-bench --bin repro -- table2 >/dev/null
 

@@ -168,10 +168,13 @@ fn buffer_pooled_database_serves_hot_queries_from_cache() {
     let q = d("[10:50,10:50]");
     db.range_query("img", &q).unwrap();
     let cold = db.blob_store().page_store().stats().snapshot();
-    db.range_query("img", &q).unwrap();
+    let own = db.range_query("img", &q).unwrap().stats.io;
     let warm = db.blob_store().page_store().stats().snapshot().since(&cold);
     assert_eq!(warm.cache_misses, 0, "second read is fully cached");
     assert!(warm.cache_hits > 0);
+    // The query's own counts are exactly the pool's movement across it.
+    assert_eq!(own.cache_hits, warm.cache_hits, "{own:?}");
+    assert_eq!(own.cache_misses, warm.cache_misses, "{own:?}");
 }
 
 #[test]
