@@ -317,37 +317,22 @@ pub fn compress(db: &Database<CachedFileStore>, name: &str, policy: &str) -> Cli
 /// recorded access log, §5.4), or `--defrag[:<budgetKB>]` (curve-ordered
 /// physical compaction; a budget paces it in bounded commits).
 pub fn retile(db: &Database<CachedFileStore>, name: &str, spec: &str) -> CliResult<String> {
-    match tilestore_tiling::parse_retile_spec(spec)? {
-        RetileSpec::FromLog {
-            distance,
-            frequency,
-            max_tile_bytes,
-        } => {
-            let stats = db
-                .auto_retile_from_log(name, distance, frequency, max_tile_bytes)
-                .map_err(err)?;
-            Ok(format!(
-                "retiled from access log: {} -> {} tiles",
-                stats.tiles_before, stats.tiles_after
-            ))
-        }
-        RetileSpec::Defrag { budget_bytes } => {
-            let stats = db.defrag_paced(name, budget_bytes).map_err(err)?.stats;
-            Ok(format!(
-                "defragmented: {} tiles, {} bytes rewritten",
-                stats.tiles_after, stats.bytes_rewritten
-            ))
-        }
-        RetileSpec::Scheme(spec) => {
-            let dim = db.object(name).map_err(err)?.mdd_type.dim();
-            let scheme = parse_scheme(&spec, dim)?;
-            let stats = db.retile(name, scheme).map_err(err)?;
-            Ok(format!(
-                "retiled: {} -> {} tiles",
-                stats.tiles_before, stats.tiles_after
-            ))
-        }
-    }
+    let parsed = tilestore_tiling::parse_retile_spec(spec)?;
+    let stats = db.retile_spec(name, &parsed).map_err(err)?.stats;
+    Ok(match parsed {
+        RetileSpec::FromLog { .. } => format!(
+            "retiled from access log: {} -> {} tiles",
+            stats.tiles_before, stats.tiles_after
+        ),
+        RetileSpec::Defrag { .. } => format!(
+            "defragmented: {} tiles, {} bytes rewritten",
+            stats.tiles_after, stats.bytes_rewritten
+        ),
+        RetileSpec::Scheme(_) => format!(
+            "retiled: {} -> {} tiles",
+            stats.tiles_before, stats.tiles_after
+        ),
+    })
 }
 
 /// `stats` — database-wide I/O counters, per-object tile counts, the

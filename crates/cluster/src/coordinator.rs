@@ -2,13 +2,14 @@
 //!
 //! Reads run the "agree on epochs" handshake: under a shared gate the
 //! coordinator pins one snapshot per shard (serially — this is the
-//! consistency point), then scatters the per-shard clipped queries onto the
-//! [`ThreadPool`], gathers the sub-results, and stitches them into one
-//! answer. Writes take the gate exclusively and commit to every owning
-//! shard before any new read can pin, so a concurrent reader observes the
-//! shards' epochs either all before or all after a cluster write — never a
-//! mix (for local backends; remote shards shared by several coordinators
-//! get this only per-coordinator).
+//! consistency point), resolves the statement with rasql's own resolver
+//! against the hull of the shards' domains, then scatters the per-shard
+//! clipped queries onto the [`ThreadPool`], gathers the sub-results, and
+//! stitches them into one answer. Writes take the gate exclusively and
+//! commit to every owning shard before any new read can pin, so a
+//! concurrent reader observes the shards' epochs either all before or all
+//! after a cluster write — never a mix (for local backends; remote shards
+//! shared by several coordinators get this only per-coordinator).
 //!
 //! Aggregate recombination follows the condenser algebra: `sum` and `count`
 //! add, `min`/`max` fold, `avg` is pushed down as `sum` and divided by the
@@ -22,13 +23,12 @@
 use std::sync::{Arc, RwLock};
 
 use tilestore_engine::{
-    aggregate_array, induce_scalar, AggKind, AggValue, Array, BinOp, CellType, InsertStats,
-    MddType, QueryStats, RetileStats,
+    aggregate_array, Array, CellType, EngineError, InsertStats, MddType, QueryStats, RetileStats,
 };
 use tilestore_exec::ThreadPool;
-use tilestore_geometry::{copy_region, AxisRange, Domain};
+use tilestore_geometry::{copy_region, Domain};
 use tilestore_rasql::{
-    parse_statement, AxisSelect, Condenser, Expr, InducedOp, Query, QueryError, Statement, Value,
+    parse_statement, AxisSelect, Condenser, Expr, Query, ResolvedAccess, Shape, Statement, Value,
 };
 use tilestore_server::ClientError;
 use tilestore_storage::PageStore;
@@ -258,11 +258,22 @@ impl ClusterWrite<RetileStats> {
 enum ShardWork {
     /// The query region misses the shard's slab.
     Skip,
-    /// The shard owns part of the region but holds no data: the piece is
-    /// all defaults and is computed coordinator-side without any I/O.
+    /// The shard owns this clip of the region but holds no data: the piece
+    /// is all defaults and is computed coordinator-side without any I/O.
     Default(Domain),
-    /// Run the rewritten statement against the shard's pinned snapshot.
-    Run(String),
+    /// Run the statement rewritten to this clip against the shard's pinned
+    /// snapshot.
+    Run(Domain, String),
+}
+
+/// A read past its pinned preamble: the agreed epochs, the access resolved
+/// against the shards' hull, the object's cell type, and every pin paired
+/// with its shard's work.
+struct PinnedRead<S: PageStore> {
+    epochs: Vec<ShardEpoch>,
+    access: ResolvedAccess,
+    cell: CellType,
+    work: Vec<(ShardPin<S>, ShardWork)>,
 }
 
 /// The coordinator: shard map + backends + scatter pool.
@@ -332,14 +343,68 @@ impl<S: PageStore> Coordinator<S> {
             match pin_shard(k, b, deadline_ms, shard_retry_seed(self.retry_base, k)) {
                 Ok(p) => pins.push(p),
                 Err(e) => {
-                    for p in pins {
-                        p.release(&self.backends);
-                    }
+                    self.release_all(pins);
                     return Err(e);
                 }
             }
         }
         Ok(pins)
+    }
+
+    fn release_all(&self, pins: Vec<ShardPin<S>>) {
+        for p in pins {
+            p.release(&self.backends);
+        }
+    }
+
+    /// The preamble every cluster read shares: pin all shards, fetch their
+    /// view of the object, resolve the access against the hull with
+    /// rasql's resolver, and plan each shard's work. On failure every pin
+    /// is released.
+    fn pin_and_plan(
+        &self,
+        query: &Query,
+        shape: &Shape<'_>,
+        deadline_ms: Option<u64>,
+    ) -> Result<PinnedRead<S>> {
+        let mut pins = self.pin_all(deadline_ms)?;
+        let epochs = pins
+            .iter()
+            .map(|p| ShardEpoch {
+                shard: p.shard(),
+                epoch: p.epoch(),
+            })
+            .collect();
+        let planned = self
+            .pinned_objects(&mut pins, shape.from)
+            .and_then(|objects| {
+                let access = shape.resolve(hull_of(&objects)?.as_ref())?;
+                let work: Vec<ShardWork> = objects
+                    .iter()
+                    .enumerate()
+                    .map(|(k, o)| match self.map.clip(k, &access.region) {
+                        None => ShardWork::Skip,
+                        Some(clip) if o.current_domain.is_none() => ShardWork::Default(clip),
+                        Some(clip) => {
+                            let stmt = rewrite_for_shard(query, &clip).to_string();
+                            ShardWork::Run(clip, stmt)
+                        }
+                    })
+                    .collect();
+                Ok((access, objects[0].mdd_type.cell.clone(), work))
+            });
+        match planned {
+            Ok((access, cell, work)) => Ok(PinnedRead {
+                epochs,
+                access,
+                cell,
+                work: pins.into_iter().zip(work).collect(),
+            }),
+            Err(e) => {
+                self.release_all(pins);
+                Err(e)
+            }
+        }
     }
 
     /// Parses and executes one rasql statement across the cluster.
@@ -378,69 +443,29 @@ impl<S: PageStore> Coordinator<S> {
     /// # Errors
     /// As [`Coordinator::execute`].
     pub fn query_with(&self, query: &Query, deadline_ms: Option<u64>) -> Result<ClusterValue> {
-        validate(query)?;
-        let mut pins = self.pin_all(deadline_ms)?;
-        let gathered = self.scattered_query(query, &mut pins);
-        // `scattered_query` consumed and released the pins via scatter.
-        gathered
-    }
-
-    /// The pinned read path: resolve, clip, scatter, gather, stitch.
-    /// Consumes (and releases) the pins.
-    fn scattered_query(&self, query: &Query, pins: &mut Vec<ShardPin<S>>) -> Result<ClusterValue> {
-        let epochs: Vec<ShardEpoch> = pins
-            .iter()
-            .map(|p| ShardEpoch {
-                shard: p.shard(),
-                epoch: p.epoch(),
-            })
-            .collect();
-        let objects = match self.pinned_objects(pins, &query.from) {
-            Ok(o) => o,
-            Err(e) => {
-                for p in pins.drain(..) {
-                    p.release(&self.backends);
-                }
-                return Err(e);
-            }
-        };
-        let prepared = match prepare(query, &self.map, &objects) {
-            Ok(p) => p,
-            Err(e) => {
-                for p in pins.drain(..) {
-                    p.release(&self.backends);
-                }
-                return Err(e);
-            }
-        };
-        let Prepared {
-            region,
-            fixed_axes,
-            work,
+        let shape = Shape::of(query)?;
+        let PinnedRead {
+            epochs,
+            access,
             cell,
-            condenser,
-            agg_kind,
-        } = prepared;
+            work,
+        } = self.pin_and_plan(query, &shape, deadline_ms)?;
+        let pushed = shape.condenser.map(push_down);
 
         // Scatter: every closure releases its pin whatever happens, so a
         // failing shard never strands the survivors' snapshots.
         let backends = &self.backends;
-        let items: Vec<(ShardPin<S>, ShardWork)> = pins.drain(..).zip(work).collect();
         let results: Vec<Result<Option<(Value, QueryStats)>>> =
-            self.pool.scatter(items, |_, (mut pin, work)| match work {
-                ShardWork::Skip => {
-                    pin.release(backends);
-                    Ok(None)
-                }
-                ShardWork::Default(clip) => {
-                    pin.release(backends);
-                    default_piece(query, &clip, &cell, agg_kind).map(Some)
-                }
-                ShardWork::Run(stmt) => {
-                    let r = pin.run(&stmt);
-                    pin.release(backends);
-                    r.map(Some)
-                }
+            self.pool.scatter(work, |_, (mut pin, work)| {
+                let piece = match work {
+                    ShardWork::Skip => Ok(None),
+                    ShardWork::Default(clip) => {
+                        default_piece(&shape, &clip, &cell, pushed).map(Some)
+                    }
+                    ShardWork::Run(_, stmt) => pin.run(&stmt).map(Some),
+                };
+                pin.release(backends);
+                piece
             });
 
         let mut pieces = Vec::new();
@@ -470,9 +495,9 @@ impl<S: PageStore> Coordinator<S> {
             return Err(e);
         }
 
-        let value = match condenser {
-            Some(op) => combine_scalars(op, &pieces, region.cells())?,
-            None => combine_arrays(&region, &fixed_axes, pieces)?,
+        let value = match shape.condenser {
+            Some(op) => combine_scalars(op, &pieces, access.region.cells())?,
+            None => combine_arrays(&access, pieces)?,
         };
         Ok(ClusterValue {
             value,
@@ -500,58 +525,25 @@ impl<S: PageStore> Coordinator<S> {
         analyze: bool,
         deadline_ms: Option<u64>,
     ) -> Result<ClusterExplain> {
-        validate(query)?;
-        // Mirror the single-engine EXPLAIN restriction.
-        match &query.expr {
-            Expr::Access { .. } => {}
-            Expr::Condense { arg, .. } if matches!(arg.as_ref(), Expr::Access { .. }) => {}
-            _ => {
-                return Err(ClusterError::Query(QueryError::Semantic(
-                    "EXPLAIN supports a plain access or a condenser over one; induced \
-                     expressions are post-processing and have no tile plan"
-                        .to_string(),
-                )))
-            }
-        }
-        let mut pins = self.pin_all(deadline_ms)?;
-        let epochs: Vec<u64> = pins.iter().map(ShardPin::epoch).collect();
-        let objects = match self.pinned_objects(&mut pins, &query.from) {
-            Ok(o) => o,
-            Err(e) => {
-                for p in pins.drain(..) {
-                    p.release(&self.backends);
-                }
-                return Err(e);
-            }
-        };
-        let prepared = match prepare(query, &self.map, &objects) {
-            Ok(p) => p,
-            Err(e) => {
-                for p in pins.drain(..) {
-                    p.release(&self.backends);
-                }
-                return Err(e);
-            }
-        };
+        let shape = Shape::of(query)?;
+        shape.explainable()?;
+        let PinnedRead {
+            epochs,
+            access,
+            work,
+            ..
+        } = self.pin_and_plan(query, &shape, deadline_ms)?;
 
         let backends = &self.backends;
-        let items: Vec<(ShardPin<S>, ShardWork)> = pins.drain(..).zip(prepared.work).collect();
         let results: Vec<Result<(Option<Domain>, ShardExplainCounts)>> =
-            self.pool.scatter(items, |_, (mut pin, work)| match work {
-                ShardWork::Skip => {
-                    pin.release(backends);
-                    Ok((None, ShardExplainCounts::default()))
-                }
-                ShardWork::Default(clip) => {
-                    pin.release(backends);
-                    Ok((Some(clip), ShardExplainCounts::default()))
-                }
-                ShardWork::Run(stmt) => {
-                    let r = pin.explain(&stmt);
-                    let shard = pin.shard();
-                    pin.release(backends);
-                    r.map(|c| (self.map.clip(shard, &prepared.region), c))
-                }
+            self.pool.scatter(work, |_, (mut pin, work)| {
+                let plan = match work {
+                    ShardWork::Skip => Ok((None, ShardExplainCounts::default())),
+                    ShardWork::Default(clip) => Ok((Some(clip), ShardExplainCounts::default())),
+                    ShardWork::Run(clip, stmt) => pin.explain(&stmt).map(|c| (Some(clip), c)),
+                };
+                pin.release(backends);
+                plan
             });
 
         let mut shards = Vec::with_capacity(results.len());
@@ -561,7 +553,7 @@ impl<S: PageStore> Coordinator<S> {
                 shard: k,
                 location: self.backends[k].location(),
                 sub_domain,
-                epoch: epochs[k],
+                epoch: epochs[k].epoch,
                 counts,
             });
         }
@@ -574,9 +566,9 @@ impl<S: PageStore> Coordinator<S> {
         };
         Ok(ClusterExplain {
             object: query.from.clone(),
-            region: prepared.region,
+            region: access.region,
             predicate: query.predicate.as_ref().map(|p| p.to_string()),
-            condenser: prepared.condenser.map(Condenser::name),
+            condenser: shape.condenser.map(|op| op.kind().as_str()),
             shards,
             analyze: analyze_info,
         })
@@ -660,27 +652,14 @@ impl<S: PageStore> Coordinator<S> {
         let mut per_shard = Vec::new();
         for k in 0..self.backends.len() {
             match &self.backends[k] {
-                ShardBackend::Local(db) => {
+                ShardBackend::Local(db) => match db.retile_spec(object, &parsed) {
+                    Ok(receipt) => per_shard.push((k, receipt.epoch, receipt.stats)),
                     // Shards whose sub-domain holds no data yet have nothing
                     // to rewrite; skip them instead of failing the cluster.
-                    let applied = match &parsed {
-                        RetileSpec::Defrag { budget_bytes } => {
-                            db.defrag_paced(object, *budget_bytes)
-                        }
-                        RetileSpec::Scheme(_) => {
-                            let dim = db.object(object)?.mdd_type.dim();
-                            let scheme: Scheme = tilestore_tiling::parse_scheme_spec(spec, dim)
-                                .map_err(ClusterError::Config)?;
-                            db.retile(object, scheme)
-                        }
-                        RetileSpec::FromLog { .. } => unreachable!("rejected above"),
-                    };
-                    match applied {
-                        Ok(receipt) => per_shard.push((k, receipt.epoch, receipt.stats)),
-                        Err(tilestore_engine::EngineError::EmptyObject(_)) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                    Err(EngineError::EmptyObject(_)) => {}
+                    Err(EngineError::BadSpec(m)) => return Err(ClusterError::Config(m)),
+                    Err(e) => return Err(e.into()),
+                },
                 ShardBackend::Remote(r) => {
                     let mut client = self.remote_client(k, r)?;
                     match client.retile(object, spec) {
@@ -740,9 +719,7 @@ impl<S: PageStore> Coordinator<S> {
             })
             .collect();
         let objects = self.pinned_objects(&mut pins, object);
-        for p in pins.drain(..) {
-            p.release(&self.backends);
-        }
+        self.release_all(pins);
         let objects = objects?;
         let hull = hull_of(&objects)?;
         let tiles: u64 = objects.iter().map(|o| o.tiles).sum();
@@ -854,45 +831,6 @@ impl<S: PageStore> Coordinator<S> {
     }
 }
 
-/// Per-query derived state shared by the scatter phases.
-struct Prepared {
-    region: Domain,
-    fixed_axes: Vec<usize>,
-    work: Vec<ShardWork>,
-    cell: CellType,
-    condenser: Option<Condenser>,
-    agg_kind: Option<AggKind>,
-}
-
-/// Semantic checks that must fail before any shard work (mirrors the
-/// single-engine executor's collection checks).
-fn validate(query: &Query) -> Result<()> {
-    if let Some(p) = &query.predicate {
-        if p.collection != query.from {
-            return Err(ClusterError::Query(QueryError::Semantic(format!(
-                "WHERE references {:?} but FROM names {:?}",
-                p.collection, query.from
-            ))));
-        }
-    }
-    access_of(&query.expr).map(|_| ())
-}
-
-/// Finds the innermost access of an expression tree, mirroring the
-/// single-engine executor's shape restrictions.
-fn access_of(expr: &Expr) -> Result<&Expr> {
-    match expr {
-        Expr::Access { .. } => Ok(expr),
-        Expr::Induce { lhs, .. } => access_of(lhs),
-        Expr::Condense { arg, .. } => match arg.as_ref() {
-            Expr::Condense { .. } => Err(ClusterError::Query(QueryError::Semantic(
-                "condensers take an array access as argument, not another condenser".to_string(),
-            ))),
-            inner => access_of(inner),
-        },
-    }
-}
-
 /// Hull of the shard current-domains (`Ok(None)` = object empty everywhere).
 fn hull_of(objects: &[PinnedObject]) -> Result<Option<Domain>> {
     let mut hull: Option<Domain> = None;
@@ -907,130 +845,24 @@ fn hull_of(objects: &[PinnedObject]) -> Result<Option<Domain>> {
     Ok(hull)
 }
 
-/// Resolves the query's region against the cluster-wide hull and builds
-/// each shard's work item.
-fn prepare(query: &Query, map: &ShardMap, objects: &[PinnedObject]) -> Result<Prepared> {
-    let access = access_of(&query.expr)?;
-    let Expr::Access {
-        collection,
-        subscript,
-    } = access
-    else {
-        unreachable!("access_of returns an access");
-    };
-    if collection != &query.from {
-        return Err(ClusterError::Query(QueryError::Semantic(format!(
-            "expression references {collection:?} but FROM names {:?}",
-            query.from
-        ))));
+/// Avg travels to the shards as sum; the coordinator divides by the
+/// region's cell count once, preserving `sum/cells` semantics exactly.
+fn push_down(op: Condenser) -> Condenser {
+    if op == Condenser::Avg {
+        Condenser::Sum
+    } else {
+        op
     }
-    let hull = hull_of(objects)?.ok_or_else(|| {
-        ClusterError::Query(QueryError::Engine(
-            tilestore_engine::EngineError::EmptyObject(query.from.clone()),
-        ))
-    })?;
-    let (region, fixed_axes) = resolve_subscript(subscript.as_deref(), &hull)?;
-
-    let condenser = match &query.expr {
-        Expr::Condense { op, .. } => Some(*op),
-        _ => None,
-    };
-    // Avg is pushed down as Sum; the coordinator divides by the region's
-    // cell count once, preserving `sum/cells` semantics exactly.
-    let agg_kind = condenser.map(|op| match op {
-        Condenser::Sum | Condenser::Avg => AggKind::Sum,
-        Condenser::Min => AggKind::Min,
-        Condenser::Max => AggKind::Max,
-        Condenser::Count => AggKind::CountNonDefault,
-        Condenser::Some => AggKind::SomeNonDefault,
-        Condenser::All => AggKind::AllNonDefault,
-    });
-
-    let work = (0..map.shards())
-        .map(|k| match map.clip(k, &region) {
-            None => ShardWork::Skip,
-            Some(clip) => {
-                if objects[k].current_domain.is_some() {
-                    ShardWork::Run(rewrite_for_shard(query, &clip).to_string())
-                } else {
-                    ShardWork::Default(clip)
-                }
-            }
-        })
-        .collect();
-
-    Ok(Prepared {
-        region,
-        fixed_axes,
-        work,
-        cell: objects[0].mdd_type.cell.clone(),
-        condenser,
-        agg_kind,
-    })
-}
-
-/// Mirrors the single-engine `resolve_access` subscript semantics against
-/// the cluster-wide hull: `*` bounds resolve to the hull, points become
-/// degenerate ranges and mark their axis fixed, fixing every axis is
-/// rejected.
-fn resolve_subscript(
-    subscript: Option<&[AxisSelect]>,
-    hull: &Domain,
-) -> Result<(Domain, Vec<usize>)> {
-    let Some(axes) = subscript else {
-        return Ok((hull.clone(), Vec::new()));
-    };
-    if axes.len() != hull.dim() {
-        return Err(ClusterError::Query(QueryError::Semantic(format!(
-            "subscript has {} axes, object has {}",
-            axes.len(),
-            hull.dim()
-        ))));
-    }
-    let mut region = hull.clone();
-    let mut fixed_axes = Vec::new();
-    for (axis, sel) in axes.iter().enumerate() {
-        match sel {
-            AxisSelect::All => {}
-            AxisSelect::Point(c) => {
-                let r = AxisRange::new(*c, *c).expect("degenerate range");
-                region = region
-                    .with_axis(axis, r)
-                    .map_err(tilestore_engine::EngineError::from)?;
-                fixed_axes.push(axis);
-            }
-            AxisSelect::Range { lo, hi } => {
-                let lo = lo.unwrap_or_else(|| hull.lo(axis));
-                let hi = hi.unwrap_or_else(|| hull.hi(axis));
-                let r = AxisRange::new(lo, hi).map_err(|e| {
-                    ClusterError::Query(QueryError::Semantic(format!(
-                        "axis {axis}: empty range: {e}"
-                    )))
-                })?;
-                region = region
-                    .with_axis(axis, r)
-                    .map_err(tilestore_engine::EngineError::from)?;
-            }
-        }
-    }
-    if fixed_axes.len() == axes.len() {
-        return Err(ClusterError::Query(QueryError::Semantic(
-            "section fixes every axis; at least one axis must remain".to_string(),
-        )));
-    }
-    Ok((region, fixed_axes))
 }
 
 /// Rewrites `query` for one shard: the innermost access gets the clip as an
 /// explicit full-arity subscript (points become degenerate ranges so every
 /// shard returns a full-dimensional piece; the coordinator projects fixed
-/// axes out once), and a top-level `avg_cells` becomes `sum_cells`.
+/// axes out once), and a top-level condenser is pushed down.
 fn rewrite_for_shard(query: &Query, clip: &Domain) -> Query {
     let mut q = query.clone();
     if let Expr::Condense { op, .. } = &mut q.expr {
-        if *op == Condenser::Avg {
-            *op = Condenser::Sum;
-        }
+        *op = push_down(*op);
     }
     replace_access(&mut q.expr, clip);
     q
@@ -1055,66 +887,27 @@ fn replace_access(expr: &mut Expr, clip: &Domain) {
 }
 
 /// Computes an empty shard's piece coordinator-side: the clip filled with
-/// the cell default, the induce chain applied, aggregated if the query
-/// condenses. A `WHERE` predicate is a no-op on all-default data (masked
-/// cells read as the default, which the cells already are).
+/// the cell default, the induce chain applied, aggregated by the
+/// pushed-down condenser if the query condenses. A `WHERE` predicate is a
+/// no-op on all-default data (masked cells read as the default, which the
+/// cells already are).
 fn default_piece(
-    query: &Query,
+    shape: &Shape<'_>,
     clip: &Domain,
     cell: &CellType,
-    agg_kind: Option<AggKind>,
+    pushed: Option<Condenser>,
 ) -> Result<(Value, QueryStats)> {
-    let inner = match &query.expr {
-        Expr::Condense { arg, .. } => arg.as_ref(),
-        other => other,
+    let filled = Array::filled(clip.clone(), &cell.default)?;
+    let (array, out_cell) = shape.apply_induce(cell, filled)?;
+    let value = match pushed {
+        Some(op) => aggregate_array(&out_cell, &array, op.kind())?.into(),
+        None => Value::Array(array),
     };
-    let (array, out_cell) = eval_default(inner, clip, cell)?;
     let stats = QueryStats {
         cells_defaulted: clip.cells(),
         ..QueryStats::default()
     };
-    let value = match agg_kind {
-        Some(kind) => agg_to_value(aggregate_array(&out_cell, &array, kind)?),
-        None => Value::Array(array),
-    };
     Ok((value, stats))
-}
-
-/// Evaluates an access-or-induce chain over an all-default array.
-fn eval_default(expr: &Expr, clip: &Domain, cell: &CellType) -> Result<(Array, CellType)> {
-    match expr {
-        Expr::Access { .. } => Ok((Array::filled(clip.clone(), &cell.default)?, cell.clone())),
-        Expr::Induce { lhs, op, rhs } => {
-            let (a, c) = eval_default(lhs, clip, cell)?;
-            Ok(induce_scalar(&c, &a, induced_binop(*op), *rhs)?)
-        }
-        Expr::Condense { .. } => Err(ClusterError::Query(QueryError::Semantic(
-            "condensers produce scalars and cannot be used as array operands".to_string(),
-        ))),
-    }
-}
-
-fn induced_binop(op: InducedOp) -> BinOp {
-    match op {
-        InducedOp::Add => BinOp::Add,
-        InducedOp::Sub => BinOp::Sub,
-        InducedOp::Mul => BinOp::Mul,
-        InducedOp::Div => BinOp::Div,
-        InducedOp::Gt => BinOp::Gt,
-        InducedOp::Ge => BinOp::Ge,
-        InducedOp::Lt => BinOp::Lt,
-        InducedOp::Le => BinOp::Le,
-        InducedOp::Eq => BinOp::Eq,
-        InducedOp::Ne => BinOp::Ne,
-    }
-}
-
-fn agg_to_value(value: AggValue) -> Value {
-    match value {
-        AggValue::Number(v) => Value::Number(v),
-        AggValue::Count(v) => Value::Count(v),
-        AggValue::Bool(v) => Value::Bool(v),
-    }
 }
 
 /// Condenser-correct scalar recombination across shard pieces.
@@ -1168,10 +961,10 @@ fn combine_scalars(op: Condenser, pieces: &[Value], region_cells: u64) -> Result
     })
 }
 
-/// Pastes the shard pieces into one result slab over `region`, then
-/// projects fixed (sectioned) axes out once. The pieces partition the
+/// Pastes the shard pieces into one result slab over the access region,
+/// then drops the fixed (sectioned) axes once. The pieces partition the
 /// region, so the zero-initialized slab is fully overwritten.
-fn combine_arrays(region: &Domain, fixed_axes: &[usize], pieces: Vec<Value>) -> Result<Value> {
+fn combine_arrays(access: &ResolvedAccess, pieces: Vec<Value>) -> Result<Value> {
     let mut arrays = Vec::with_capacity(pieces.len());
     for p in pieces {
         match p {
@@ -1187,20 +980,13 @@ fn combine_arrays(region: &Domain, fixed_axes: &[usize], pieces: Vec<Value>) -> 
         .first()
         .map(Array::cell_size)
         .ok_or_else(|| ClusterError::Config("no shard produced a piece".to_string()))?;
+    let region = &access.region;
     let bytes = (region.cells() as usize) * cell_size;
     let mut slab = Array::from_bytes(region.clone(), cell_size, vec![0u8; bytes])?;
     for a in &arrays {
         slab.paste(a)?;
     }
-    let out = if fixed_axes.is_empty() {
-        slab
-    } else {
-        let section = region
-            .project_out(fixed_axes)
-            .map_err(tilestore_engine::EngineError::from)?;
-        slab.reshaped(section)?
-    };
-    Ok(Value::Array(out))
+    Ok(Value::Array(access.section(slab)?))
 }
 
 /// Extracts the sub-array of `array` covering `clip` (which must be inside

@@ -13,7 +13,13 @@
 //!   [`ThreadPool`](tilestore_exec::ThreadPool), gather the sub-results,
 //!   and stitch them into one slab (clips partition the region exactly) or
 //!   recombine aggregates condenser-correctly (`sum`/`count` add,
-//!   `min`/`max` fold, `avg` travels as per-shard sums).
+//!   `min`/`max` fold, `avg` travels as per-shard sums). What a statement
+//!   means is rasql's alone: the coordinator checks it with
+//!   [`Shape::of`](tilestore_rasql::Shape::of) before pinning and resolves
+//!   its access with [`Shape::resolve`](tilestore_rasql::Shape::resolve)
+//!   against the shards' hull, so errors and answers match a single
+//!   engine's; what it adds is only the pinning, the clip, the rewrite to
+//!   explicit ranges, the push-down and the combine.
 //! * **Writes** route each cell to its owning shard under an exclusive
 //!   gate, so shard epochs advance together from a reader's point of view.
 //! * **Backends** are [`ShardBackend::Local`] (N in-process engines,

@@ -12,7 +12,7 @@ use tilestore_cluster::{
 };
 use tilestore_engine::{Array, CellType, Database, MddType, SharedDatabase};
 use tilestore_exec::ThreadPool;
-use tilestore_rasql::{parse, parse_statement, Statement, Value};
+use tilestore_rasql::{parse, parse_statement, Statement, StatementResult, Value};
 use tilestore_server::wire::{hex_decode, read_frame, write_frame};
 use tilestore_server::Client;
 use tilestore_storage::MemPageStore;
@@ -241,7 +241,7 @@ fn cluster_explain_reports_per_shard_plans() {
         panic!("expected explain");
     };
     let (stats, elapsed_ns) = report.analyze.expect("analyze info");
-    assert_eq!(report.condenser, Some("count_cells"));
+    assert_eq!(report.condenser, Some("count"));
     assert!(elapsed_ns > 0);
     assert_eq!(
         stats.tiles_read + stats.tiles_pruned,
@@ -265,6 +265,48 @@ fn semantic_errors_match_single_engine() {
         "SELECT nope FROM nope",
     ] {
         assert!(coord.execute(bad).is_err(), "{bad:?} should fail");
+    }
+}
+
+#[test]
+fn both_endpoints_resolve_statements_identically() {
+    // One resolver decides what a statement means on both endpoints, so a
+    // rejected statement fails with the same text, and EXPLAIN names the
+    // condenser the user wrote, not the `sum` an `avg` is pushed down as.
+    let single = single_engine();
+    let coord = cluster(2);
+    for bad in [
+        "SELECT cube[0:1] FROM cube",
+        "SELECT sum_cells(sum_cells(cube)) FROM cube",
+        "SELECT sum_cells(cube) + 1 FROM cube",
+        "SELECT cube[5:1, *, *] FROM cube",
+        "SELECT cube[1, 2, 3] FROM cube",
+        "SELECT cube FROM cube WHERE other > 1",
+        "SELECT other FROM cube",
+        "SELECT nope FROM nope",
+        "EXPLAIN SELECT cube + 1 FROM cube",
+    ] {
+        let want = match tilestore_rasql::execute_statement(&single.begin_read(), bad) {
+            Ok(_) => panic!("{bad}: single engine accepted it"),
+            Err(e) => e.to_string(),
+        };
+        let got = match coord.execute(bad) {
+            Ok(_) => panic!("{bad}: cluster accepted it"),
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(want, got, "{bad}");
+    }
+    for agg in ["max_cells", "avg_cells", "count_cells"] {
+        let stmt = format!("EXPLAIN SELECT {agg}(cube[1:8, *, 0:4]) FROM cube");
+        let Ok(StatementResult::Explain(want)) =
+            tilestore_rasql::execute_statement(&single.begin_read(), &stmt)
+        else {
+            panic!("{stmt}: single engine gave no plan");
+        };
+        let Ok(ClusterStatement::Explain(got)) = coord.execute(&stmt) else {
+            panic!("{stmt}: cluster gave no plan");
+        };
+        assert_eq!(want.plan.condenser, got.condenser, "{stmt}");
     }
 }
 

@@ -71,18 +71,35 @@ fn random_region(rng: &mut Rng, hull: &Domain) -> Domain {
     Domain::new(ranges).unwrap()
 }
 
-fn subscript(region: &Domain) -> String {
+/// Renders `region` as a subscript, drawing each axis's form: `lo:hi`, an
+/// open `lo:*` or `*:hi`, or a bare `*` (open bounds resolve against the
+/// current domain, which on a cluster is the shards' hull); for `dim >= 2`
+/// one axis is sometimes a point, a section that drops it.
+fn subscript(rng: &mut Rng, region: &Domain) -> String {
+    let dim = region.dim();
+    let section = (dim >= 2 && rng.gen_bool(0.3)).then(|| rng.gen_range(0usize..dim));
     let parts: Vec<String> = region
         .ranges()
         .iter()
-        .map(|r| format!("{}:{}", r.lo(), r.hi()))
+        .enumerate()
+        .map(|(axis, r)| {
+            if section == Some(axis) {
+                return r.lo().to_string();
+            }
+            match rng.gen_range(0u32..6) {
+                0 => format!("{}:*", r.lo()),
+                1 => format!("*:{}", r.hi()),
+                2 => "*".to_string(),
+                _ => format!("{}:{}", r.lo(), r.hi()),
+            }
+        })
         .collect();
     format!("[{}]", parts.join(", "))
 }
 
 fn random_statement(rng: &mut Rng, hull: &Domain) -> String {
     let region = random_region(rng, hull);
-    let sub = subscript(&region);
+    let sub = subscript(rng, &region);
     let core = match rng.gen_range(0u32..5) {
         0 => "SELECT a FROM a".to_string(),
         1 => format!("SELECT a{sub} FROM a"),

@@ -26,7 +26,9 @@ use tilestore_geometry::{copy_region, morton_centroid_key, Domain};
 use tilestore_index::RPlusTree;
 use tilestore_obs::AccessRecorder;
 use tilestore_storage::{BlobId, BlobStore, IoStats, MemPageStore, PageStore, DEFAULT_PAGE_SIZE};
-use tilestore_tiling::{AccessRecord, Scheme, StatisticTiling, TilingSpec, TilingStrategy};
+use tilestore_tiling::{
+    AccessRecord, RetileSpec, Scheme, StatisticTiling, TilingSpec, TilingStrategy,
+};
 
 use crate::access::{AccessLog, AccessRegion};
 use crate::array::Array;
@@ -892,6 +894,33 @@ impl<S: PageStore> Database<S> {
             max_tile_size,
         ));
         self.retile(name, scheme)
+    }
+
+    /// Applies one parsed retile request of the shared
+    /// [`tilestore_tiling::RETILE_USAGE`] grammar: a paced defrag, a
+    /// statistic re-tile from the recorded log, or a re-tile to a scheme
+    /// spec parsed against the object's dimensionality. The CLI, the
+    /// server and the cluster coordinator's local shards all retile
+    /// through here.
+    ///
+    /// # Errors
+    /// [`EngineError::BadSpec`] for a scheme spec that does not parse;
+    /// otherwise the errors of the operation the spec names.
+    pub fn retile_spec(&self, name: &str, spec: &RetileSpec) -> Result<WriteReceipt<RetileStats>> {
+        match spec {
+            RetileSpec::Defrag { budget_bytes } => self.defrag_paced(name, *budget_bytes),
+            RetileSpec::FromLog {
+                distance,
+                frequency,
+                max_tile_bytes,
+            } => self.auto_retile_from_log(name, *distance, *frequency, *max_tile_bytes),
+            RetileSpec::Scheme(spec) => {
+                let dim = self.object(name)?.mdd_type.dim();
+                let scheme =
+                    tilestore_tiling::parse_scheme_spec(spec, dim).map_err(EngineError::BadSpec)?;
+                self.retile(name, scheme)
+            }
+        }
     }
 }
 

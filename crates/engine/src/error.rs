@@ -60,6 +60,9 @@ pub enum EngineError {
     /// attached access recorder (in-memory databases record only the
     /// volatile in-process log).
     NoAccessRecorder,
+    /// A retile scheme spec that does not parse for the object; the
+    /// message is the spec parser's, aimed at whoever typed it.
+    BadSpec(String),
 }
 
 impl fmt::Display for EngineError {
@@ -92,6 +95,7 @@ impl fmt::Display for EngineError {
             EngineError::NoAccessRecorder => {
                 write!(f, "no access recorder attached to this database")
             }
+            EngineError::BadSpec(m) => f.write_str(m),
         }
     }
 }

@@ -46,6 +46,23 @@ impl BinOp {
             BinOp::Gt | BinOp::Ge | BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::Ne
         )
     }
+
+    /// The query language's symbol for the operation.
+    #[must_use]
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Eq => "=",
+            BinOp::Ne => "!=",
+        }
+    }
 }
 
 /// Decodes one cell to `f64` (numeric cell types only).

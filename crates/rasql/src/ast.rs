@@ -1,4 +1,7 @@
-//! Abstract syntax of the query language.
+//! Abstract syntax of the query language. Operators are the engine's own
+//! types, so a parsed statement needs no translation table to execute.
+
+use tilestore_engine::{AggKind, BinOp, PredOp};
 
 /// One axis of a trim/section subscript.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +54,20 @@ impl Condenser {
         }
     }
 
+    /// The engine aggregation this condenser runs.
+    #[must_use]
+    pub fn kind(self) -> AggKind {
+        match self {
+            Condenser::Sum => AggKind::Sum,
+            Condenser::Avg => AggKind::Avg,
+            Condenser::Min => AggKind::Min,
+            Condenser::Max => AggKind::Max,
+            Condenser::Count => AggKind::CountNonDefault,
+            Condenser::Some => AggKind::SomeNonDefault,
+            Condenser::All => AggKind::AllNonDefault,
+        }
+    }
+
     /// Parses a function name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
@@ -65,32 +82,6 @@ impl Condenser {
             _ => None,
         }
     }
-}
-
-/// Induced binary operators (array ⊕ scalar), mirroring
-/// [`tilestore_engine::BinOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InducedOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
 }
 
 /// A query expression.
@@ -115,7 +106,7 @@ pub enum Expr {
         /// The array-valued operand.
         lhs: Box<Expr>,
         /// The operator.
-        op: InducedOp,
+        op: BinOp,
         /// The scalar right-hand side.
         rhs: f64,
     },
@@ -129,9 +120,8 @@ pub enum Expr {
 pub struct Predicate {
     /// The collection whose cells are compared (must match `FROM`).
     pub collection: String,
-    /// The comparison; the parser only admits `>`, `>=`, `<`, `<=`, `=`,
-    /// `!=` here.
-    pub op: InducedOp,
+    /// The comparison.
+    pub op: PredOp,
     /// The scalar literal compared against.
     pub literal: f64,
 }
@@ -196,31 +186,6 @@ impl std::fmt::Display for Condenser {
     }
 }
 
-impl InducedOp {
-    /// The surface-syntax operator symbol.
-    #[must_use]
-    pub fn symbol(self) -> &'static str {
-        match self {
-            InducedOp::Add => "+",
-            InducedOp::Sub => "-",
-            InducedOp::Mul => "*",
-            InducedOp::Div => "/",
-            InducedOp::Gt => ">",
-            InducedOp::Ge => ">=",
-            InducedOp::Lt => "<",
-            InducedOp::Le => "<=",
-            InducedOp::Eq => "=",
-            InducedOp::Ne => "!=",
-        }
-    }
-}
-
-impl std::fmt::Display for InducedOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.symbol())
-    }
-}
-
 /// Formats a scalar literal so the tokenizer reads it back as one token:
 /// negative values print with a leading `-` the parser folds into the
 /// literal, and non-finite values (unreachable from parsed queries) fall
@@ -255,7 +220,7 @@ impl std::fmt::Display for Expr {
             }
             Expr::Condense { op, arg } => write!(f, "{op}({arg})"),
             Expr::Induce { lhs, op, rhs } => {
-                write!(f, "{lhs} {op} ")?;
+                write!(f, "{lhs} {} ", op.symbol())?;
                 fmt_scalar(f, *rhs)
             }
         }

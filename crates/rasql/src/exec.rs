@@ -1,14 +1,19 @@
 //! Query execution against an engine read [`Snapshot`].
+//!
+//! What a statement means is decided here, once, in two steps the cluster
+//! coordinator runs too: [`Shape::of`] checks a query without a catalog,
+//! and [`Shape::resolve`] turns its access into a region against a current
+//! domain — one object's here, the hull of the shards' on a cluster.
 
 use tilestore_engine::{
-    aggregate_array, induce_scalar, AggKind, AggValue, Array, BinOp, CellPredicate, CellType,
-    ExplainPlan, PredOp, QueryStats, Snapshot,
+    aggregate_array, induce_scalar, AggValue, Array, BinOp, CellPredicate, CellType, EngineError,
+    ExplainPlan, QueryStats, Snapshot,
 };
 use tilestore_geometry::{AxisRange, Domain};
 use tilestore_storage::PageStore;
 use tilestore_testkit::{Json, ToJson};
 
-use crate::ast::{AxisSelect, Condenser, Expr, InducedOp, Predicate, Query, Statement};
+use crate::ast::{AxisSelect, Condenser, Expr, Query, Statement};
 use crate::error::{QueryError, Result};
 use crate::parser::{parse, parse_statement};
 
@@ -41,6 +46,16 @@ impl Value {
         match self {
             Value::Number(v) => Some(*v),
             _ => None,
+        }
+    }
+}
+
+impl From<AggValue> for Value {
+    fn from(value: AggValue) -> Self {
+        match value {
+            AggValue::Number(v) => Value::Number(v),
+            AggValue::Count(v) => Value::Count(v),
+            AggValue::Bool(v) => Value::Bool(v),
         }
     }
 }
@@ -96,14 +111,6 @@ pub enum StatementResult {
     Explain(ExplainReport),
 }
 
-/// Resolved form of an access: the concrete region plus the axes a section
-/// fixes.
-struct ResolvedAccess {
-    collection: String,
-    region: Domain,
-    fixed_axes: Vec<usize>,
-}
-
 /// Parses and executes a query against a read snapshot.
 ///
 /// The caller owns the snapshot (see
@@ -148,35 +155,24 @@ pub fn execute_query<S: PageStore>(
     snap: &Snapshot<S>,
     query: &Query,
 ) -> Result<(Value, QueryStats)> {
-    let predicate = query
-        .predicate
-        .as_ref()
-        .map(|p| resolve_predicate(p, &query.from))
-        .transpose()?;
-    match &query.expr {
-        Expr::Condense { op, arg } => {
-            let kind = condenser_kind(*op);
-            if let Expr::Access { .. } = arg.as_ref() {
-                // Plain access: aggregate tile-streaming, no materialization.
-                let access = resolve_access(snap, arg, &query.from)?;
-                let (value, stats) = snap.aggregate_where(
-                    &access.collection,
-                    &access.region,
-                    kind,
-                    predicate.as_ref(),
-                )?;
-                return Ok((agg_to_value(value), stats));
-            }
-            // Induced argument: materialize, then aggregate in memory.
-            let (array, cell, stats) = eval_array(snap, arg, &query.from, predicate.as_ref())?;
-            let value = aggregate_array(&cell, &array, kind)?;
-            Ok((agg_to_value(value), stats))
-        }
-        other => {
-            let (array, _, stats) = eval_array(snap, other, &query.from, predicate.as_ref())?;
-            Ok((Value::Array(array), stats))
-        }
+    let shape = Shape::of(query)?;
+    let meta = snap.object(&query.from)?;
+    let access = shape.resolve(meta.current_domain.as_ref())?;
+    let predicate = shape.predicate.as_ref();
+    if let (Some(op), true) = (shape.condenser, shape.induce.is_empty()) {
+        // A condenser over a plain access aggregates tile-streaming,
+        // without materializing the region.
+        let (value, stats) =
+            snap.aggregate_where(&query.from, &access.region, op.kind(), predicate)?;
+        return Ok((value.into(), stats));
     }
+    let q = snap.range_query_where(&query.from, &access.region, predicate)?;
+    let (array, cell) = shape.apply_induce(&meta.mdd_type.cell, access.section(q.array)?)?;
+    let value = match shape.condenser {
+        Some(op) => aggregate_array(&cell, &array, op.kind())?.into(),
+        None => Value::Array(array),
+    };
+    Ok((value, q.stats))
 }
 
 /// Parses and executes a top-level statement: a plain query, or
@@ -218,206 +214,206 @@ pub fn execute_statement<S: PageStore>(snap: &Snapshot<S>, input: &str) -> Resul
 /// # Errors
 /// Semantic errors (including unsupported EXPLAIN shapes) and engine errors.
 pub fn explain_query<S: PageStore>(snap: &Snapshot<S>, query: &Query) -> Result<ExplainPlan> {
-    let predicate = query
-        .predicate
-        .as_ref()
-        .map(|p| resolve_predicate(p, &query.from))
-        .transpose()?;
-    match &query.expr {
-        Expr::Access { .. } => {
-            let access = resolve_access(snap, &query.expr, &query.from)?;
-            Ok(snap.explain_range(&access.collection, &access.region, predicate.as_ref())?)
+    let shape = Shape::of(query)?;
+    shape.explainable()?;
+    let meta = snap.object(&query.from)?;
+    let access = shape.resolve(meta.current_domain.as_ref())?;
+    let predicate = shape.predicate.as_ref();
+    Ok(match shape.condenser {
+        None => snap.explain_range(&query.from, &access.region, predicate)?,
+        Some(op) => snap.explain_aggregate(&query.from, &access.region, op.kind(), predicate)?,
+    })
+}
+
+/// What a query reads and computes, checked without a catalog — step one
+/// of resolving it. A query is an access, an induce chain over it, and
+/// optionally one condenser over that.
+#[derive(Debug)]
+pub struct Shape<'q> {
+    /// The collection named in `FROM`.
+    pub from: &'q str,
+    /// The collection the access names; [`Shape::resolve`] checks it
+    /// against `from` after the object lookup, so a statement over a
+    /// missing object is an engine error.
+    collection: &'q str,
+    /// The access's per-axis selection; `None` = the whole object.
+    subscript: Option<&'q [AxisSelect]>,
+    /// The condenser over the result, if the query aggregates.
+    pub condenser: Option<Condenser>,
+    /// The induced operations on the accessed array, innermost first.
+    induce: Vec<(BinOp, f64)>,
+    /// The `WHERE` clause as the engine's cell predicate.
+    predicate: Option<CellPredicate>,
+}
+
+/// An access resolved against a current domain — step two: the region to
+/// read and the axes a section fixes.
+#[derive(Debug)]
+pub struct ResolvedAccess {
+    /// The concrete region (fixed axes as one-cell ranges).
+    pub region: Domain,
+    /// The axes a section fixes, ascending.
+    fixed_axes: Vec<usize>,
+}
+
+impl<'q> Shape<'q> {
+    /// Checks `query` without a catalog: the `WHERE` clause must name the
+    /// `FROM` collection, and no condenser may stand where an array is
+    /// expected (as an induce operand or another condenser's argument).
+    ///
+    /// # Errors
+    /// [`QueryError::Semantic`].
+    pub fn of(query: &'q Query) -> Result<Shape<'q>> {
+        let predicate = match &query.predicate {
+            Some(p) if p.collection != query.from => {
+                return Err(QueryError::Semantic(format!(
+                    "WHERE references {:?} but FROM names {:?}",
+                    p.collection, query.from
+                )))
+            }
+            Some(p) => Some(CellPredicate {
+                op: p.op,
+                literal: p.literal,
+            }),
+            None => None,
+        };
+        let (condenser, mut expr) = match &query.expr {
+            Expr::Condense { op, arg } => (Some(*op), arg.as_ref()),
+            other => (None, other),
+        };
+        let mut induce = Vec::new();
+        let (collection, subscript) = loop {
+            match expr {
+                Expr::Access {
+                    collection,
+                    subscript,
+                } => break (collection.as_str(), subscript.as_deref()),
+                Expr::Induce { lhs, op, rhs } => {
+                    induce.push((*op, *rhs));
+                    expr = lhs;
+                }
+                Expr::Condense { .. } => {
+                    return Err(QueryError::Semantic(
+                        "condensers produce scalars and cannot be used as array operands"
+                            .to_string(),
+                    ))
+                }
+            }
+        };
+        induce.reverse();
+        Ok(Shape {
+            from: &query.from,
+            collection,
+            subscript,
+            condenser,
+            induce,
+            predicate,
+        })
+    }
+
+    /// EXPLAIN covers what the tile planner sees whole: an access, or a
+    /// condenser over one. Induced operations post-process a fetched array
+    /// and have no per-tile plan.
+    ///
+    /// # Errors
+    /// [`QueryError::Semantic`] when the shape has an induce chain.
+    pub fn explainable(&self) -> Result<()> {
+        if self.induce.is_empty() {
+            return Ok(());
         }
-        Expr::Condense { op, arg } if matches!(arg.as_ref(), Expr::Access { .. }) => {
-            let access = resolve_access(snap, arg, &query.from)?;
-            Ok(snap.explain_aggregate(
-                &access.collection,
-                &access.region,
-                condenser_kind(*op),
-                predicate.as_ref(),
-            )?)
-        }
-        _ => Err(QueryError::Semantic(
+        Err(QueryError::Semantic(
             "EXPLAIN supports a plain access or a condenser over one; induced \
              expressions are post-processing and have no tile plan"
                 .to_string(),
-        )),
-    }
-}
-
-/// Checks a parsed `WHERE` clause against the `FROM` collection and lowers
-/// it to the engine's [`CellPredicate`].
-fn resolve_predicate(p: &Predicate, from: &str) -> Result<CellPredicate> {
-    if p.collection != from {
-        return Err(QueryError::Semantic(format!(
-            "WHERE references {:?} but FROM names {from:?}",
-            p.collection
-        )));
-    }
-    let op = match p.op {
-        InducedOp::Gt => PredOp::Gt,
-        InducedOp::Ge => PredOp::Ge,
-        InducedOp::Lt => PredOp::Lt,
-        InducedOp::Le => PredOp::Le,
-        InducedOp::Eq => PredOp::Eq,
-        InducedOp::Ne => PredOp::Ne,
-        other => {
-            return Err(QueryError::Semantic(format!(
-                "WHERE requires a comparison operator, found {other:?}"
-            )))
-        }
-    };
-    Ok(CellPredicate {
-        op,
-        literal: p.literal,
-    })
-}
-
-fn condenser_kind(op: Condenser) -> AggKind {
-    match op {
-        Condenser::Sum => AggKind::Sum,
-        Condenser::Avg => AggKind::Avg,
-        Condenser::Min => AggKind::Min,
-        Condenser::Max => AggKind::Max,
-        Condenser::Count => AggKind::CountNonDefault,
-        Condenser::Some => AggKind::SomeNonDefault,
-        Condenser::All => AggKind::AllNonDefault,
-    }
-}
-
-fn agg_to_value(value: AggValue) -> Value {
-    match value {
-        AggValue::Number(v) => Value::Number(v),
-        AggValue::Count(v) => Value::Count(v),
-        AggValue::Bool(v) => Value::Bool(v),
-    }
-}
-
-fn induced_binop(op: InducedOp) -> BinOp {
-    match op {
-        InducedOp::Add => BinOp::Add,
-        InducedOp::Sub => BinOp::Sub,
-        InducedOp::Mul => BinOp::Mul,
-        InducedOp::Div => BinOp::Div,
-        InducedOp::Gt => BinOp::Gt,
-        InducedOp::Ge => BinOp::Ge,
-        InducedOp::Lt => BinOp::Lt,
-        InducedOp::Le => BinOp::Le,
-        InducedOp::Eq => BinOp::Eq,
-        InducedOp::Ne => BinOp::Ne,
-    }
-}
-
-/// Evaluates an array-valued expression, returning the array, its cell
-/// type, and the accumulated execution counters.
-fn eval_array<S: PageStore>(
-    snap: &Snapshot<S>,
-    expr: &Expr,
-    from: &str,
-    predicate: Option<&CellPredicate>,
-) -> Result<(Array, CellType, QueryStats)> {
-    match expr {
-        Expr::Access { .. } => {
-            let access = resolve_access(snap, expr, from)?;
-            let cell = snap.object(&access.collection)?.mdd_type.cell.clone();
-            let q = snap.range_query_where(&access.collection, &access.region, predicate)?;
-            let (array, stats) = (q.array, q.stats);
-            if access.fixed_axes.is_empty() {
-                return Ok((array, cell, stats));
-            }
-            let section_domain = access
-                .region
-                .project_out(&access.fixed_axes)
-                .map_err(tilestore_engine::EngineError::from)?;
-            let reshaped = array.reshaped(section_domain).map_err(QueryError::Engine)?;
-            Ok((reshaped, cell, stats))
-        }
-        Expr::Induce { lhs, op, rhs } => {
-            let (array, cell, stats) = eval_array(snap, lhs, from, predicate)?;
-            let (result, result_cell) = induce_scalar(&cell, &array, induced_binop(*op), *rhs)?;
-            Ok((result, result_cell, stats))
-        }
-        Expr::Condense { .. } => Err(QueryError::Semantic(
-            "condensers produce scalars and cannot be used as array operands".to_string(),
-        )),
-    }
-}
-
-fn resolve_access<S: PageStore>(
-    snap: &Snapshot<S>,
-    expr: &Expr,
-    from: &str,
-) -> Result<ResolvedAccess> {
-    let Expr::Access {
-        collection,
-        subscript,
-    } = expr
-    else {
-        return Err(QueryError::Semantic(
-            "condensers take an array access as argument, not another condenser".to_string(),
-        ));
-    };
-    // The FROM object is resolved before the expression is checked against
-    // it, as the cluster coordinator does, so a statement over a missing
-    // object is an engine error on every endpoint.
-    let meta = snap.object(from)?;
-    if collection != from {
-        return Err(QueryError::Semantic(format!(
-            "expression references {collection:?} but FROM names {from:?}"
-        )));
-    }
-    let current = meta.current_domain.clone().ok_or_else(|| {
-        QueryError::Engine(tilestore_engine::EngineError::EmptyObject(
-            collection.clone(),
         ))
-    })?;
-    let Some(axes) = subscript else {
-        return Ok(ResolvedAccess {
-            collection: collection.clone(),
-            region: current,
-            fixed_axes: Vec::new(),
-        });
-    };
-    if axes.len() != current.dim() {
-        return Err(QueryError::Semantic(format!(
-            "subscript has {} axes, object {collection:?} has {}",
-            axes.len(),
-            current.dim()
-        )));
     }
-    let mut region = current.clone();
-    let mut fixed_axes = Vec::new();
-    for (axis, sel) in axes.iter().enumerate() {
-        match sel {
-            AxisSelect::All => {}
-            AxisSelect::Point(c) => {
-                let r = AxisRange::new(*c, *c).expect("degenerate range");
-                region = region
-                    .with_axis(axis, r)
-                    .map_err(tilestore_engine::EngineError::from)?;
-                fixed_axes.push(axis);
-            }
-            AxisSelect::Range { lo, hi } => {
-                let lo = lo.unwrap_or_else(|| current.lo(axis));
-                let hi = hi.unwrap_or_else(|| current.hi(axis));
-                let r = AxisRange::new(lo, hi)
-                    .map_err(|e| QueryError::Semantic(format!("axis {axis}: empty range: {e}")))?;
-                region = region
-                    .with_axis(axis, r)
-                    .map_err(tilestore_engine::EngineError::from)?;
-            }
+
+    /// Resolves the access against `current`, the object's current domain
+    /// (`None`: it holds no cells): `*` bounds take the domain's bounds,
+    /// points become one-cell ranges on fixed axes, and a section must
+    /// leave at least one axis.
+    ///
+    /// # Errors
+    /// [`QueryError::Semantic`] for a collection other than `FROM`, a wrong
+    /// arity, an empty range or a section fixing every axis;
+    /// [`EngineError::EmptyObject`] when `current` is `None`.
+    pub fn resolve(&self, current: Option<&Domain>) -> Result<ResolvedAccess> {
+        let collection = self.collection;
+        if collection != self.from {
+            return Err(QueryError::Semantic(format!(
+                "expression references {collection:?} but FROM names {:?}",
+                self.from
+            )));
         }
+        let current = current.ok_or_else(|| EngineError::EmptyObject(collection.to_string()))?;
+        let Some(axes) = self.subscript else {
+            return Ok(ResolvedAccess {
+                region: current.clone(),
+                fixed_axes: Vec::new(),
+            });
+        };
+        if axes.len() != current.dim() {
+            return Err(QueryError::Semantic(format!(
+                "subscript has {} axes, object {collection:?} has {}",
+                axes.len(),
+                current.dim()
+            )));
+        }
+        let mut region = current.clone();
+        let mut fixed_axes = Vec::new();
+        for (axis, sel) in axes.iter().enumerate() {
+            let (lo, hi) = match sel {
+                AxisSelect::All => continue,
+                AxisSelect::Point(c) => {
+                    fixed_axes.push(axis);
+                    (*c, *c)
+                }
+                AxisSelect::Range { lo, hi } => (
+                    lo.unwrap_or_else(|| current.lo(axis)),
+                    hi.unwrap_or_else(|| current.hi(axis)),
+                ),
+            };
+            let r = AxisRange::new(lo, hi)
+                .map_err(|e| QueryError::Semantic(format!("axis {axis}: empty range: {e}")))?;
+            region = region.with_axis(axis, r).map_err(EngineError::from)?;
+        }
+        if fixed_axes.len() == axes.len() {
+            return Err(QueryError::Semantic(
+                "section fixes every axis; at least one axis must remain".to_string(),
+            ));
+        }
+        Ok(ResolvedAccess { region, fixed_axes })
     }
-    if fixed_axes.len() == axes.len() {
-        return Err(QueryError::Semantic(
-            "section fixes every axis; at least one axis must remain".to_string(),
-        ));
+
+    /// Applies the induce chain to `array`, whose cells are of type
+    /// `cell`; returns the result and its cell type.
+    ///
+    /// # Errors
+    /// Engine errors of [`induce_scalar`].
+    pub fn apply_induce(&self, cell: &CellType, array: Array) -> Result<(Array, CellType)> {
+        let mut out = (array, cell.clone());
+        for &(op, rhs) in &self.induce {
+            out = induce_scalar(&out.1, &out.0, op, rhs)?;
+        }
+        Ok(out)
     }
-    Ok(ResolvedAccess {
-        collection: collection.clone(),
-        region,
-        fixed_axes,
-    })
+}
+
+impl ResolvedAccess {
+    /// Drops the fixed axes from `array`, which covers the whole region.
+    ///
+    /// # Errors
+    /// Engine errors when `array` does not cover the region.
+    pub fn section(&self, array: Array) -> Result<Array> {
+        if self.fixed_axes.is_empty() {
+            return Ok(array);
+        }
+        let domain = self
+            .region
+            .project_out(&self.fixed_axes)
+            .map_err(EngineError::from)?;
+        Ok(array.reshaped(domain)?)
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,16 @@
 //! stream tiles via
 //! [`Snapshot::aggregate`](tilestore_engine::Snapshot::aggregate), never
 //! materializing the queried region.
+//!
+//! This crate is the only place that decides what a statement means. The
+//! AST carries the engine's own operator types
+//! ([`BinOp`](tilestore_engine::BinOp),
+//! [`PredOp`](tilestore_engine::PredOp)), and [`Shape`] resolves a query in
+//! two steps: [`Shape::of`] checks it without a catalog, and
+//! [`Shape::resolve`] resolves its access against a current domain. The
+//! single-engine executor runs both against one object; the cluster
+//! coordinator runs the first before pinning shards and the second against
+//! the shards' hull, so the two endpoints cannot disagree on a statement.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -37,11 +47,11 @@ mod exec;
 mod parser;
 mod token;
 
-pub use ast::{AxisSelect, Condenser, Expr, InducedOp, Predicate, Query, Statement};
+pub use ast::{AxisSelect, Condenser, Expr, Predicate, Query, Statement};
 pub use error::{QueryError, Result};
 pub use exec::{
     execute, execute_query, execute_statement, explain_query, AnalyzeInfo, ExplainReport,
-    StatementResult, Value,
+    ResolvedAccess, Shape, StatementResult, Value,
 };
 pub use parser::{parse, parse_statement};
 pub use token::{tokenize, Token, TokenKind};

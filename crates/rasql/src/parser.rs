@@ -14,7 +14,9 @@
 //! bound     := signed_int | '*'
 //! ```
 
-use crate::ast::{AxisSelect, Condenser, Expr, InducedOp, Predicate, Query, Statement};
+use tilestore_engine::{BinOp, PredOp};
+
+use crate::ast::{AxisSelect, Condenser, Expr, Predicate, Query, Statement};
 use crate::error::{QueryError, Result};
 use crate::token::{tokenize, Token, TokenKind};
 
@@ -142,15 +144,8 @@ impl Parser {
 
     fn predicate(&mut self) -> Result<Predicate> {
         let collection = self.ident("collection name after WHERE")?;
-        let op = match self.peek().and_then(induced_op) {
-            Some(
-                op @ (InducedOp::Gt
-                | InducedOp::Ge
-                | InducedOp::Lt
-                | InducedOp::Le
-                | InducedOp::Eq
-                | InducedOp::Ne),
-            ) => {
+        let op = match self.peek().and_then(comparison) {
+            Some(op) => {
                 self.pos += 1;
                 op
             }
@@ -273,18 +268,31 @@ impl Parser {
 }
 
 /// Maps a token to an induced operator, when it is one.
-fn induced_op(kind: &TokenKind) -> Option<InducedOp> {
+fn induced_op(kind: &TokenKind) -> Option<BinOp> {
     match kind {
-        TokenKind::Plus => Some(InducedOp::Add),
-        TokenKind::Minus => Some(InducedOp::Sub),
-        TokenKind::Star => Some(InducedOp::Mul),
-        TokenKind::Slash => Some(InducedOp::Div),
-        TokenKind::Gt => Some(InducedOp::Gt),
-        TokenKind::Ge => Some(InducedOp::Ge),
-        TokenKind::Lt => Some(InducedOp::Lt),
-        TokenKind::Le => Some(InducedOp::Le),
-        TokenKind::Eq => Some(InducedOp::Eq),
-        TokenKind::Ne => Some(InducedOp::Ne),
+        TokenKind::Plus => Some(BinOp::Add),
+        TokenKind::Minus => Some(BinOp::Sub),
+        TokenKind::Star => Some(BinOp::Mul),
+        TokenKind::Slash => Some(BinOp::Div),
+        TokenKind::Gt => Some(BinOp::Gt),
+        TokenKind::Ge => Some(BinOp::Ge),
+        TokenKind::Lt => Some(BinOp::Lt),
+        TokenKind::Le => Some(BinOp::Le),
+        TokenKind::Eq => Some(BinOp::Eq),
+        TokenKind::Ne => Some(BinOp::Ne),
+        _ => None,
+    }
+}
+
+/// Maps a token to a `WHERE` comparison, when it is one.
+fn comparison(kind: &TokenKind) -> Option<PredOp> {
+    match kind {
+        TokenKind::Gt => Some(PredOp::Gt),
+        TokenKind::Ge => Some(PredOp::Ge),
+        TokenKind::Lt => Some(PredOp::Lt),
+        TokenKind::Le => Some(PredOp::Le),
+        TokenKind::Eq => Some(PredOp::Eq),
+        TokenKind::Ne => Some(PredOp::Ne),
         _ => None,
     }
 }
@@ -368,14 +376,14 @@ mod tests {
         let Expr::Induce { op, rhs, .. } = q.expr else {
             panic!("expected induce");
         };
-        assert_eq!(op, InducedOp::Add);
+        assert_eq!(op, BinOp::Add);
         assert_eq!(rhs, 10.0);
 
         let q = parse("SELECT img[0:9,0:9] > 2.5 FROM img").unwrap();
         let Expr::Induce { op, rhs, lhs } = q.expr else {
             panic!("expected induce");
         };
-        assert_eq!(op, InducedOp::Gt);
+        assert_eq!(op, BinOp::Gt);
         assert_eq!(rhs, 2.5);
         assert!(matches!(*lhs, Expr::Access { .. }));
 
@@ -384,15 +392,9 @@ mod tests {
         let Expr::Induce { op, rhs, lhs } = q.expr else {
             panic!("expected induce");
         };
-        assert_eq!(op, InducedOp::Sub);
+        assert_eq!(op, BinOp::Sub);
         assert_eq!(rhs, -3.0);
-        assert!(matches!(
-            *lhs,
-            Expr::Induce {
-                op: InducedOp::Mul,
-                ..
-            }
-        ));
+        assert!(matches!(*lhs, Expr::Induce { op: BinOp::Mul, .. }));
 
         // Condenser over an induced expression.
         let q = parse("SELECT count_cells(img > 100) FROM img").unwrap();
@@ -409,22 +411,22 @@ mod tests {
             q.predicate,
             Some(Predicate {
                 collection: "img".into(),
-                op: InducedOp::Gt,
+                op: PredOp::Gt,
                 literal: 100.0
             })
         );
         // Negative and fractional literals; every comparison op.
         let q = parse("SELECT img FROM img where img <= -2.5").unwrap();
         let p = q.predicate.unwrap();
-        assert_eq!(p.op, InducedOp::Le);
+        assert_eq!(p.op, PredOp::Le);
         assert_eq!(p.literal, -2.5);
         for (text, op) in [
-            (">", InducedOp::Gt),
-            (">=", InducedOp::Ge),
-            ("<", InducedOp::Lt),
-            ("<=", InducedOp::Le),
-            ("=", InducedOp::Eq),
-            ("!=", InducedOp::Ne),
+            (">", PredOp::Gt),
+            (">=", PredOp::Ge),
+            ("<", PredOp::Lt),
+            ("<=", PredOp::Le),
+            ("=", PredOp::Eq),
+            ("!=", PredOp::Ne),
         ] {
             let q = parse(&format!("SELECT img FROM img WHERE img {text} 7")).unwrap();
             assert_eq!(q.predicate.unwrap().op, op, "{text}");

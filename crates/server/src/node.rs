@@ -7,11 +7,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use tilestore_engine::{Array, Database, SharedDatabase, Snapshot};
+use tilestore_engine::{Array, Database, EngineError, SharedDatabase, Snapshot};
 use tilestore_rasql::StatementResult;
 use tilestore_storage::PageStore;
 use tilestore_testkit::{Json, ToJson};
-use tilestore_tiling::RetileSpec;
 
 use crate::service::{Answer, Call, Service, ServiceError, ServiceResult, Serving};
 use crate::wire::{with_epoch, ErrorCode};
@@ -99,25 +98,10 @@ impl<S: PageStore + 'static> Service for SharedDatabase<S> {
         // Same grammar as the CLI: scheme | --from-log[:..] | --defrag[:..].
         let parsed =
             tilestore_tiling::parse_retile_spec(spec).map_err(ServiceError::bad_request)?;
-        let receipt = match parsed {
-            RetileSpec::Defrag { budget_bytes } => self.defrag_paced(object, budget_bytes),
-            RetileSpec::FromLog {
-                distance,
-                frequency,
-                max_tile_bytes,
-            } => self.auto_retile_from_log(object, distance, frequency, max_tile_bytes),
-            RetileSpec::Scheme(_) => {
-                let dim = self
-                    .object(object)
-                    .map_err(ServiceError::engine)?
-                    .mdd_type
-                    .dim();
-                let scheme = tilestore_tiling::parse_scheme_spec(spec, dim)
-                    .map_err(ServiceError::bad_request)?;
-                Database::retile(self, object, scheme)
-            }
-        }
-        .map_err(ServiceError::engine)?;
+        let receipt = self.retile_spec(object, &parsed).map_err(|e| match e {
+            EngineError::BadSpec(m) => ServiceError::bad_request(m),
+            e => ServiceError::engine(e),
+        })?;
         Ok(with_epoch(receipt.stats.to_json(), receipt.epoch))
     }
 

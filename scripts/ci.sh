@@ -55,6 +55,21 @@ if grep -rqw RunRead crates/*/src; then
     exit 1
 fi
 
+# --- One statement resolver: rasql decides what a statement means and the
+# coordinator calls it. Axis selections, operator tables or condenser kinds
+# spelled out in non-test cluster code are its copy of rasql coming back,
+# and the AST carries the engine's operators, not a mirror of them.
+for needle in 'AxisSelect::Point' 'AxisSelect::All' 'BinOp::Add' 'AggKind::CountNonDefault'; do
+    if non_test crates/cluster/src/*.rs | grep -qF "$needle"; then
+        echo "coordinator mirrors rasql: '$needle' in crates/cluster/src" >&2
+        exit 1
+    fi
+done
+if grep -rqw InducedOp crates/*/src; then
+    echo "InducedOp is back in crates/*/src" >&2
+    exit 1
+fi
+
 # --- In-tree clients move cells as binary parts: the hex codec is the JSON
 # debug surface of the server, never on the `Client` or coordinator path.
 if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_(en|de)code'; then
