@@ -49,22 +49,30 @@ pub fn encode(payload: &[u8], default: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a stream produced by [`encode`]; `cell_size` must match.
+/// Decodes a stream produced by [`encode`]; `cell_size` must match, and
+/// the stream must declare exactly `expected_len` bytes of cells (checked
+/// before anything is allocated).
 ///
 /// # Errors
 /// [`CompressError::Corrupt`] on malformed streams.
-pub fn decode(stream: &[u8], cell_size: usize) -> Result<Vec<u8>> {
+pub fn decode(stream: &[u8], cell_size: usize, expected_len: usize) -> Result<Vec<u8>> {
     if cell_size == 0 {
         return Err(CompressError::ZeroCellSize);
     }
     let mut pos = 0usize;
-    let cells = read_varint(stream, &mut pos)? as usize;
+    let cells = read_varint(stream, &mut pos)?;
+    if cells.checked_mul(cell_size as u64) != Some(expected_len as u64) {
+        return Err(CompressError::Corrupt(format!(
+            "{cells} cells of {cell_size} bytes, expected {expected_len} bytes"
+        )));
+    }
+    let cells = cells as usize;
     let default = stream
         .get(pos..pos + cell_size)
         .ok_or_else(|| CompressError::Corrupt("truncated default cell".to_string()))?
         .to_vec();
     pos += cell_size;
-    let mut out = Vec::with_capacity(cells * cell_size);
+    let mut out = Vec::with_capacity(expected_len);
     for _ in 0..cells {
         out.extend_from_slice(&default);
     }
@@ -72,13 +80,19 @@ pub fn decode(stream: &[u8], cell_size: usize) -> Result<Vec<u8>> {
     let mut index = 0u64;
     for k in 0..exceptions {
         let gap = read_varint(stream, &mut pos)?;
-        index = if k == 0 { gap } else { index + gap };
-        let i = index as usize;
-        if i >= cells {
+        index = if k == 0 {
+            gap
+        } else {
+            index
+                .checked_add(gap)
+                .ok_or_else(|| CompressError::Corrupt(format!("exception gap {gap} overflows")))?
+        };
+        if index >= cells as u64 {
             return Err(CompressError::Corrupt(format!(
-                "exception offset {i} beyond {cells} cells"
+                "exception offset {index} beyond {cells} cells"
             )));
         }
+        let i = index as usize;
         let value = stream
             .get(pos..pos + cell_size)
             .ok_or_else(|| CompressError::Corrupt("truncated exception cell".to_string()))?;
@@ -119,7 +133,7 @@ mod tests {
     fn dense_round_trip() {
         let payload: Vec<u8> = (0..400u16).flat_map(|v| v.to_le_bytes()).collect();
         let enc = encode(&payload, &[0, 0]).unwrap();
-        assert_eq!(decode(&enc, 2).unwrap(), payload);
+        assert_eq!(decode(&enc, 2, payload.len()).unwrap(), payload);
     }
 
     #[test]
@@ -132,7 +146,7 @@ mod tests {
         }
         let enc = encode(&payload, &[0, 0, 0, 0]).unwrap();
         assert!(enc.len() < 200, "sparse stream is {} bytes", enc.len());
-        assert_eq!(decode(&enc, 4).unwrap(), payload);
+        assert_eq!(decode(&enc, 4, payload.len()).unwrap(), payload);
         assert!(worthwhile(10_000, 20, 4));
         assert!(!worthwhile(10_000, 9_500, 4));
     }
@@ -143,30 +157,51 @@ mod tests {
         let mut payload: Vec<u8> = std::iter::repeat_n(default, 100).flatten().collect();
         payload[50..52].copy_from_slice(&7u16.to_le_bytes());
         let enc = encode(&payload, &default).unwrap();
-        assert_eq!(decode(&enc, 2).unwrap(), payload);
+        assert_eq!(decode(&enc, 2, payload.len()).unwrap(), payload);
     }
 
     #[test]
     fn empty_payload() {
         let enc = encode(&[], &[0]).unwrap();
-        assert_eq!(decode(&enc, 1).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode(&enc, 1, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn corrupt_streams_error() {
         let payload = vec![1u8; 16];
         let enc = encode(&payload, &[0]).unwrap();
-        assert!(decode(&enc[..enc.len() - 1], 1).is_err());
-        assert!(decode(&enc, 2).is_err());
+        assert!(decode(&enc[..enc.len() - 1], 1, 16).is_err());
+        assert!(decode(&enc, 2, 16).is_err());
         let mut trailing = enc;
         trailing.push(0);
-        assert!(decode(&trailing, 1).is_err());
+        assert!(decode(&trailing, 1, 16).is_err());
+
+        let corrupt = |stream: &[u8]| match decode(stream, 1, 16) {
+            Err(CompressError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        // 2^40 cells where 16 bytes are expected: refused before allocating.
+        let mut huge = Vec::new();
+        write_varint(&mut huge, 1 << 40);
+        huge.push(0);
+        write_varint(&mut huge, 0);
+        corrupt(&huge);
+        // A second gap that overflows the running index.
+        let mut wrap = Vec::new();
+        write_varint(&mut wrap, 16);
+        wrap.push(0);
+        write_varint(&mut wrap, 2);
+        write_varint(&mut wrap, 1);
+        wrap.push(9);
+        write_varint(&mut wrap, u64::MAX);
+        wrap.push(9);
+        corrupt(&wrap);
     }
 
     #[test]
     fn validation() {
         assert!(encode(&[1, 2, 3], &[0, 0]).is_err());
         assert!(encode(&[1], &[]).is_err());
-        assert!(decode(&[], 0).is_err());
+        assert!(decode(&[], 0, 0).is_err());
     }
 }

@@ -239,7 +239,7 @@ pub fn decompress_view<'a>(
             &packbits::decode(body, original_len)?,
             ctx.cell_size,
         )?),
-        Codec::ChunkOffset => Cow::Owned(chunk_offset::decode(body, ctx.cell_size)?),
+        Codec::ChunkOffset => Cow::Owned(chunk_offset::decode(body, ctx.cell_size, original_len)?),
     };
     if out.len() != original_len {
         return Err(CompressError::LengthMismatch {

@@ -10,11 +10,11 @@
 //!    PackBits collapses.
 //!
 //! The kernels are blocked: [`forward`] gathers 8 cells per iteration and
-//! writes each lane's deltas as one u64 store, and [`inverse`] reconstructs
-//! 8 lanes per iteration with interleaved prefix sums (`prev: [u8; 8]`), so
-//! the serial lane dependency no longer limits the reconstruction to one
-//! add per cycle. Output is byte-identical to a byte-at-a-time reference,
-//! pinned by the unit tests.
+//! writes each lane's deltas as one u64 store, and [`inverse`] rebuilds
+//! whole cells — up to 8 lanes as independent add chains, one contiguous
+//! store per cell — and writes an 8-cell block whose deltas are all zero as
+//! copies of the previous cell. Output is byte-identical to a
+//! byte-at-a-time reference, pinned by the unit tests.
 
 use crate::error::{CompressError, Result};
 
@@ -113,11 +113,9 @@ pub fn forward(payload: &[u8], cell_size: usize) -> Result<Vec<u8>> {
 
 /// Inverts [`forward`].
 ///
-/// Blocked kernel: lanes are processed 8 at a time with interleaved prefix
-/// sums — `prev: [u8; 8]` carries 8 independent add chains, and each cell's
-/// 8 reconstructed bytes land as one contiguous u64 store. Lanes left over
-/// when `cell_size % 8 != 0` (and narrow cells) fall back to a per-lane
-/// 8-cells-per-iteration prefix sum.
+/// Lanes are rebuilt in groups of up to 8 by `lane_group`: narrow cells
+/// (`cell_size < 8`, every u8/u16/u32/f32 object) are one group, wider
+/// cells are groups of 8 lanes followed by the `cell_size % 8` tail.
 ///
 /// # Errors
 /// [`CompressError::ZeroCellSize`] / [`CompressError::BadPayload`].
@@ -126,51 +124,93 @@ pub fn inverse(deltas: &[u8], cell_size: usize) -> Result<Vec<u8>> {
     let cells = deltas.len() / cell_size;
     let mut out = vec![0u8; deltas.len()];
     let mut lane = 0usize;
-    // 8-lane-wide kernel: 8 interleaved prefix sums, contiguous 8-byte
-    // stores into each cell.
-    while lane + 8 <= cell_size {
-        let mut prev = [0u8; 8];
-        for cell in 0..cells {
-            let mut v = [0u8; 8];
-            for (k, val) in v.iter_mut().enumerate() {
-                let p = prev[k].wrapping_add(deltas[(lane + k) * cells + cell]);
-                *val = p;
-                prev[k] = p;
-            }
-            out[cell * cell_size + lane..cell * cell_size + lane + 8].copy_from_slice(&v);
-        }
-        lane += 8;
-    }
-    // Remaining lanes: per-lane, 8 cells per iteration from the contiguous
-    // delta row, prefix-summed in registers, scattered to cell positions.
     while lane < cell_size {
-        let row = &deltas[lane * cells..(lane + 1) * cells];
-        let mut prev = 0u8;
-        let mut cell = 0usize;
-        while cell + 8 <= cells {
-            let mut d = [0u8; 8];
-            d.copy_from_slice(&row[cell..cell + 8]);
-            let mut v = [0u8; 8];
-            let mut acc = prev;
-            for k in 0..8 {
-                acc = acc.wrapping_add(d[k]);
-                v[k] = acc;
-            }
-            let base = cell * cell_size + lane;
-            for (k, &val) in v.iter().enumerate() {
-                out[base + k * cell_size] = val;
-            }
-            prev = acc;
-            cell += 8;
+        let group = (cell_size - lane).min(8);
+        match group {
+            1 => lane_group::<1>(deltas, cells, cell_size, lane, &mut out),
+            2 => lane_group::<2>(deltas, cells, cell_size, lane, &mut out),
+            3 => lane_group::<3>(deltas, cells, cell_size, lane, &mut out),
+            4 => lane_group::<4>(deltas, cells, cell_size, lane, &mut out),
+            5 => lane_group::<5>(deltas, cells, cell_size, lane, &mut out),
+            6 => lane_group::<6>(deltas, cells, cell_size, lane, &mut out),
+            7 => lane_group::<7>(deltas, cells, cell_size, lane, &mut out),
+            _ => lane_group::<8>(deltas, cells, cell_size, lane, &mut out),
         }
-        while cell < cells {
-            prev = prev.wrapping_add(row[cell]);
-            out[cell * cell_size + lane] = prev;
-            cell += 1;
-        }
-        lane += 1;
+        lane += group;
     }
     Ok(out)
+}
+
+/// Rebuilds lanes `lane..lane + R` of every cell with [`cell_kernel`].
+///
+/// When the group is the whole cell, the kernel is instantiated with the
+/// stride as a constant, which turns every cell's store into one `R`-byte
+/// move; kept out of line so that each instance is compiled on its own.
+#[inline(never)]
+fn lane_group<const R: usize>(
+    deltas: &[u8],
+    cells: usize,
+    cell_size: usize,
+    lane: usize,
+    out: &mut [u8],
+) {
+    if cell_size == R {
+        cell_kernel::<R>(deltas, cells, R, 0, out);
+    } else {
+        cell_kernel::<R>(deltas, cells, cell_size, lane, out);
+    }
+}
+
+/// Whole-cell delta inverse for lanes `lane..lane + R`: `R` independent add
+/// chains and one contiguous `R`-byte store per cell. A block of 8 cells
+/// whose deltas are zero in every lane is 8 copies of the previous cell.
+#[inline(always)]
+fn cell_kernel<const R: usize>(
+    deltas: &[u8],
+    cells: usize,
+    cell_size: usize,
+    lane: usize,
+    out: &mut [u8],
+) {
+    let rows: [&[u8]; R] =
+        std::array::from_fn(|k| &deltas[(lane + k) * cells..(lane + k + 1) * cells]);
+    let mut prev = [0u8; R];
+    let blocks = cells / 8;
+    for cell in (0..blocks * 8).step_by(8) {
+        let dst = &mut out[cell * cell_size..(cell + 8) * cell_size];
+        let zero = rows
+            .iter()
+            .all(|row| u64::from_ne_bytes(row[cell..cell + 8].try_into().expect("8 bytes")) == 0);
+        if zero {
+            // Packed once per block, so each copy is one store rather than
+            // `R` byte stores.
+            let word = prev
+                .iter()
+                .rev()
+                .fold(0u64, |w, &b| w << 8 | u64::from(b))
+                .to_le_bytes();
+            for c in dst.chunks_exact_mut(cell_size) {
+                c[lane..lane + R].copy_from_slice(&word[..R]);
+            }
+        } else {
+            for (j, c) in dst.chunks_exact_mut(cell_size).enumerate() {
+                for k in 0..R {
+                    prev[k] = prev[k].wrapping_add(rows[k][cell + j]);
+                }
+                c[lane..lane + R].copy_from_slice(&prev);
+            }
+        }
+    }
+    let tail = blocks * 8;
+    for (j, c) in out[tail * cell_size..]
+        .chunks_exact_mut(cell_size)
+        .enumerate()
+    {
+        for k in 0..R {
+            prev[k] = prev[k].wrapping_add(rows[k][tail + j]);
+        }
+        c[lane..lane + R].copy_from_slice(&prev);
+    }
 }
 
 pub(crate) fn check(payload: &[u8], cell_size: usize) -> Result<()> {
@@ -202,22 +242,67 @@ mod tests {
 
     #[test]
     fn blocked_kernels_match_scalar() {
-        // Cell sizes straddling the 8-lane kernel (below, at, above, and
-        // non-multiples) and cell counts straddling the 8-cell blocks.
-        for cell_size in [1usize, 2, 3, 4, 7, 8, 9, 12, 16, 24] {
+        // Cell sizes below 8 (one lane group), at and above it (groups of 8
+        // plus the lanes left over), and cell counts straddling the 8-cell
+        // blocks.
+        for cell_size in (1usize..=16).chain([24]) {
             for cells in [0usize, 1, 5, 7, 8, 9, 40, 129] {
-                let data: Vec<u8> = (0..cell_size * cells)
-                    .map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8)
-                    .collect();
-                let fast = forward(&data, cell_size).unwrap();
-                let slow = scalar::forward(&data, cell_size).unwrap();
-                assert_eq!(fast, slow, "forward cs={cell_size} cells={cells}");
-                assert_eq!(
-                    inverse(&fast, cell_size).unwrap(),
-                    scalar::inverse(&slow, cell_size).unwrap(),
-                    "inverse cs={cell_size} cells={cells}"
-                );
-                assert_eq!(inverse(&fast, cell_size).unwrap(), data);
+                let n = cell_size * cells;
+                let (cell, lane) = (|i: usize| i / cell_size, |i: usize| i % cell_size);
+                let payloads: [(&str, Vec<u8>); 4] = [
+                    (
+                        "noise",
+                        (0..n)
+                            .map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8)
+                            .collect(),
+                    ),
+                    // One value per 16 cells: every other block is zero in
+                    // all lanes and takes the shortcut.
+                    (
+                        "steps",
+                        (0..n)
+                            .map(|i| (cell(i) / 16 * 37 + lane(i) * 11 + 1) as u8)
+                            .collect(),
+                    ),
+                    // One lane moves per block: the others are zero there.
+                    (
+                        "one lane",
+                        (0..n)
+                            .map(|i| {
+                                if lane(i) == cell(i) / 8 % cell_size {
+                                    cell(i) as u8
+                                } else {
+                                    0xA5
+                                }
+                            })
+                            .collect(),
+                    ),
+                    // Flat blocks, then a tail of `cells % 8` cells that moves.
+                    (
+                        "flat tail",
+                        (0..n)
+                            .map(|i| {
+                                if cell(i) >= cells / 8 * 8 {
+                                    i as u8
+                                } else {
+                                    lane(i) as u8 + 7
+                                }
+                            })
+                            .collect(),
+                    ),
+                ];
+                for (name, data) in payloads {
+                    let at = format!("{name} cs={cell_size} cells={cells}");
+                    let fast = forward(&data, cell_size).unwrap();
+                    let slow = scalar::forward(&data, cell_size).unwrap();
+                    assert_eq!(fast, slow, "forward {at}");
+                    assert_eq!(
+                        inverse(&fast, cell_size).unwrap(),
+                        scalar::inverse(&slow, cell_size).unwrap(),
+                        "inverse {at}"
+                    );
+                    assert_eq!(inverse(&fast, cell_size).unwrap(), data, "{at}");
+                }
             }
         }
     }

@@ -4,11 +4,12 @@
 //! of query post-processing (`t_cpu` in §6). Rather than iterating cell by
 //! cell, [`RunIter`] decomposes the intersection region into *runs* —
 //! maximal row-major-contiguous cell sequences — so each run is a single
-//! `copy_from_slice`.
+//! `copy_from_slice`. Runs come from stride arithmetic: the iterator
+//! precomputes each axis's step in the enclosing layout once and then only
+//! adds, so a run costs a few integer operations and no allocation.
 
 use crate::domain::Domain;
 use crate::error::{GeometryError, Result};
-use crate::order::RowMajor;
 use crate::point::Point;
 
 /// Iterator over all points of a domain in row-major order.
@@ -65,13 +66,31 @@ pub struct Run {
 ///
 /// Each yielded [`Run`] identifies `len` cells that are contiguous in both
 /// the row-major layout of `outer` and that of `sub`, enabling bulk copies.
+/// Runs come from stride arithmetic: one index vector over the axes but the
+/// last (an odometer, last axis fastest) moves the outer offset by each
+/// axis's precomputed stride, and the inner offset grows by `run_len` per
+/// run; no point is built and nothing is allocated per run.
 #[derive(Debug, Clone)]
 pub struct RunIter {
-    outer: RowMajor,
-    inner: RowMajor,
-    /// Coordinates of the current run start; `None` once exhausted.
-    cursor: Option<Vec<i64>>,
+    /// Odometer over every axis but the last (the run axis), outermost first.
+    axes: Vec<RunAxis>,
+    /// Offset in `outer` of the next run's first cell.
+    outer_offset: u64,
+    /// Index of the next run.
+    run: u64,
+    run_count: u64,
     run_len: u64,
+}
+
+/// One odometer digit of a [`RunIter`].
+#[derive(Debug, Clone)]
+struct RunAxis {
+    /// Position along the axis, counted from `sub`'s lower bound.
+    index: u64,
+    /// Extent of `sub` along the axis.
+    extent: u64,
+    /// Cells `outer`'s layout skips per step along the axis.
+    stride: u64,
 }
 
 impl RunIter {
@@ -84,12 +103,31 @@ impl RunIter {
         if !outer.contains_domain(sub) {
             return Err(GeometryError::NotContained);
         }
+        // Both counts fit in u64, so no stride or offset below overflows.
+        outer.cell_count()?;
+        let inner_cells = sub.cell_count()?;
         let d = outer.dim();
         let run_len = sub.extent(d - 1);
+        let mut axes = Vec::with_capacity(d - 1);
+        let mut stride = 1u64;
+        let mut outer_offset = 0u64;
+        for axis in (0..d).rev() {
+            outer_offset += sub.lo(axis).abs_diff(outer.lo(axis)) * stride;
+            if axis + 1 < d {
+                axes.push(RunAxis {
+                    index: 0,
+                    extent: sub.extent(axis),
+                    stride,
+                });
+            }
+            stride *= outer.extent(axis);
+        }
+        axes.reverse();
         Ok(RunIter {
-            outer: RowMajor::new(outer.clone())?,
-            inner: RowMajor::new(sub.clone())?,
-            cursor: Some(sub.lowest().coords().to_vec()),
+            axes,
+            outer_offset,
+            run: 0,
+            run_count: inner_cells / run_len,
             run_len,
         })
     }
@@ -97,7 +135,7 @@ impl RunIter {
     /// Total number of runs the iterator will yield.
     #[must_use]
     pub fn run_count(&self) -> u64 {
-        self.inner.cells() / self.run_len
+        self.run_count
     }
 
     /// Length of each run in cells.
@@ -111,33 +149,25 @@ impl Iterator for RunIter {
     type Item = Run;
 
     fn next(&mut self) -> Option<Run> {
-        let coords = self.cursor.take()?;
-        let start = Point::new(coords.clone()).expect("non-empty");
+        if self.run == self.run_count {
+            return None;
+        }
         let run = Run {
-            outer_offset: self
-                .outer
-                .offset_of(&start)
-                .expect("run start inside outer"),
-            inner_offset: self
-                .inner
-                .offset_of(&start)
-                .expect("run start inside inner"),
+            outer_offset: self.outer_offset,
+            inner_offset: self.run * self.run_len,
             len: self.run_len,
         };
-        // Advance the odometer over all axes but the last (the run axis).
-        let d = coords.len();
-        let sub = self.inner.domain();
-        let mut coords = coords;
-        if d == 1 {
-            return Some(run); // single run covers the whole 1-D subdomain
-        }
-        for axis in (0..d - 1).rev() {
-            if coords[axis] < sub.hi(axis) {
-                coords[axis] += 1;
-                self.cursor = Some(coords);
-                return Some(run);
+        self.run += 1;
+        // Advance the odometer, last axis fastest: a step adds the axis's
+        // stride, a wrap takes back the steps it made.
+        for axis in self.axes.iter_mut().rev() {
+            axis.index += 1;
+            if axis.index < axis.extent {
+                self.outer_offset += axis.stride;
+                break;
             }
-            coords[axis] = sub.lo(axis);
+            axis.index = 0;
+            self.outer_offset -= (axis.extent - 1) * axis.stride;
         }
         Some(run)
     }

@@ -81,10 +81,17 @@ fn runs_cover_subdomain_exactly_once() {
             let runs: Vec<_> = RunIter::new(dom, sub).unwrap().collect();
             let covered: u64 = runs.iter().map(|r| r.len).sum();
             prop_assert_eq!(covered, sub.cells());
-            // Runs translate to strictly increasing, non-overlapping inner spans.
+            // Runs translate to strictly increasing, non-overlapping inner
+            // spans, and each starts in `dom` where its first cell lies.
+            let (outer, inner) = (
+                RowMajor::new(dom.clone()).unwrap(),
+                RowMajor::new(sub.clone()).unwrap(),
+            );
             let mut expected_inner = 0u64;
             for r in &runs {
                 prop_assert_eq!(r.inner_offset, expected_inner);
+                let first = inner.point_at(r.inner_offset).unwrap();
+                prop_assert_eq!(r.outer_offset, outer.offset_of(&first).unwrap());
                 expected_inner += r.len;
             }
             Ok(())
@@ -217,6 +224,58 @@ fn copy_region_round_trips() {
                     prop_assert_eq!(rebuilt[off], src[off]);
                 } else {
                     prop_assert_eq!(rebuilt[off], 0xFF);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Generator: two distinct domains of the same dimensionality that overlap.
+fn overlapping_pair(s: &mut Source) -> (Domain, Domain) {
+    let a = small_domain(s);
+    let mut bounds: Vec<(i64, i64)> = a
+        .ranges()
+        .iter()
+        .map(|r| {
+            let lo = s.i64_in(r.lo() - 5, r.hi());
+            let hi = s.i64_in(lo.max(r.lo()), r.hi() + 5);
+            (lo, hi)
+        })
+        .collect();
+    if Domain::from_bounds(&bounds).unwrap() == a {
+        bounds[0].1 += 1;
+    }
+    (a, Domain::from_bounds(&bounds).unwrap())
+}
+
+#[test]
+fn copy_region_matches_cellwise_reference() {
+    check(
+        "copy_region_matches_cellwise_reference",
+        CASES,
+        |s| (overlapping_pair(s), s.usize_in(1, 8)),
+        |((src_dom, dst_dom), cell_size)| {
+            let cs = *cell_size;
+            let region = src_dom.intersection(dst_dom).unwrap();
+            let src: Vec<u8> = (0..src_dom.cells() as usize * cs)
+                .map(|i| (i % 251) as u8)
+                .collect();
+            let mut dst = vec![0xEEu8; dst_dom.cells() as usize * cs];
+            let copied = copy_region(src_dom, &src, dst_dom, &mut dst, &region, cs).unwrap();
+            prop_assert_eq!(copied, region.cells());
+            let (src_layout, dst_layout) = (
+                RowMajor::new(src_dom.clone()).unwrap(),
+                RowMajor::new(dst_dom.clone()).unwrap(),
+            );
+            for p in PointIter::new(dst_dom.clone()) {
+                let at = dst_layout.offset_of(&p).unwrap() as usize * cs;
+                let cell = &dst[at..at + cs];
+                if region.contains_point(&p) {
+                    let from = src_layout.offset_of(&p).unwrap() as usize * cs;
+                    prop_assert_eq!(cell, &src[from..from + cs]);
+                } else {
+                    prop_assert!(cell.iter().all(|&b| b == 0xEE));
                 }
             }
             Ok(())

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The codec kernels and the run walker ship with overflow checks off, and
+# wrapping arithmetic there fails differently (silently) than under the
+# debug build above, so their crates run again as they ship.
+cargo test -q --offline --release -p tilestore-compress -p tilestore-geometry
 # The buffer-pool concurrency suite (stale-frame race repro + cross-shard
 # freshness property) is the regression gate for the sharded cache; run it
 # by name so a filtered or partial test invocation can never skip it.

@@ -3,16 +3,27 @@
 
 use tilestore::rasql::{execute, Value};
 use tilestore::{
-    Array, AxisPartition, CellType, CompressionPolicy, Database, DefDomain, DirectionalTiling,
-    Domain, MddType, Scheme,
+    AlignedTiling, Array, AxisPartition, CellType, Codec, CompressionPolicy, Database, DefDomain,
+    DirectionalTiling, Domain, MddType, Scheme,
 };
 
 fn d(s: &str) -> Domain {
     s.parse().unwrap()
 }
 
+fn sales_cell(p: &tilestore::Point) -> u32 {
+    ((p[0] * 7 + p[1] * 3 + p[2]) % 100) as u32
+}
+
+/// Piecewise constant: one value per block of 8 rows x 16 columns, so the
+/// delta transform leaves 8-cell blocks that are zero in every lane.
+fn levels_cell(p: &tilestore::Point) -> u16 {
+    (700 + p[0] / 8 * 13 + p[1] / 16 * 7) as u16
+}
+
 /// Builds a quarter-year sales cube with category cuts, selective
-/// compression, loaded in two growth steps.
+/// compression, loaded in two growth steps, and a `u16` object of flat
+/// blocks stored with the delta codec.
 fn build(dir: &std::path::Path) {
     let db = Database::create_dir(dir).unwrap();
     db.create_object(
@@ -32,12 +43,22 @@ fn build(dir: &std::path::Path) {
     // Two-step growth along the time axis.
     for (lo, hi) in [(1i64, 59i64), (60, 90)] {
         let dom = Domain::from_bounds(&[(lo, hi), (1, 60), (1, 100)]).unwrap();
-        db.insert(
-            "sales",
-            &Array::from_fn(dom, |p| ((p[0] * 7 + p[1] * 3 + p[2]) % 100) as u32).unwrap(),
-        )
-        .unwrap();
+        db.insert("sales", &Array::from_fn(dom, sales_cell).unwrap())
+            .unwrap();
     }
+    db.create_object(
+        "levels",
+        MddType::new(CellType::of::<u16>(), DefDomain::unlimited(2).unwrap()),
+        Scheme::Aligned(AlignedTiling::regular(2, 4 * 1024)),
+    )
+    .unwrap();
+    db.set_compression("levels", CompressionPolicy::Fixed(Codec::DeltaPackBits))
+        .unwrap();
+    db.insert(
+        "levels",
+        &Array::from_fn(d("[0:199,0:149]"), levels_cell).unwrap(),
+    )
+    .unwrap();
     db.save(dir).unwrap();
 }
 
@@ -53,18 +74,34 @@ fn rasql_over_reopened_compressed_database() {
         "SELECT sales[55:65, 1:10, 1:10] FROM sales",
     )
     .unwrap();
-    let arr = v.as_array().unwrap();
-    assert_eq!(arr.domain(), &d("[55:65,1:10,1:10]"));
-    // Spot check a cell on each side of the boundary.
-    for (t, y, x) in [(55i64, 5i64, 5i64), (65, 5, 5)] {
-        let expected = ((t * 7 + y * 3 + x) % 100) as u32;
+    assert_eq!(
+        v.as_array().unwrap(),
+        &Array::from_fn(d("[55:65,1:10,1:10]"), sales_cell).unwrap()
+    );
+    assert!(stats.io.bytes_read > 0, "data decompressed from disk");
+
+    // Narrow cells through the delta codec, read at windows that cut tiles
+    // and flat blocks at unaligned offsets.
+    let logical = 200 * 150 * 2;
+    let stored = db.object_physical_bytes("levels").unwrap();
+    assert!(stored * 4 < logical, "levels compressed: {stored} bytes");
+    for window in [
+        "[3:77,5:140]",
+        "[0:199,0:149]",
+        "[101:101,17:33]",
+        "[9:190,61:61]",
+    ] {
+        let (v, _) = execute(
+            &db.begin_read(),
+            &format!("SELECT levels{window} FROM levels"),
+        )
+        .unwrap();
         assert_eq!(
-            arr.get::<u32>(&tilestore::Point::from_slice(&[t, y, x]))
-                .unwrap(),
-            expected
+            v.as_array().unwrap(),
+            &Array::from_fn(d(window), levels_cell).unwrap(),
+            "levels{window}"
         );
     }
-    assert!(stats.io.bytes_read > 0, "data decompressed from disk");
 
     // Streaming condenser equals materialize-and-fold.
     let (sum, _) = execute(
