@@ -111,7 +111,7 @@ pub(crate) fn map_client_error(shard: usize, addr: &str, e: ClientError) -> Clus
 pub struct ShardExplainCounts {
     /// Tiles the shard's planner would fetch.
     pub fetched: u64,
-    /// Tiles pruned by synopsis/bitmap evidence.
+    /// Tiles pruned by synopsis evidence.
     pub pruned: u64,
     /// R+-tree nodes visited resolving the region.
     pub index_nodes: u64,

@@ -275,11 +275,11 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
     /// Computes an aggregation with an optional cell-value predicate:
     /// cells failing `cell <op> literal` contribute the type's default
     /// value, matching the masked-select semantics of
-    /// [`crate::Snapshot::range_query_where`]. Tiles the synopsis or
-    /// bitmap index proves cannot match are folded in as all-default
-    /// without fetching their blobs; without a predicate, min/max/count/
-    /// some/all over tiles fully contained in `region` short-circuit on
-    /// the synopsis alone. Both count in [`QueryStats::tiles_pruned`].
+    /// [`crate::Snapshot::range_query_where`]. Tiles whose synopsis
+    /// proves they cannot match are folded in as all-default without
+    /// fetching their blobs; without a predicate, min/max/count/some/all
+    /// over tiles fully contained in `region` short-circuit on the
+    /// synopsis alone. Both count in [`QueryStats::tiles_pruned`].
     ///
     /// # Errors
     /// The errors of [`crate::Snapshot::aggregate`]; a predicate over a

@@ -301,14 +301,25 @@ impl<S: PageStore> Database<S> {
         }
     }
 
+    /// An empty staging list for the blobs of one write (see
+    /// [`StagedBlobs`]).
+    pub(crate) fn stage(&self) -> StagedBlobs<'_, S> {
+        StagedBlobs {
+            blobs: &self.blobs,
+            ids: Mutex::new(Vec::new()),
+        }
+    }
+
     /// Installs a new version of one object into a successor catalog and
-    /// publishes it; `retired` lists the blobs the old version referenced
-    /// and the new one does not. Returns the new epoch.
+    /// publishes it; `staged` holds the blobs written for the new version,
+    /// which it now references, and `retired` lists the blobs the old
+    /// version referenced and the new one does not. Returns the new epoch.
     pub(crate) fn install_object(
         &self,
         current: &CatalogState,
         name: &str,
         meta: MddObject,
+        staged: StagedBlobs<'_, S>,
         retired: Vec<BlobId>,
     ) -> u64 {
         let mut objects = current.objects.clone();
@@ -324,22 +335,9 @@ impl<S: PageStore> Database<S> {
             },
         );
         let epoch = self.swap_catalog(objects);
+        staged.publish();
         self.retire_blobs(epoch, retired);
         epoch
-    }
-
-    /// Rebuilds `meta`'s value-bitmap index from its tile synopses, writes
-    /// it as a fresh blob (the persistent form), and returns the previous
-    /// bitmap blob for retirement, if one existed. Objects with no tiles
-    /// keep no bitmap blob.
-    pub(crate) fn refresh_value_index(&self, meta: &mut MddObject) -> Result<Option<BlobId>> {
-        let old = meta.value_index_blob.take();
-        meta.rebuild_value_index();
-        if !meta.tiles.is_empty() {
-            let bytes = meta.value_index.as_ref().expect("just rebuilt").to_bytes();
-            meta.value_index_blob = Some(self.blobs.create(&bytes)?);
-        }
-        Ok(old)
     }
 
     /// Names of all stored objects.
@@ -381,7 +379,7 @@ impl<S: PageStore> Database<S> {
         let entry = cat.entry(name)?;
         let mut meta = (*entry.meta).clone();
         meta.compression = policy;
-        self.install_object(&cat, name, meta, Vec::new());
+        self.install_object(&cat, name, meta, self.stage(), Vec::new());
         Ok(())
     }
 
@@ -420,10 +418,8 @@ impl<S: PageStore> Database<S> {
             tiles: Vec::new(),
             index,
             current_domain: None,
-            value_index_blob: None,
-            value_index: None,
         };
-        self.install_object(&cat, name, meta, Vec::new());
+        self.install_object(&cat, name, meta, self.stage(), Vec::new());
         Ok(())
     }
 
@@ -437,8 +433,7 @@ impl<S: PageStore> Database<S> {
         let _w = self.lock_writer();
         let cat = self.current_catalog();
         let entry = cat.entry(name)?;
-        let mut retired: Vec<BlobId> = entry.meta.tiles.iter().map(|t| t.blob).collect();
-        retired.extend(entry.meta.value_index_blob);
+        let retired: Vec<BlobId> = entry.meta.tiles.iter().map(|t| t.blob).collect();
         let mut objects = cat.objects.clone();
         objects.remove(name);
         let epoch = self.swap_catalog(objects);
@@ -490,15 +485,14 @@ impl<S: PageStore> Database<S> {
         // Phase 2: materialize, store and index the tiles. Extraction +
         // compression + BLOB writes are one task per tile, scattered across
         // the executor when one is attached; the catalog update below is a
-        // single swap either way. A mid-scatter failure leaves
-        // already-written BLOBs uncommitted — they surface as reclaimable
-        // orphans, exactly like a crash between page writes and the catalog
-        // commit.
+        // single swap either way. A failure anywhere before it drops
+        // `staged`, which deletes every BLOB the statement already wrote.
         let mut stats = InsertStats::default();
         let ctx = CellContext {
             cell_size,
             default: &meta.mdd_type.cell.default,
         };
+        let staged = self.stage();
         let created = scatter_on(
             self.executor().as_deref(),
             spec.tiles().to_vec(),
@@ -509,12 +503,11 @@ impl<S: PageStore> Database<S> {
                     tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
                         .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
                 let synopsis = TileSynopsis::from_scan(&meta.mdd_type.cell, tile.bytes(), scan);
-                let blob = self.blobs.create(&stream)?;
+                let blob = staged.create(&stream)?;
                 Ok((tile_domain, blob, synopsis, stream.len() as u64))
             },
         );
         let mut new_meta = (**meta).clone();
-        let mut written = Vec::new();
         for created in created {
             let (tile_domain, blob, synopsis, len) = created?;
             let pos = new_meta.tiles.len() as u64;
@@ -525,24 +518,15 @@ impl<S: PageStore> Database<S> {
             });
             new_meta.index.insert(tile_domain, pos)?;
             stats.tiles_created += 1;
-            written.push(len);
+            stats.bytes_written += len;
+            stats.pages_written += self.blobs.pages_for(len);
         }
-        let retired: Vec<BlobId> = self
-            .refresh_value_index(&mut new_meta)?
-            .into_iter()
-            .collect();
-        // The statement also wrote the object's new value-bitmap blob.
-        if let Some(ix) = new_meta.value_index_blob {
-            written.push(self.blobs.blob_len(ix)?);
-        }
-        stats.bytes_written = written.iter().sum();
-        stats.pages_written = written.iter().map(|&len| self.blobs.pages_for(len)).sum();
 
         new_meta.current_domain = Some(match new_meta.current_domain.take() {
             Some(cur) => cur.hull(array.domain())?,
             None => array.domain().clone(),
         });
-        let epoch = self.install_object(&cat, name, new_meta, retired);
+        let epoch = self.install_object(&cat, name, new_meta, staged, Vec::new());
         stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(WriteReceipt { stats, epoch })
     }
@@ -625,6 +609,7 @@ impl<S: PageStore> Database<S> {
             default: &default,
         };
         type Materialized = (Domain, BlobId, u64, TileSynopsis);
+        let staged = self.stage();
         let materialized = scatter_on(
             self.executor().as_deref(),
             spec.tiles().to_vec(),
@@ -658,7 +643,7 @@ impl<S: PageStore> Database<S> {
                     tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
                         .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
                 let synopsis = TileSynopsis::from_scan(&meta.mdd_type.cell, tile.bytes(), scan);
-                let blob = self.blobs.create(&stream)?;
+                let blob = staged.create(&stream)?;
                 Ok(Some((tile_domain, blob, tile.size_bytes(), synopsis)))
             },
         );
@@ -690,9 +675,8 @@ impl<S: PageStore> Database<S> {
         stats.tiles_after = new_tiles.len() as u64;
         new_meta.tiles = new_tiles;
         new_meta.scheme = scheme;
-        let mut retired: Vec<BlobId> = meta.tiles.iter().map(|t| t.blob).collect();
-        retired.extend(self.refresh_value_index(&mut new_meta)?);
-        let epoch = self.install_object(&cat, name, new_meta, retired);
+        let retired: Vec<BlobId> = meta.tiles.iter().map(|t| t.blob).collect();
+        let epoch = self.install_object(&cat, name, new_meta, staged, retired);
         stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(WriteReceipt { stats, epoch })
     }
@@ -803,6 +787,7 @@ impl<S: PageStore> Database<S> {
             0
         };
         let mut new_meta = (*meta).clone();
+        let staged = self.stage();
         let mut retired = Vec::new();
         let mut scratch = Vec::new();
         let mut end = start;
@@ -810,14 +795,14 @@ impl<S: PageStore> Database<S> {
             let pos = order[end];
             let old = meta.tiles[pos].blob;
             self.blobs.read_into(old, &mut scratch)?;
-            new_meta.tiles[pos].blob = self.blobs.create_contiguous(&scratch)?;
+            new_meta.tiles[pos].blob = staged.create_contiguous(&scratch)?;
             retired.push(old);
             stats.tiles_moved += 1;
             stats.bytes_moved += scratch.len() as u64;
             end += 1;
         }
         stats.tiles_remaining = (n - end) as u64;
-        let epoch = self.install_object(&cat, name, new_meta, retired);
+        let epoch = self.install_object(&cat, name, new_meta, staged, retired);
         stats.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(WriteReceipt { stats, epoch })
     }
@@ -920,6 +905,45 @@ impl<S: PageStore> Database<S> {
                     tilestore_tiling::parse_scheme_spec(spec, dim).map_err(EngineError::BadSpec)?;
                 self.retile(name, scheme)
             }
+        }
+    }
+}
+
+/// Blobs one write has created for an object version it has not yet
+/// published. [`Database::install_object`] hands them to the catalog;
+/// dropped unpublished (the write failed part-way), the list deletes
+/// them. So the directory never holds a blob no tile references, and a
+/// failed write leaks nothing the next `save` could make durable.
+pub(crate) struct StagedBlobs<'a, S: PageStore> {
+    blobs: &'a BlobStore<S>,
+    ids: Mutex<Vec<BlobId>>,
+}
+
+impl<S: PageStore> StagedBlobs<'_, S> {
+    /// [`BlobStore::create`], staged.
+    pub(crate) fn create(&self, data: &[u8]) -> Result<BlobId> {
+        let id = self.blobs.create(data)?;
+        lock_recover(&self.ids).push(id);
+        Ok(id)
+    }
+
+    /// [`BlobStore::create_contiguous`], staged.
+    pub(crate) fn create_contiguous(&self, data: &[u8]) -> Result<BlobId> {
+        let id = self.blobs.create_contiguous(data)?;
+        lock_recover(&self.ids).push(id);
+        Ok(id)
+    }
+
+    /// The catalog now references every staged blob: keep them.
+    fn publish(self) {
+        lock_recover(&self.ids).clear();
+    }
+}
+
+impl<S: PageStore> Drop for StagedBlobs<'_, S> {
+    fn drop(&mut self) {
+        for id in lock_recover(&self.ids).drain(..) {
+            let _ = self.blobs.delete(id);
         }
     }
 }
@@ -1226,12 +1250,11 @@ mod tests {
         assert!(receipt.epoch > ins.epoch);
 
         // The old tiles stay readable through the snapshot: both content
-        // and tile count are the pre-retile ones (one of the blobs is the
-        // object's value-bitmap index, not a tile).
+        // and tile count are the pre-retile ones.
         let q = snap.range_query("obj", &d("[0:31,0:31]")).unwrap();
         assert_eq!(q.array, data);
         assert_eq!(q.epoch, ins.epoch);
-        assert_eq!(snap.object("obj").unwrap().tile_count(), blobs_before - 1);
+        assert_eq!(snap.object("obj").unwrap().tile_count(), blobs_before);
         // Old + new tiles coexist while the snapshot lives...
         assert!(db.blob_store().blob_count() > db.object("obj").unwrap().tile_count());
 
@@ -1241,11 +1264,11 @@ mod tests {
         assert_eq!(fresh.array, data);
 
         // Dropping the last old snapshot reclaims the retired blobs; what
-        // remains is the new tiles plus the value-bitmap blob.
+        // remains is exactly the new tiles.
         drop(snap);
         assert_eq!(
             db.blob_store().blob_count(),
-            db.object("obj").unwrap().tile_count() + 1
+            db.object("obj").unwrap().tile_count()
         );
     }
 
@@ -1379,11 +1402,7 @@ mod tests {
         let io = db.io_stats().snapshot().since(&before);
         assert_eq!(ins.bytes_written, io.bytes_written);
         assert_eq!(ins.pages_written, io.pages_written);
-        assert_eq!(
-            io.blobs_written,
-            ins.tiles_created + 1,
-            "tiles + value bitmap"
-        );
+        assert_eq!(io.blobs_written, ins.tiles_created, "one blob per tile");
     }
 
     #[test]
@@ -1406,10 +1425,10 @@ mod tests {
         assert_eq!(q.array, checkerboard("[0:63,0:63]"));
         assert!(q.epoch < receipt.epoch, "snapshot pinned the old epoch");
         drop(snap);
-        // Old blobs reclaimed: tiles + value-bitmap blob remain.
+        // Old blobs reclaimed: exactly the tiles remain.
         assert_eq!(
             db.blob_store().blob_count(),
-            db.object("obj").unwrap().tile_count() + 1
+            db.object("obj").unwrap().tile_count()
         );
     }
 

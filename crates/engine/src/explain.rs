@@ -16,7 +16,7 @@ use tilestore_storage::PageStore;
 use crate::aggregate::{decode_numeric, kind_accepts_synopsis, AggKind};
 use crate::error::{EngineError, Result};
 use crate::mdd::MddObject;
-use crate::predicate::{CellPredicate, Prune, PruneRule};
+use crate::predicate::{CellPredicate, PruneRule};
 use crate::snapshot::{folds_into, read_batches, Snapshot};
 use tilestore_testkit::{Json, ToJson};
 
@@ -29,9 +29,6 @@ pub enum TileDecision {
     /// to the previously fetched tile's, so the batch read path folds it
     /// into the predecessor's positioned read instead of seeking.
     FetchCoalesced,
-    /// Skipped: the bitmap index's per-tile mask is disjoint from the
-    /// predicate's candidate bins.
-    BitmapPrune,
     /// Skipped: the tile synopsis proves no cell satisfies the predicate.
     SynopsisPrune,
     /// Not fetched: the condenser's contribution for the (fully
@@ -46,7 +43,6 @@ impl TileDecision {
         match self {
             TileDecision::Fetched => "fetched",
             TileDecision::FetchCoalesced => "fetch-coalesced",
-            TileDecision::BitmapPrune => "bitmap-prune",
             TileDecision::SynopsisPrune => "synopsis-prune",
             TileDecision::SynopsisCondense => "synopsis-condense",
         }
@@ -184,14 +180,8 @@ fn mark_coalesced<S: PageStore>(
 /// Renders the executors' pruning decision for one candidate tile.
 fn pruning(meta: &MddObject, pos: usize, p: &CellPredicate) -> Option<(TileDecision, String)> {
     let detail = match p.prune(meta, pos)? {
-        Prune::Bitmap => {
-            return Some((
-                TileDecision::BitmapPrune,
-                "tile bitmap ∩ candidate bins = ∅".to_string(),
-            ))
-        }
-        Prune::Synopsis(PruneRule::EmptyTile) => "synopsis records zero cells".to_string(),
-        Prune::Synopsis(PruneRule::Extrema) => {
+        PruneRule::EmptyTile => "synopsis records zero cells".to_string(),
+        PruneRule::Extrema => {
             let syn = meta.tiles[pos]
                 .synopsis
                 .as_ref()
@@ -203,9 +193,7 @@ fn pruning(meta: &MddObject, pos: usize, p: &CellPredicate) -> Option<(TileDecis
                 p.extrema_rule()
             )
         }
-        Prune::Synopsis(PruneRule::SynopsisBins) => {
-            "synopsis bins ∩ candidate bins = ∅".to_string()
-        }
+        PruneRule::SynopsisBins => "synopsis bins ∩ candidate bins = ∅".to_string(),
     };
     Some((TileDecision::SynopsisPrune, detail))
 }
@@ -392,6 +380,39 @@ mod tests {
             .tiles
             .iter()
             .any(|t| t.decision != TileDecision::Fetched));
+    }
+
+    #[test]
+    fn explain_names_the_synopsis_bins_rule() {
+        // One u32 tile holding only 1 and 1000: its extrema [1, 1000]
+        // admit `= 30`, but 30's value bin misses the bins of 1 and 1000.
+        let db = Database::in_memory().unwrap();
+        db.create_object(
+            "pair",
+            MddType::new(CellType::of::<u32>(), DefDomain::unlimited(1).unwrap()),
+            Scheme::Aligned(AlignedTiling::regular(1, 1024)),
+        )
+        .unwrap();
+        let region = d("[0:1]");
+        db.insert(
+            "pair",
+            &Array::from_fn(region.clone(), |p| [1u32, 1000][p[0] as usize]).unwrap(),
+        )
+        .unwrap();
+        let p = CellPredicate {
+            op: PredOp::Eq,
+            literal: 30.0,
+        };
+        let snap = db.begin_read();
+        let syn = snap.object("pair").unwrap().tiles[0].synopsis.unwrap();
+        assert_eq!(p.prune_rule(&syn), Some(PruneRule::SynopsisBins));
+        let plan = snap.explain_range("pair", &region, Some(&p)).unwrap();
+        assert_eq!(plan.tiles.len(), 1, "{plan:?}");
+        assert_eq!(plan.tiles[0].decision.as_str(), "synopsis-prune");
+        assert_eq!(plan.tiles[0].rule, "synopsis bins ∩ candidate bins = ∅");
+        let result = snap.range_query_where("pair", &region, Some(&p)).unwrap();
+        assert_eq!(plan.pruned(), result.stats.tiles_pruned);
+        assert_eq!(result.stats.tiles_pruned, 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use tilestore_compress::CompressionPolicy;
 use tilestore_geometry::{DefDomain, Domain};
-use tilestore_index::{BitmapIndex, RPlusTree};
+use tilestore_index::RPlusTree;
 use tilestore_storage::BlobId;
 use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 use tilestore_tiling::Scheme;
@@ -115,18 +115,11 @@ pub struct MddObject {
     pub index: RPlusTree,
     /// Current spatial domain (`None` while empty).
     pub current_domain: Option<Domain>,
-    /// BLOB holding the serialized value-bitmap index, when one has been
-    /// written. Retired and rewritten whenever the tile set changes.
-    pub value_index_blob: Option<BlobId>,
-    /// In-memory copy of the value-bitmap index (loaded from
-    /// [`MddObject::value_index_blob`] on open, rebuilt on writes). Not
-    /// serialized with the catalog — the blob is the persistent form.
-    pub value_index: Option<BitmapIndex>,
 }
 
 impl ToJson for MddObject {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("name", self.name.to_json()),
             ("mdd_type", self.mdd_type.to_json()),
             ("scheme", self.scheme.to_json()),
@@ -134,11 +127,7 @@ impl ToJson for MddObject {
             ("tiles", self.tiles.to_json()),
             ("index", self.index.to_json()),
             ("current_domain", self.current_domain.to_json()),
-        ];
-        if let Some(blob) = self.value_index_blob {
-            fields.push(("value_index_blob", blob.to_json()));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -149,12 +138,6 @@ impl FromJson for MddObject {
             Some(c) => CompressionPolicy::from_json(c)?,
             None => CompressionPolicy::default(),
         };
-        // Likewise for the value index (predates nothing it needs: the
-        // in-memory copy is loaded from the blob by the open path).
-        let value_index_blob = match v.get("value_index_blob") {
-            Some(b) => Some(BlobId::from_json(b)?),
-            None => None,
-        };
         Ok(MddObject {
             name: String::from_json(v.field("name")?)?,
             mdd_type: MddType::from_json(v.field("mdd_type")?)?,
@@ -163,8 +146,6 @@ impl FromJson for MddObject {
             tiles: Vec::from_json(v.field("tiles")?)?,
             index: RPlusTree::from_json(v.field("index")?)?,
             current_domain: Option::from_json(v.field("current_domain")?)?,
-            value_index_blob,
-            value_index: None,
         })
     }
 }
@@ -193,18 +174,6 @@ impl MddObject {
     #[must_use]
     pub fn tile_count(&self) -> usize {
         self.tiles.len()
-    }
-
-    /// Rebuilds the in-memory value-bitmap index from the tiles' synopses.
-    /// A tile without a synopsis contributes the all-ones "unknown" mask,
-    /// which never prunes.
-    pub fn rebuild_value_index(&mut self) {
-        let masks = self
-            .tiles
-            .iter()
-            .map(|t| t.synopsis.map_or(!0, |s| s.bins()))
-            .collect();
-        self.value_index = Some(BitmapIndex::from_masks(masks));
     }
 }
 

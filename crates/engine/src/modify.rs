@@ -88,6 +88,7 @@ impl<S: PageStore> Database<S> {
         let mut stats = UpdateStats::default();
         let mut covered: Vec<Domain> = Vec::with_capacity(hits.len());
         let mut new_meta = (**meta).clone();
+        let staged = self.stage();
         let mut retired: Vec<BlobId> = Vec::new();
 
         // Rewrite intersected tiles copy-on-write.
@@ -99,7 +100,7 @@ impl<S: PageStore> Database<S> {
             let (stream, scan) =
                 tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
                     .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-            new_meta.tiles[*pos as usize].blob = self.blob_store().create(&stream)?;
+            new_meta.tiles[*pos as usize].blob = staged.create(&stream)?;
             new_meta.tiles[*pos as usize].synopsis =
                 Some(TileSynopsis::from_scan(cell_type, tile.bytes(), scan));
             retired.push(old.blob);
@@ -117,7 +118,7 @@ impl<S: PageStore> Database<S> {
                 let (stream, scan) =
                     tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
                         .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-                let blob = self.blob_store().create(&stream)?;
+                let blob = staged.create(&stream)?;
                 let at = new_meta.tiles.len() as u64;
                 new_meta.tiles.push(TileMeta {
                     domain: tile_domain.clone(),
@@ -134,8 +135,7 @@ impl<S: PageStore> Database<S> {
             Some(cur) => cur.hull(array.domain())?,
             None => array.domain().clone(),
         });
-        retired.extend(self.refresh_value_index(&mut new_meta)?);
-        let epoch = self.install_object(&cat, name, new_meta, retired);
+        let epoch = self.install_object(&cat, name, new_meta, staged, retired);
         Ok(WriteReceipt { stats, epoch })
     }
 
@@ -159,6 +159,7 @@ impl<S: PageStore> Database<S> {
         let mut stats = DeleteStats::default();
         let mut drop_positions: Vec<u64> = Vec::new();
         let mut replacement_tiles: Vec<TileMeta> = Vec::new();
+        let staged = self.stage();
         let mut retired: Vec<BlobId> = Vec::new();
 
         for pos in &hits {
@@ -182,7 +183,7 @@ impl<S: PageStore> Database<S> {
                         .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
                 replacement_tiles.push(TileMeta {
                     domain: piece,
-                    blob: self.blob_store().create(&stream)?,
+                    blob: staged.create(&stream)?,
                     synopsis: Some(TileSynopsis::from_scan(cell_type, part.bytes(), scan)),
                 });
             }
@@ -226,8 +227,7 @@ impl<S: PageStore> Database<S> {
             .map(|t| t.domain.clone())
             .reduce(|a, b| a.hull(&b).expect("uniform dimensionality"));
         new_meta.tiles = kept;
-        retired.extend(self.refresh_value_index(&mut new_meta)?);
-        let epoch = self.install_object(&cat, name, new_meta, retired);
+        let epoch = self.install_object(&cat, name, new_meta, staged, retired);
         Ok(WriteReceipt { stats, epoch })
     }
 }

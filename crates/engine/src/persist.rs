@@ -26,7 +26,6 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use tilestore_index::BitmapIndex;
 use tilestore_obs::AccessRecorder;
 use tilestore_storage::{
     BlobDirectory, BlobId, BlobStore, BufferPool, FilePageStore, PageStore, DEFAULT_PAGE_SIZE,
@@ -129,12 +128,21 @@ impl<S: PageStore> Database<S> {
 
     /// Rebuilds a database from a page store and a previously exported
     /// catalog.
+    ///
+    /// Every blob in the directory is a tile of exactly one object. A blob
+    /// no tile references (a value-bitmap blob written by older versions)
+    /// is deleted here: no snapshot can exist this early, and the next
+    /// [`Database::save`] frees its pages.
     #[must_use]
     pub fn from_catalog(store: S, catalog: Catalog) -> Self {
+        let unreferenced = unreferenced_blobs(&catalog.blobs, &catalog.objects);
         let blobs = BlobStore::with_directory(store, catalog.blobs);
+        for id in unreferenced {
+            let _ = blobs.delete(BlobId(id));
+        }
         let db = Database::from_blob_store(blobs);
         for mut meta in catalog.objects {
-            db.hydrate_value_index(&mut meta);
+            db.rescan_missing_synopses(&mut meta);
             db.restore_object(meta);
         }
         db.set_catalog_epoch(catalog.epoch);
@@ -144,51 +152,19 @@ impl<S: PageStore> Database<S> {
         db
     }
 
-    /// Hydrates the synopses and value-bitmap index of a restored object.
-    ///
-    /// Catalogs written before synopses existed lack them; the payloads are
-    /// rescanned once here (lazy rebuild on first open) so every opened
-    /// database prunes. The stored bitmap blob is used when it matches the
-    /// tile set; otherwise it is rebuilt from the synopses and re-staged
-    /// best-effort — the next [`Database::save`] makes it durable. The
-    /// common reopen path (synopses present, blob intact) stays read-only.
-    fn hydrate_value_index(&self, meta: &mut MddObject) {
-        let mut rescanned: Vec<(usize, TileSynopsis)> = Vec::new();
-        for (i, tile) in meta.tiles.iter().enumerate() {
-            if tile.synopsis.is_none() {
-                if let Ok((payload, _)) = read_tile_payload(self.blob_store(), meta, tile) {
-                    rescanned.push((i, TileSynopsis::scan(&meta.mdd_type.cell, &payload)));
+    /// Rescans the payload of every tile of a restored object that has no
+    /// synopsis. Catalogs written before synopses existed lack them; they
+    /// are rebuilt once here so every opened database prunes, and the next
+    /// [`Database::save`] persists them. The common reopen path (synopses
+    /// present) reads no blob.
+    fn rescan_missing_synopses(&self, meta: &mut MddObject) {
+        for i in 0..meta.tiles.len() {
+            if meta.tiles[i].synopsis.is_none() {
+                if let Ok((payload, _)) = read_tile_payload(self.blob_store(), meta, &meta.tiles[i])
+                {
+                    meta.tiles[i].synopsis =
+                        Some(TileSynopsis::scan(&meta.mdd_type.cell, &payload));
                 }
-            }
-        }
-        let rescan = !rescanned.is_empty();
-        for (i, syn) in rescanned {
-            meta.tiles[i].synopsis = Some(syn);
-        }
-        if !rescan {
-            if let Some(blob) = meta.value_index_blob {
-                let loaded = self
-                    .blob_store()
-                    .read(blob)
-                    .ok()
-                    .and_then(|bytes| BitmapIndex::from_bytes(&bytes).ok())
-                    .filter(|ix| ix.len() == meta.tiles.len());
-                if let Some(ix) = loaded {
-                    meta.value_index = Some(ix);
-                    return;
-                }
-            }
-        }
-        // Missing, unreadable or stale bitmap: rebuild from the synopses.
-        // No snapshot can exist this early, so the superseded blob is
-        // deleted directly instead of epoch-retired.
-        if let Some(stale) = meta.value_index_blob.take() {
-            let _ = self.blob_store().delete(stale);
-        }
-        meta.rebuild_value_index();
-        if !meta.tiles.is_empty() {
-            if let Some(ix) = &meta.value_index {
-                meta.value_index_blob = self.blob_store().create(&ix.to_bytes()).ok();
             }
         }
     }
@@ -344,9 +320,9 @@ pub struct FsckReport {
     pub unreadable_blobs: Vec<u64>,
     /// `(object, blob)` tile references that resolve to no BLOB.
     pub missing_tile_blobs: Vec<(String, u64)>,
-    /// `(object, blob)` value-bitmap-index references that resolve to no
-    /// BLOB (dangling index blob).
-    pub missing_index_blobs: Vec<(String, u64)>,
+    /// BLOBs in the directory that no tile references (reclaimable leak:
+    /// the next open deletes them, the commit after it frees their pages).
+    pub unreferenced_blobs: Vec<u64>,
     /// Whether a stale `catalog.json.tmp` (interrupted commit) is present.
     pub stale_tmp: bool,
 }
@@ -361,7 +337,7 @@ impl FsckReport {
             && self.duplicated_pages.is_empty()
             && self.unreadable_blobs.is_empty()
             && self.missing_tile_blobs.is_empty()
-            && self.missing_index_blobs.is_empty()
+            && self.unreferenced_blobs.is_empty()
     }
 }
 
@@ -393,16 +369,34 @@ impl fmt::Display for FsckReport {
         for (obj, blob) in &self.missing_tile_blobs {
             writeln!(f, "object {obj} references missing blob {blob}")?;
         }
-        for (obj, blob) in &self.missing_index_blobs {
-            writeln!(f, "object {obj} references missing index blob {blob}")?;
+        if !self.unreferenced_blobs.is_empty() {
+            writeln!(
+                f,
+                "blobs no tile references (reclaimable): {:?}",
+                self.unreferenced_blobs
+            )?;
         }
         write!(f, "NOT clean")
     }
 }
 
+/// Ids of the directory's blobs that no tile of `objects` references.
+fn unreferenced_blobs(blobs: &BlobDirectory, objects: &[MddObject]) -> Vec<u64> {
+    let tile_blobs: BTreeSet<u64> = objects
+        .iter()
+        .flat_map(|o| o.tiles.iter().map(|t| t.blob.0))
+        .collect();
+    blobs
+        .blobs()
+        .map(|(id, _, _)| id.0)
+        .filter(|id| !tile_blobs.contains(id))
+        .collect()
+}
+
 /// Checks a database directory for consistency without modifying it:
 /// catalog parses, page accounting balances, every BLOB's pages pass
-/// checksum verification, every tile reference resolves.
+/// checksum verification, every tile reference resolves, and every BLOB
+/// is referenced by a tile.
 ///
 /// # Errors
 /// Missing/corrupt catalog or page-file I/O errors (a database too damaged
@@ -421,6 +415,7 @@ pub fn fsck<P: AsRef<Path>>(dir: P) -> Result<FsckReport> {
         objects,
     } = catalog;
     let blob_ids: BTreeSet<u64> = blobs.blobs().map(|(id, _, _)| id.0).collect();
+    let unreferenced = unreferenced_blobs(&blobs, &objects);
     let free_pages = blobs.free_pages().len() as u64;
     let store = FilePageStore::open(dir.join(PAGES_FILE), page_size)?;
     let bs = BlobStore::with_directory(store, blobs);
@@ -434,6 +429,7 @@ pub fn fsck<P: AsRef<Path>>(dir: P) -> Result<FsckReport> {
         orphaned_pages: check.orphaned.iter().map(|p| p.0).collect(),
         dangling_pages: check.dangling.iter().map(|p| p.0).collect(),
         duplicated_pages: check.duplicated.iter().map(|p| p.0).collect(),
+        unreferenced_blobs: unreferenced,
         stale_tmp,
         ..FsckReport::default()
     };
@@ -449,11 +445,6 @@ pub fn fsck<P: AsRef<Path>>(dir: P) -> Result<FsckReport> {
                 report
                     .missing_tile_blobs
                     .push((obj.name.clone(), tile.blob.0));
-            }
-        }
-        if let Some(blob) = obj.value_index_blob {
-            if !blob_ids.contains(&blob.0) {
-                report.missing_index_blobs.push((obj.name.clone(), blob.0));
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Cell-value predicates and synopsis/bitmap-based tile pruning.
+//! Cell-value predicates and synopsis-based tile pruning.
 //!
 //! A [`CellPredicate`] is the `where <obj> <op> <literal>` clause of a
 //! query: cells failing it read as the type's default value (masked
@@ -8,13 +8,11 @@
 //! conservative: "don't know" never prunes, so pruned and unpruned
 //! results are byte-identical by construction.
 
-use tilestore_index::{bins_eq, bins_ge, bins_le};
-
 use crate::aggregate::decode_numeric;
 use crate::celltype::CellType;
 use crate::error::Result;
 use crate::mdd::MddObject;
-use crate::synopsis::TileSynopsis;
+use crate::synopsis::{bins_eq, bins_ge, bins_le, TileSynopsis};
 
 /// Comparison operators a cell predicate supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,16 +70,6 @@ impl PruneRule {
     }
 }
 
-/// Why a candidate tile need not be fetched under a predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Prune {
-    /// The bitmap index's per-tile mask is disjoint from the predicate's
-    /// candidate bins.
-    Bitmap,
-    /// A rule of the tile's synopsis proves no cell matches.
-    Synopsis(PruneRule),
-}
-
 /// A value predicate `cell <op> literal` over a numeric cell type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellPredicate {
@@ -112,10 +100,9 @@ impl CellPredicate {
         }
     }
 
-    /// Mask of value bins that could hold a matching cell. A tile (or
-    /// object summary) whose bin mask misses every candidate bin cannot
-    /// match. `!=` admits every bin — bins are too coarse to exclude one
-    /// value.
+    /// Mask of value bins that could hold a matching cell. A tile whose
+    /// bin mask misses every candidate bin cannot match. `!=` admits every
+    /// bin — bins are too coarse to exclude one value.
     #[must_use]
     pub fn candidate_bins(&self) -> u64 {
         match self.op {
@@ -126,8 +113,8 @@ impl CellPredicate {
         }
     }
 
-    /// Whether bin disjointness (synopsis bins or the bitmap index) may
-    /// prune under this operator. `!=` admits every candidate bin, so
+    /// Whether synopsis bin disjointness may prune under this operator.
+    /// `!=` admits every candidate bin, so
     /// disjointness could only ever fire on a tile with *no* binned cells
     /// — and NaN cells live in no bin yet satisfy `!=`, so firing there
     /// would drop matching cells (the PR 6 all-NaN reproduction).
@@ -176,20 +163,10 @@ impl CellPredicate {
     }
 
     /// The one pruning test, shared by range queries, aggregates and
-    /// EXPLAIN: whether tile `pos` of `meta` can be skipped, and why.
-    /// Bitmap disjointness is tried first (the cheaper check), then the
-    /// synopsis rules; `None` means the tile must be fetched.
-    pub(crate) fn prune(&self, meta: &MddObject, pos: usize) -> Option<Prune> {
-        let by_bitmap = self.bins_can_prune()
-            && meta
-                .value_index
-                .as_ref()
-                .is_some_and(|ix| ix.tile_mask(pos) & self.candidate_bins() == 0);
-        if by_bitmap {
-            return Some(Prune::Bitmap);
-        }
-        let syn = meta.tiles[pos].synopsis.as_ref()?;
-        self.prune_rule(syn).map(Prune::Synopsis)
+    /// EXPLAIN: whether tile `pos` of `meta` can be skipped, and by which
+    /// synopsis rule; `None` means the tile must be fetched.
+    pub(crate) fn prune(&self, meta: &MddObject, pos: usize) -> Option<PruneRule> {
+        self.prune_rule(meta.tiles[pos].synopsis.as_ref()?)
     }
 
     /// The extrema comparison `prune_rule` applies for this operator, as a

@@ -305,10 +305,10 @@ impl<S: PageStore> Snapshot<S> {
 
     /// Executes a range query with an optional cell-value predicate:
     /// cells failing `cell <op> literal` read as the type's default value
-    /// (masked select). Tiles the synopsis or value-bitmap index *proves*
-    /// cannot hold a matching cell are never fetched — their blobs stay
-    /// untouched and they count in [`QueryStats::tiles_pruned`]; pruning
-    /// is conservative, so the result is byte-identical to masking a full
+    /// (masked select). Tiles whose synopsis *proves* they cannot hold a
+    /// matching cell are never fetched — their blobs stay untouched and
+    /// they count in [`QueryStats::tiles_pruned`]; pruning is
+    /// conservative, so the result is byte-identical to masking a full
     /// scan.
     ///
     /// # Errors
@@ -472,8 +472,8 @@ pub(crate) fn execute_range<S: PageStore>(
         index_nodes: search.nodes_visited,
         ..QueryStats::default()
     };
-    // Value-predicate pruning: drop every hit the bitmap index or its
-    // synopsis proves cannot hold a matching cell. A pruned tile is
+    // Value-predicate pruning: drop every hit whose synopsis proves it
+    // cannot hold a matching cell. A pruned tile is
     // equivalent to an all-default tile, and the result is pre-filled with
     // the default, so skipping it changes nothing.
     let mut hits = search.hits;

@@ -10,7 +10,7 @@ pub struct QueryStats {
     pub index_nodes: u64,
     /// Tiles fetched from storage.
     pub tiles_read: u64,
-    /// Intersecting tiles skipped because their synopsis/bitmap proved the
+    /// Intersecting tiles skipped because their synopsis proved the
     /// query's value predicate false (or a condenser was answered from the
     /// synopsis alone) — their blobs were never read.
     pub tiles_pruned: u64,

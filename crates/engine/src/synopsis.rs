@@ -3,17 +3,84 @@
 //!
 //! A synopsis bounds what the tile's cells can be without decompressing
 //! the blob: min/max/sum over the numeric interpretation, the non-default
-//! cell count, a coarse null mask, and the value-bin membership mask the
-//! hierarchical bitmap index aggregates. The read path uses these to prune
-//! tiles under value predicates and to short-circuit min/max/count/some/
-//! all condensers.
+//! cell count, a coarse null mask, and a value-bin membership mask. The
+//! read path uses these to prune tiles under value predicates and to
+//! short-circuit min/max/count/some/all condensers.
+//!
+//! Cell values are mapped into [`BINS`] coarse value bins by the monotone
+//! `value_bin` function, in the spirit of Krčál, Ho & Holub's bitmap
+//! indexing for range and membership queries on arrays. A predicate's
+//! candidate bins (`bins_ge`, `bins_le`, `bins_eq`) disjoint from a tile's
+//! mask prove the tile holds no matching cell.
 
 use tilestore_compress::{scan_cells, CellContext, CellScan};
-use tilestore_index::value_bin;
 use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 
 use crate::aggregate::decode_numeric;
 use crate::celltype::CellType;
+
+/// Number of value bins (one bit each in a tile mask).
+pub(crate) const BINS: u32 = 64;
+
+/// Maps a cell value to its bin, or `None` for NaN (NaN fails every
+/// comparison predicate, so it never needs to make a tile a candidate).
+///
+/// The binning is monotone (`v <= w` implies `value_bin(v) <= value_bin(w)`)
+/// and value-independent, so masks can be built tile-by-tile in one pass
+/// with no cross-tile coordination:
+///
+/// * bins 0..=25 — negative values by descending magnitude (bin 0 holds
+///   `v <= -2^25`, bin 25 holds `-2^-6 < v < 0`... approximately: the
+///   exponent of `-v` is clamped to `[-6, 25]`);
+/// * bin 31 — exactly zero;
+/// * bins 32..=63 — positive values by ascending magnitude (exponent of
+///   `v` clamped to `[-6, 25]`, so bin 63 holds `v >= 2^25`).
+#[must_use]
+pub(crate) fn value_bin(v: f64) -> Option<u32> {
+    if v.is_nan() {
+        return None;
+    }
+    Some(if v == 0.0 {
+        31
+    } else if v > 0.0 {
+        let e = v.log2().floor().clamp(-6.0, 25.0) as i64;
+        (32 + (e + 6)) as u32
+    } else {
+        let e = (-v).log2().floor().clamp(-6.0, 25.0) as i64;
+        (25 - e) as u32
+    })
+}
+
+/// Mask of every bin that could hold a value `>= v` (or `> v` — the bin
+/// granularity cannot distinguish the two, so both use the closed form).
+#[must_use]
+pub(crate) fn bins_ge(v: f64) -> u64 {
+    match value_bin(v) {
+        // All bits from bin(v) upward.
+        Some(b) => !0u64 << b,
+        None => 0,
+    }
+}
+
+/// Mask of every bin that could hold a value `<= v` (or `< v`).
+#[must_use]
+pub(crate) fn bins_le(v: f64) -> u64 {
+    match value_bin(v) {
+        // All bits from 0 through bin(v).
+        Some(b) if b == BINS - 1 => !0u64,
+        Some(b) => (1u64 << (b + 1)) - 1,
+        None => 0,
+    }
+}
+
+/// Mask of the single bin holding `v`.
+#[must_use]
+pub(crate) fn bins_eq(v: f64) -> u64 {
+    match value_bin(v) {
+        Some(b) => 1u64 << b,
+        None => 0,
+    }
+}
 
 /// Statistics of one tile's payload.
 ///
@@ -106,7 +173,8 @@ impl TileSynopsis {
         self.null_mask
     }
 
-    /// Value-bin membership mask (see [`tilestore_index::value_bin`]).
+    /// Value-bin membership mask: bit `b` is set iff some cell falls in
+    /// value bin `b` (see the module docs).
     /// All-ones for non-numeric cell types: "could be anything".
     #[must_use]
     pub fn bins(&self) -> u64 {
@@ -193,6 +261,58 @@ mod tests {
     }
 
     #[test]
+    fn binning_is_monotone() {
+        let samples = [
+            f64::NEG_INFINITY,
+            -1e12,
+            -40_000_000.0,
+            -33_554_432.0,
+            -1000.0,
+            -1.5,
+            -1.0,
+            -0.01,
+            -1e-9,
+            0.0,
+            1e-9,
+            0.01,
+            0.015_625,
+            1.0,
+            1.5,
+            1000.0,
+            33_554_432.0,
+            40_000_000.0,
+            1e12,
+            f64::INFINITY,
+        ];
+        for w in samples.windows(2) {
+            let (a, b) = (value_bin(w[0]).unwrap(), value_bin(w[1]).unwrap());
+            assert!(a <= b, "bin({}) = {a} > bin({}) = {b}", w[0], w[1]);
+        }
+        for v in samples {
+            assert!(value_bin(v).unwrap() < BINS);
+        }
+        assert_eq!(value_bin(0.0), Some(31));
+        assert_eq!(value_bin(f64::NAN), None);
+    }
+
+    #[test]
+    fn candidate_masks_cover_their_values() {
+        for &v in &[-100.0, -0.5, 0.0, 0.5, 7.0, 1e9] {
+            let bin = value_bin(v).unwrap();
+            assert_ne!(bins_ge(v) & (1 << bin), 0, "ge misses bin of {v}");
+            assert_ne!(bins_le(v) & (1 << bin), 0, "le misses bin of {v}");
+            assert_eq!(bins_eq(v), 1 << bin);
+            // ge and le together cover everything and overlap only at v's bin.
+            assert_eq!(bins_ge(v) | bins_le(v), !0);
+            assert_eq!(bins_ge(v) & bins_le(v), 1 << bin);
+        }
+        // NaN matches nothing.
+        assert_eq!(bins_ge(f64::NAN), 0);
+        assert_eq!(bins_le(f64::NAN), 0);
+        assert_eq!(bins_eq(f64::NAN), 0);
+    }
+
+    #[test]
     fn numeric_synopsis_captures_extrema_and_counts() {
         let cell = CellType::of::<i32>();
         let syn = TileSynopsis::scan(&cell, &payload(&[3i32, -7, 0, 12, 0]));
@@ -206,7 +326,7 @@ mod tests {
         assert_eq!(syn.sum(), Some(8.0));
         // Each distinct value's bin is present.
         for v in [3.0, -7.0, 0.0, 12.0] {
-            let bin = tilestore_index::value_bin(v).unwrap();
+            let bin = value_bin(v).unwrap();
             assert_ne!(syn.bins() & (1 << bin), 0, "missing bin of {v}");
         }
     }

@@ -121,9 +121,9 @@ fn assert_recovers(dir: &Path, commits: u64, what: &str) {
         expected_contents(commits),
         "{what}: lost or torn tiles"
     );
-    // The synopsis/bitmap-index surface must also survive the crash: a
-    // pruned masked read agrees byte-for-byte with masking the recovered
-    // contents in plain code.
+    // The synopsis surface must also survive the crash: a pruned masked
+    // read agrees byte-for-byte with masking the recovered contents in
+    // plain code.
     assert_predicate_reads_clean(&db, &region, commits, what);
     // Recovery reclaimed any orphans in memory; recommitting persists the
     // repair, after which the directory must audit perfectly clean.
@@ -135,8 +135,8 @@ fn assert_recovers(dir: &Path, commits: u64, what: &str) {
         "{what}: fsck dirty after recovery: {report}"
     );
     assert!(
-        report.missing_index_blobs.is_empty(),
-        "{what}: dangling bitmap-index blob: {report}"
+        report.unreferenced_blobs.is_empty(),
+        "{what}: blob no tile references: {report}"
     );
 }
 
@@ -208,8 +208,8 @@ fn run_defrag_workload(dir: &Path, plan: Option<FaultPlan>) -> Outcome {
         db.save(dir)?;
         out.commits = 2;
         let receipt = db.defrag("m")?;
-        // The two inserts left an index blob between the tile groups, so
-        // the curve prefix is broken and the defrag must really rewrite.
+        // The two inserts wrote their tiles in insertion order, not curve
+        // order, so the defrag must really rewrite.
         assert!(
             receipt.stats.bytes_rewritten > 0,
             "defrag workload found nothing to compact"
@@ -280,10 +280,43 @@ fn crash_during_save_leaves_previous_commit_intact() {
     assert_recovers(dir.path(), 1, "crash inside save");
 }
 
+/// Asserts the directory holds exactly the tiles' blobs: a failed write
+/// must not leave behind the blobs it wrote before failing.
+fn assert_blobs_are_tiles<S: tilestore_storage::PageStore>(db: &Database<S>, what: &str) {
+    assert_eq!(
+        db.blob_store().blob_count(),
+        db.object("m").unwrap().tile_count(),
+        "{what}: blobs no tile references"
+    );
+}
+
+/// Runs `write` with a one-off fault at its first page operation, then at
+/// its second, and so on, until the fault lands past its last operation
+/// and the write succeeds. Every failed attempt must leave only tiles in
+/// the directory.
+fn retry_through_every_fault(
+    db: &FaultyDb,
+    what: &str,
+    write: impl Fn(&FaultyDb) -> Result<(), tilestore_engine::EngineError>,
+) {
+    let store = db.blob_store().page_store();
+    for k in 0.. {
+        store.set_plan(FaultPlan::transient(&[store.ops() + k]));
+        let outcome = write(db);
+        store.set_plan(FaultPlan::none());
+        if outcome.is_ok() {
+            assert!(k > 1, "{what}: the write touched the store only {k} times");
+            return;
+        }
+        assert_blobs_are_tiles(db, &format!("{what} failing at its op {k}"));
+    }
+}
+
 #[test]
 fn transient_store_errors_do_not_poison_the_database() {
     // A one-off I/O failure surfaces as an error but the database stays
-    // usable and the retried commit succeeds.
+    // usable, the failed write leaves no blob behind, and the retried
+    // commit succeeds.
     let dir = tilestore_testkit::tempdir().unwrap();
     let db = phase0(dir.path());
     let next_op = db.blob_store().page_store().ops();
@@ -291,22 +324,40 @@ fn transient_store_errors_do_not_poison_the_database() {
         .page_store()
         .set_plan(FaultPlan::transient(&[next_op]));
     assert!(db.insert("m", &data_b()).is_err());
+    assert_blobs_are_tiles(&db, "failed insert");
     db.insert("m", &data_b()).unwrap();
+    // The retile, update, delete and defrag paths each fail at every page
+    // operation in turn, some after writing blobs, and leak none.
+    retry_through_every_fault(&db, "retile", |db| {
+        db.retile("m", Scheme::Aligned(AlignedTiling::regular(2, 2048)))
+            .map(drop)
+    });
+    let patch = Array::filled("[5:24,3:8]".parse().unwrap(), &9u32.to_le_bytes()).unwrap();
+    retry_through_every_fault(&db, "update", |db| db.update("m", &patch).map(drop));
+    let hole: tilestore_geometry::Domain = "[30:39,10:19]".parse().unwrap();
+    retry_through_every_fault(&db, "delete", |db| db.delete_region("m", &hole).map(drop));
+    retry_through_every_fault(&db, "defrag", |db| db.defrag("m").map(drop));
+    let mut expected = expected_contents(2);
+    expected.paste(&patch).unwrap();
+    expected
+        .paste(&Array::filled(hole, &0u32.to_le_bytes()).unwrap())
+        .unwrap();
     db.save(dir.path()).unwrap();
+    let report = fsck(dir.path()).unwrap();
+    assert!(report.unreferenced_blobs.is_empty(), "{report}");
     drop(db);
     let db = Database::open_dir(dir.path()).unwrap();
+    assert_blobs_are_tiles(&db, "reopened");
     let q = db
         .range_query("m", &"[0:39,0:19]".parse().unwrap())
         .unwrap();
-    assert_eq!(q.array, expected_contents(2));
+    assert_eq!(q.array, expected);
     db.save(dir.path()).unwrap();
     assert!(fsck(dir.path()).unwrap().is_clean());
 }
 
-/// Removes every `"key": value` member from a JSON text, where the value
-/// is an object or a bare number (the only shapes the stripped fields
-/// take). The member is never first in its object, so the preceding comma
-/// is removed with it.
+/// Removes every `"key": {...}` member from a JSON text. The member is
+/// never first in its object, so the preceding comma is removed with it.
 fn strip_json_members(text: &str, key: &str) -> String {
     let needle = format!("\"{key}\"");
     let mut out = String::with_capacity(text.len());
@@ -328,21 +379,16 @@ fn strip_json_members(text: &str, key: &str) -> String {
         while (b[k] as char).is_whitespace() {
             k += 1;
         }
-        if b[k] == b'{' {
-            let mut depth = 1;
+        assert_eq!(b[k], b'{', "member value must be an object");
+        let mut depth = 1;
+        k += 1;
+        while depth > 0 {
+            match b[k] {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                _ => {}
+            }
             k += 1;
-            while depth > 0 {
-                match b[k] {
-                    b'{' => depth += 1,
-                    b'}' => depth -= 1,
-                    _ => {}
-                }
-                k += 1;
-            }
-        } else {
-            while b[k].is_ascii_digit() {
-                k += 1;
-            }
         }
         out.push_str(&rest[..start]);
         rest = &rest[k..];
@@ -354,8 +400,8 @@ fn strip_json_members(text: &str, key: &str) -> String {
 #[test]
 fn pre_synopsis_catalogs_hydrate_and_prune_on_open() {
     // A catalog written before synopses existed has no "synopsis" tile
-    // fields and no "value_index_blob"; opening it must rescan payloads,
-    // rebuild the bitmap index, and leave a directory that commits clean.
+    // fields; opening it must rescan payloads, prune with the rebuilt
+    // synopses, and leave a directory that commits clean.
     let dir = tilestore_testkit::tempdir().unwrap();
     {
         let db = phase0(dir.path());
@@ -365,13 +411,10 @@ fn pre_synopsis_catalogs_hydrate_and_prune_on_open() {
     let path = dir.path().join(CATALOG_FILE);
     let text = fs::read_to_string(&path).unwrap();
     assert!(text.contains("\"synopsis\""), "modern catalog has synopses");
-    assert!(text.contains("\"value_index_blob\""));
-    let stripped = strip_json_members(&strip_json_members(&text, "synopsis"), "value_index_blob");
-    assert!(!stripped.contains("synopsis") && !stripped.contains("value_index_blob"));
+    let stripped = strip_json_members(&text, "synopsis");
+    assert!(!stripped.contains("synopsis"));
     fs::write(&path, stripped).unwrap();
 
-    // The old bitmap blob is now an orphan in the page file; open must
-    // still succeed and rebuild the whole value-index surface.
     let db = Database::open_dir(dir.path()).unwrap();
     let region = "[0:39,0:19]".parse().unwrap();
     assert_predicate_reads_clean(&db, &region, 2, "pre-synopsis catalog");
@@ -386,7 +429,7 @@ fn pre_synopsis_catalogs_hydrate_and_prune_on_open() {
     db.save(dir.path()).unwrap();
     let report = fsck(dir.path()).unwrap();
     assert!(report.is_clean(), "fsck dirty after hydration: {report}");
-    assert!(report.missing_index_blobs.is_empty());
+    assert!(report.unreferenced_blobs.is_empty());
 }
 
 #[test]

@@ -450,8 +450,8 @@ fn explain_reconciles_with_executor_counters() {
 }
 
 /// Every tile of every object must carry a synopsis that agrees exactly
-/// with a fresh scan of its payload, and the bitmap index must mirror the
-/// per-tile bin masks — across insert, update, delete and retile.
+/// with a fresh scan of its payload, and the blob directory must hold
+/// exactly the tiles' blobs — across insert, update, delete and retile.
 #[test]
 fn synopses_stay_consistent_under_mutation() {
     check(
@@ -497,7 +497,6 @@ fn assert_synopses_consistent(
     db: &Database<tilestore_storage::MemPageStore>,
 ) -> Result<(), String> {
     let meta = db.object("obj").unwrap();
-    let mut or_of_masks = 0u64;
     for (i, tile) in meta.tiles.iter().enumerate() {
         let Some(syn) = &tile.synopsis else {
             return Err(format!("tile {i} over {} has no synopsis", tile.domain));
@@ -516,16 +515,8 @@ fn assert_synopses_consistent(
         let payload = db.range_query("obj", &tile.domain).unwrap().array;
         let fresh = TileSynopsis::scan(&meta.mdd_type.cell, payload.bytes());
         prop_assert_eq!(*syn, fresh, "tile {} over {}", i, tile.domain);
-        or_of_masks |= syn.bins();
     }
-    let Some(ix) = &meta.value_index else {
-        return Err("object has no bitmap value index".to_string());
-    };
-    prop_assert_eq!(ix.len(), meta.tiles.len());
-    prop_assert_eq!(ix.summary(), or_of_masks);
-    for (i, tile) in meta.tiles.iter().enumerate() {
-        prop_assert_eq!(ix.tile_mask(i), tile.synopsis.as_ref().unwrap().bins());
-    }
+    prop_assert_eq!(db.blob_store().blob_count(), meta.tiles.len());
     Ok(())
 }
 

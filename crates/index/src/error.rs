@@ -21,8 +21,6 @@ pub enum IndexError {
         /// The offending fanout.
         fanout: usize,
     },
-    /// A persisted index blob failed to decode.
-    Corrupt(String),
 }
 
 impl fmt::Display for IndexError {
@@ -35,7 +33,6 @@ impl fmt::Display for IndexError {
             IndexError::BadFanout { fanout } => {
                 write!(f, "fanout {fanout} too small (minimum 2)")
             }
-            IndexError::Corrupt(what) => write!(f, "corrupt index blob: {what}"),
         }
     }
 }

@@ -8,10 +8,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod bitmap;
 mod error;
 mod rplus;
 
-pub use bitmap::{bins_eq, bins_ge, bins_le, value_bin, BitmapIndex, BINS};
 pub use error::{IndexError, Result};
 pub use rplus::{RPlusTree, SearchResult, DEFAULT_FANOUT};

@@ -87,8 +87,8 @@ pub struct HotMetrics {
     pub writer_swap_ns: Arc<Histogram>,
     /// Engine mutexes recovered from poisoning (a holder panicked).
     pub lock_poisoned: Arc<Counter>,
-    /// Tiles skipped by synopsis/bitmap value-predicate pruning (their
-    /// blobs were never fetched).
+    /// Tiles skipped by synopsis value-predicate pruning (their blobs
+    /// were never fetched).
     pub tiles_pruned: Arc<Counter>,
     /// Buffer-pool shard lock acquisitions that had to block because
     /// another thread held the shard (`try_lock` failed first).

@@ -114,8 +114,8 @@ pub enum Expr {
 
 /// The `WHERE collection <op> literal` clause: a cell-value predicate.
 /// Cells failing the comparison read as the type's default value (masked
-/// select), and the planner prunes tiles the synopsis/bitmap index proves
-/// cannot match.
+/// select), and the planner prunes tiles whose synopsis proves they cannot
+/// match.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// The collection whose cells are compared (must match `FROM`).

@@ -74,6 +74,17 @@ if grep -rqw InducedOp crates/*/src; then
     exit 1
 fi
 
+# --- One pruning structure per object: the tile synopsis. The bitmap value
+# index copied the synopses' bin masks, rewrote a blob on every write and
+# pruned no tile the synopsis rules did not; any of its names in
+# crates/*/src is that copy coming back.
+for needle in BitmapIndex value_index Prune::Bitmap missing_index_blobs bitmap-prune; do
+    if grep -rqF "$needle" crates/*/src; then
+        echo "bitmap value index is back: '$needle' in crates/*/src" >&2
+        exit 1
+    fi
+done
+
 # --- In-tree clients move cells as binary parts: the hex codec is the JSON
 # debug surface of the server, never on the `Client` or coordinator path.
 if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_(en|de)code'; then
