@@ -12,10 +12,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The codec kernels and the run walker ship with overflow checks off, and
-# wrapping arithmetic there fails differently (silently) than under the
-# debug build above, so their crates run again as they ship.
-cargo test -q --offline --release -p tilestore-compress -p tilestore-geometry
+# The codec kernels, the run walker and the CRC-32 fold ship with
+# overflow checks off and full optimisation, and wrapping arithmetic or
+# inlined SIMD there fails differently (silently) than under the debug
+# build above, so their crates run again as they ship.
+cargo test -q --offline --release -p tilestore-compress -p tilestore-geometry \
+    -p tilestore-testkit
 # The buffer-pool concurrency suite (stale-frame race repro + cross-shard
 # freshness property) is the regression gate for the sharded cache; run it
 # by name so a filtered or partial test invocation can never skip it.
@@ -45,6 +47,16 @@ for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
         exit 1
     fi
 done
+
+# --- One read protocol in the buffer pool: every pool read runs the one
+# three-pass body, and only its pass 3 installs. A second call to
+# `PoolInner::install` in non-test pool code is a copy of the protocol
+# (and of its stale-frame guard) that the freshness tests do not cover.
+installs=$(non_test crates/storage/src/buffer.rs | grep -cF '.install(' || true)
+if [ "$installs" -ne 1 ]; then
+    echo "buffer pool read protocol forked: $installs calls to install in buffer.rs" >&2
+    exit 1
+fi
 
 # --- One I/O accounting path: every read returns the counts of that call
 # and a query adds up its own. Diffing the store's shared totals around a
