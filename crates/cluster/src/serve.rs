@@ -21,8 +21,7 @@ use crate::error::ClusterError;
 
 /// Serves `coord` on `addr` (e.g. `"127.0.0.1:0"`). `root` is the cluster
 /// directory for the final local-shard save; pass `None` for in-memory or
-/// remote shards. `config.workers` is unused: the coordinator scatters on
-/// the pool it was built with.
+/// remote shards. The coordinator scatters on the pool it was built with.
 ///
 /// # Errors
 /// Socket bind/configuration errors.

@@ -15,6 +15,8 @@ use tilestore_storage::PageStore;
 use crate::celltype::CellType;
 use crate::database::Database;
 use crate::error::{EngineError, Result};
+use crate::explain::TileDecision;
+use crate::mdd::MddObject;
 use crate::predicate::CellPredicate;
 use crate::stats::QueryStats;
 use crate::synopsis::TileSynopsis;
@@ -56,9 +58,11 @@ impl AggKind {
 }
 
 /// Whether an aggregation of `kind` over a fully-contained tile can be
-/// answered from its synopsis alone (the planner's short-circuit rule;
-/// see [`Accumulator::accepts_synopsis`] — shared with EXPLAIN so the
-/// report and the executor can never disagree).
+/// answered from its synopsis alone (the planner's short-circuit rule):
+/// [`Accumulator::feed_synopsis`] then computes the same result as
+/// streaming the tile cell by cell. Sums stream unconditionally (their
+/// value depends on fold order for floats), extrema need the numeric half
+/// of the synopsis.
 pub(crate) fn kind_accepts_synopsis(kind: AggKind, syn: &TileSynopsis) -> bool {
     match kind {
         AggKind::Sum | AggKind::Avg => false,
@@ -198,12 +202,29 @@ impl Accumulator {
         }
     }
 
-    /// Whether [`Accumulator::feed_synopsis`] computes the same result as
-    /// streaming `syn`'s tile cell by cell: sums stream unconditionally
-    /// (their value depends on fold order for floats), extrema need the
-    /// numeric half of the synopsis.
-    fn accepts_synopsis(&self, syn: &TileSynopsis) -> bool {
-        kind_accepts_synopsis(self.kind, syn)
+    /// Folds in a candidate tile the plan does not fetch: a condensed tile
+    /// through its synopsis, a pruned one as all-default over its clip.
+    fn feed_skipped(
+        &mut self,
+        meta: &MddObject,
+        region: &Domain,
+        pos: u64,
+        decision: TileDecision,
+    ) -> Result<()> {
+        let tile = &meta.tiles[pos as usize];
+        if decision == TileDecision::SynopsisCondense {
+            self.feed_synopsis(
+                tile.synopsis
+                    .as_ref()
+                    .expect("condensed tiles have a synopsis"),
+            );
+            return Ok(());
+        }
+        let clip = tile
+            .domain
+            .intersection(region)
+            .expect("index returned an intersecting tile");
+        self.feed_default(&meta.mdd_type.cell, clip.cells())
     }
 
     /// Feeds `count` copies of the default value (uncovered areas).
@@ -291,77 +312,58 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         kind: AggKind,
         predicate: Option<&CellPredicate>,
     ) -> Result<(AggValue, QueryStats)> {
-        let entry = self.catalog.entry(name)?;
-        let meta = &entry.meta;
-        if !meta.mdd_type.definition.admits(region) {
-            return Err(EngineError::OutsideDefinitionDomain {
-                domain: region.to_string(),
-                definition: meta.mdd_type.definition.to_string(),
-            });
-        }
-        if predicate.is_some() {
-            decode_numeric(&meta.mdd_type.cell, &meta.mdd_type.cell.default)?;
-        }
         let _req = self.request_scope();
         let _span = tilestore_obs::tracer().span_with("aggregate", || {
             format!("object={name} region={region} kind={}", kind.as_str())
         });
         let started = Instant::now();
-        entry.log.record(region);
-        let cell_type = meta.mdd_type.cell.clone();
+        let plan = self.plan(name, region, predicate, Some(kind))?;
+        self.catalog.entry(name)?.log.record(region);
+        let meta = &plan.object;
+        let cell_type = &meta.mdd_type.cell;
         let cell_size = cell_type.size;
         let mut acc = Accumulator::new(kind);
-
-        let search = meta.index.search(region);
-        let mut stats = QueryStats {
-            index_nodes: search.nodes_visited,
-            ..QueryStats::default()
-        };
-        for &pos in &search.hits {
+        let mut stats = plan.stats();
+        // The plan reads tiles in index order; the candidates it skips are
+        // folded in between, so the accumulator sees every tile in index
+        // order.
+        let mut candidates = plan.tiles.iter();
+        stats.io = plan.fetch(&self.blobs, |pos, bytes| {
+            for &(skipped, decision) in candidates.by_ref() {
+                if skipped == pos {
+                    break;
+                }
+                acc.feed_skipped(meta, region, skipped, decision)?;
+            }
             let tile = &meta.tiles[pos as usize];
             let clip = tile
                 .domain
                 .intersection(region)
                 .expect("index returned an intersecting tile");
-            if let Some(p) = predicate {
-                if p.prune(meta, pos as usize).is_some() {
-                    // No cell matches: the whole clip reads as default.
-                    acc.feed_default(&cell_type, clip.cells())?;
-                    stats.tiles_pruned += 1;
-                    continue;
-                }
-            } else if region.contains_domain(&tile.domain) {
-                if let Some(syn) = &tile.synopsis {
-                    if acc.accepts_synopsis(syn) {
-                        acc.feed_synopsis(syn);
-                        stats.tiles_pruned += 1;
-                        continue;
-                    }
-                }
-            }
-            let (bytes, io) = crate::snapshot::read_tile_payload(&self.blobs, meta, tile)?;
-            stats.io += &io;
             for run in RunIter::new(&tile.domain, &clip)? {
                 let start = run.outer_offset as usize * cell_size;
                 for k in 0..run.len as usize {
                     let at = start + k * cell_size;
                     let cell = &bytes[at..at + cell_size];
                     match predicate {
-                        Some(p) if !p.matches(decode_numeric(&cell_type, cell)?) => {
-                            acc.feed(&cell_type, &cell_type.default)?;
+                        Some(p) if !p.matches(decode_numeric(cell_type, cell)?) => {
+                            acc.feed(cell_type, &cell_type.default)?;
                         }
-                        _ => acc.feed(&cell_type, cell)?,
+                        _ => acc.feed(cell_type, cell)?,
                     }
                 }
             }
-            stats.tiles_read += 1;
             stats.cells_processed += tile.domain.cells();
             stats.cells_copied += clip.cells();
+            Ok(())
+        })?;
+        for &(pos, decision) in candidates {
+            acc.feed_skipped(meta, region, pos, decision)?;
         }
         // Uncovered cells contribute defaults.
         let covered: u64 = acc.cells;
         let total = region.cells();
-        acc.feed_default(&cell_type, total - covered)?;
+        acc.feed_default(cell_type, total - covered)?;
         stats.cells_defaulted = total - covered;
         crate::snapshot::record_query(&mut stats, started);
         Ok((acc.finish(), stats))

@@ -59,8 +59,8 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Attaches a thread pool that query bands and insert/retile tile tasks
-    /// scatter onto; without one the same task bodies run inline (see
+    /// Attaches a thread pool that insert/retile tile tasks scatter onto;
+    /// without one the same task bodies run inline (see
     /// [`Database::set_executor`]).
     #[must_use]
     pub fn executor(mut self, pool: Arc<ThreadPool>) -> Self {

@@ -82,9 +82,9 @@ pub struct Database<S: PageStore> {
     /// Serializes writers. Readers never touch it.
     writer: Mutex<()>,
     recorder: Mutex<Option<Arc<AccessRecorder>>>,
-    /// Optional thread pool that query bands and insert/retile tile tasks
-    /// scatter onto ([`Database::set_executor`]); without it the same task
-    /// bodies run inline.
+    /// Optional thread pool that insert/retile tile tasks scatter onto
+    /// ([`Database::set_executor`]); without it the same task bodies run
+    /// inline.
     executor: Mutex<Option<Arc<ThreadPool>>>,
     /// Compression policy applied to objects created without an explicit
     /// one (configured via [`DatabaseBuilder::compression`]).
@@ -182,12 +182,10 @@ impl<S: PageStore> Database<S> {
         lock_recover(&self.recorder).clone()
     }
 
-    /// Attaches a thread pool. Queries then split the result array into
-    /// disjoint bands along axis 0 (one per worker plus the caller) and
-    /// scatter the band fetch/decode/clip across the pool, and insert/retile
-    /// materialize and compress tiles in parallel. Without an executor the
-    /// same task bodies run inline on the calling thread: a query is one
-    /// band, with the same batched, coalescing reads.
+    /// Attaches a thread pool: insert and retile then materialize and
+    /// compress their tiles in parallel. Without an executor the same task
+    /// bodies run inline on the calling thread. Reads never use it: a query
+    /// runs its plan's batched reads on the calling thread.
     pub fn set_executor(&self, pool: Arc<ThreadPool>) {
         *lock_recover(&self.executor) = Some(pool);
     }
@@ -261,16 +259,27 @@ impl<S: PageStore> Database<S> {
     /// returns a [`Snapshot`] that queries it without ever taking a
     /// database-wide lock. Tiles visible to the snapshot stay readable —
     /// even across concurrent re-tiles and drops — until it is dropped.
+    ///
+    /// The epoch is registered with the tracker while the catalog lock is
+    /// still held (lock order: catalog, then tracker). A writer swaps the
+    /// catalog under that lock and retires the blobs it unreferenced only
+    /// after releasing it. So either this snapshot pinned the old catalog
+    /// and is live when the writer retires, which defers the deletion, or
+    /// it pinned the new catalog, which no longer references those blobs.
+    /// Registering after the lock is released leaves a gap in which a
+    /// retile deletes blobs the new snapshot is about to read.
     #[must_use]
     pub fn begin_read(&self) -> Snapshot<S> {
-        let catalog = self.current_catalog();
-        self.tracker.acquire(catalog.version);
+        let catalog = {
+            let guard = lock_recover(&self.catalog);
+            self.tracker.acquire(guard.version);
+            Arc::clone(&guard)
+        };
         tilestore_obs::hot().snapshots_active.add(1);
         Snapshot {
             catalog,
             blobs: Arc::clone(&self.blobs),
             tracker: Arc::clone(&self.tracker),
-            executor: self.executor(),
             recorder: self.recorder(),
             request: std::sync::atomic::AtomicU64::new(0),
         }

@@ -1,23 +1,16 @@
-//! EXPLAIN: the planner's per-tile decisions as an inspectable report.
+//! EXPLAIN: a rendering of the statement's [`Plan`].
 //!
-//! [`Snapshot::explain_range`] and [`Snapshot::explain_aggregate`] walk the
-//! same candidate set, in the same order, calling the same pruning test
-//! (`CellPredicate::prune`) and read batching (`read_batches`) as the
-//! executors in `snapshot.rs` / `aggregate.rs` — but instead of fetching or
-//! skipping tiles they record *which* rule fired for each one. The report
-//! therefore reconciles exactly with the executor's counters: `fetched`
-//! equals `QueryStats::tiles_read` and `pruned` equals
-//! `QueryStats::tiles_pruned` for the same statement at the same epoch
-//! (a property test in `tests/properties.rs` pins this).
+//! [`Plan::explain`] turns the plan the executors run into an inspectable
+//! report: per candidate tile, the decision taken and the rule behind it.
+//! The decisions are the plan's own, so the report reconciles exactly with
+//! the executor's counters: `fetched` equals `QueryStats::tiles_read`,
+//! `pruned` equals `QueryStats::tiles_pruned`, and the `fetch-coalesced`
+//! tiles of single-page blobs equal `pages_read_run − runs_coalesced` for
+//! the same statement at the same epoch (a property test in
+//! `tests/properties.rs` pins this).
 
-use tilestore_geometry::Domain;
-use tilestore_storage::PageStore;
-
-use crate::aggregate::{decode_numeric, kind_accepts_synopsis, AggKind};
-use crate::error::{EngineError, Result};
-use crate::mdd::MddObject;
-use crate::predicate::{CellPredicate, PruneRule};
-use crate::snapshot::{folds_into, read_batches, Snapshot};
+use crate::plan::Plan;
+use crate::predicate::PruneRule;
 use tilestore_testkit::{Json, ToJson};
 
 /// What the planner decided to do with one candidate tile.
@@ -25,12 +18,13 @@ use tilestore_testkit::{Json, ToJson};
 pub enum TileDecision {
     /// The tile's blob is fetched and its cells processed.
     Fetched,
-    /// The tile's blob is fetched, and its pages are physically adjacent
-    /// to the previously fetched tile's, so the batch read path folds it
-    /// into the predecessor's positioned read instead of seeking.
+    /// The tile's blob is fetched, and its pages directly follow the
+    /// previous tile's in the same batched read, so the read folds it into
+    /// the predecessor's positioned read instead of seeking.
     FetchCoalesced,
-    /// Skipped: the tile synopsis proves no cell satisfies the predicate.
-    SynopsisPrune,
+    /// Skipped: the tile synopsis proves, by this rule, that no cell
+    /// satisfies the predicate.
+    SynopsisPrune(PruneRule),
     /// Not fetched: the condenser's contribution for the (fully
     /// contained) tile is computed from the synopsis alone.
     SynopsisCondense,
@@ -43,7 +37,7 @@ impl TileDecision {
         match self {
             TileDecision::Fetched => "fetched",
             TileDecision::FetchCoalesced => "fetch-coalesced",
-            TileDecision::SynopsisPrune => "synopsis-prune",
+            TileDecision::SynopsisPrune(_) => "synopsis-prune",
             TileDecision::SynopsisCondense => "synopsis-condense",
         }
     }
@@ -145,199 +139,80 @@ impl ToJson for ExplainPlan {
     }
 }
 
-/// Upgrades `Fetched` decisions to `FetchCoalesced` where the range read
-/// path folds the tile into its predecessor's positioned read: same batch
-/// of [`read_batches`], pages directly following ([`folds_into`]). After a
-/// defrag, curve-adjacent tiles report `fetch-coalesced` here.
-fn mark_coalesced<S: PageStore>(
-    blobs: &tilestore_storage::BlobStore<S>,
-    meta: &MddObject,
-    tiles: &mut [TilePlan],
-) {
-    let mut fetched: Vec<(usize, tilestore_storage::BlobPlacement)> = tiles
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.decision.is_pruned())
-        .filter_map(|(i, t)| {
-            blobs
-                .blob_placement(meta.tiles[t.tile as usize].blob)
-                .ok()
-                .map(|p| (i, p))
-        })
-        .collect();
-    for batch in read_batches(&mut fetched, blobs.page_store().page_size()) {
-        for k in batch.start + 1..batch.end {
-            if folds_into(&fetched[k - 1].1, &fetched[k].1) {
-                let i = fetched[k].0;
-                tiles[i].decision = TileDecision::FetchCoalesced;
-                tiles[i].rule =
-                    "pages adjacent to previous fetch; folded into its read".to_string();
+impl Plan {
+    /// Renders the plan as an EXPLAIN report. The rule text of each tile is
+    /// built here, from the decision and what the plan knows of the tile.
+    #[must_use]
+    pub fn explain(&self) -> ExplainPlan {
+        let tiles = self
+            .tiles
+            .iter()
+            .map(|&(pos, decision)| TilePlan {
+                tile: pos,
+                domain: self.object.tiles[pos as usize].domain.to_string(),
+                decision,
+                rule: self.rule(pos, decision),
+            })
+            .collect();
+        ExplainPlan {
+            object: self.object.name.clone(),
+            region: self.region.to_string(),
+            predicate: self.predicate.as_ref().map(ToString::to_string),
+            condenser: self.condenser.map(|kind| kind.as_str()),
+            epoch: self.epoch,
+            index_nodes: self.index_nodes,
+            tiles,
+        }
+    }
+
+    /// Why tile `pos` got `decision`.
+    fn rule(&self, pos: u64, decision: TileDecision) -> String {
+        let tile = &self.object.tiles[pos as usize];
+        match (decision, self.predicate, self.condenser) {
+            (TileDecision::FetchCoalesced, ..) => {
+                "pages adjacent to previous fetch; folded into its read".to_string()
             }
-        }
-    }
-}
-
-/// Renders the executors' pruning decision for one candidate tile.
-fn pruning(meta: &MddObject, pos: usize, p: &CellPredicate) -> Option<(TileDecision, String)> {
-    let detail = match p.prune(meta, pos)? {
-        PruneRule::EmptyTile => "synopsis records zero cells".to_string(),
-        PruneRule::Extrema => {
-            let syn = meta.tiles[pos]
-                .synopsis
-                .as_ref()
-                .expect("rule implies synopsis");
-            format!(
-                "extrema [{}, {}] vs `{p}`: {}",
-                syn.min().unwrap_or(f64::NAN),
-                syn.max().unwrap_or(f64::NAN),
-                p.extrema_rule()
-            )
-        }
-        PruneRule::SynopsisBins => "synopsis bins ∩ candidate bins = ∅".to_string(),
-    };
-    Some((TileDecision::SynopsisPrune, detail))
-}
-
-impl<S: PageStore> Snapshot<S> {
-    /// Validates object/predicate/region exactly like the executors do and
-    /// returns the candidate tile positions.
-    fn explain_candidates(
-        &self,
-        name: &str,
-        region: &Domain,
-        predicate: Option<&CellPredicate>,
-    ) -> Result<(std::sync::Arc<MddObject>, Vec<u64>, u64)> {
-        let entry = self.catalog.entry(name)?;
-        if predicate.is_some() {
-            decode_numeric(&entry.meta.mdd_type.cell, &entry.meta.mdd_type.cell.default)?;
-        }
-        if !entry.meta.mdd_type.definition.admits(region) {
-            return Err(EngineError::OutsideDefinitionDomain {
-                domain: region.to_string(),
-                definition: entry.meta.mdd_type.definition.to_string(),
-            });
-        }
-        let search = entry.meta.index.search(region);
-        Ok((
-            std::sync::Arc::clone(&entry.meta),
-            search.hits,
-            search.nodes_visited,
-        ))
-    }
-
-    /// Plans a (masked-select) range query without executing it: one entry
-    /// per candidate tile with the decision `range_query_where` will take.
-    /// EXPLAIN performs no blob I/O and — unlike execution — does not feed
-    /// the access log, so planning a statement never skews re-tiling
-    /// statistics.
-    ///
-    /// # Errors
-    /// The validation errors of [`Snapshot::range_query_where`].
-    pub fn explain_range(
-        &self,
-        name: &str,
-        region: &Domain,
-        predicate: Option<&CellPredicate>,
-    ) -> Result<ExplainPlan> {
-        let (meta, hits, index_nodes) = self.explain_candidates(name, region, predicate)?;
-        let mut tiles = Vec::with_capacity(hits.len());
-        for &pos in &hits {
-            let tile = &meta.tiles[pos as usize];
-            let (decision, rule) = match predicate {
-                Some(p) => pruning(&meta, pos as usize, p).unwrap_or((
-                    TileDecision::Fetched,
-                    "synopsis cannot disprove a match".to_string(),
-                )),
-                None => (TileDecision::Fetched, "no predicate".to_string()),
-            };
-            tiles.push(TilePlan {
-                tile: pos,
-                domain: tile.domain.to_string(),
-                decision,
-                rule,
-            });
-        }
-        mark_coalesced(&self.blobs, &meta, &mut tiles);
-        Ok(ExplainPlan {
-            object: name.to_string(),
-            region: region.to_string(),
-            predicate: predicate.map(ToString::to_string),
-            condenser: None,
-            epoch: self.epoch(),
-            index_nodes,
-            tiles,
-        })
-    }
-
-    /// Plans a condenser without executing it: one entry per candidate
-    /// tile with the decision `aggregate_where` will take, including the
-    /// synopsis short-circuit for fully-contained tiles.
-    ///
-    /// # Errors
-    /// The validation errors of [`Snapshot::aggregate_where`].
-    pub fn explain_aggregate(
-        &self,
-        name: &str,
-        region: &Domain,
-        kind: AggKind,
-        predicate: Option<&CellPredicate>,
-    ) -> Result<ExplainPlan> {
-        let (meta, hits, index_nodes) = self.explain_candidates(name, region, predicate)?;
-        let mut tiles = Vec::with_capacity(hits.len());
-        for &pos in &hits {
-            let tile = &meta.tiles[pos as usize];
-            let (decision, rule) = if let Some(p) = predicate {
-                pruning(&meta, pos as usize, p).unwrap_or((
-                    TileDecision::Fetched,
-                    "synopsis cannot disprove a match".to_string(),
-                ))
-            } else if region.contains_domain(&tile.domain) {
-                match &tile.synopsis {
-                    Some(syn) if kind_accepts_synopsis(kind, syn) => (
-                        TileDecision::SynopsisCondense,
-                        format!("{} answered from synopsis", kind.as_str()),
-                    ),
-                    Some(_) => (
-                        TileDecision::Fetched,
-                        format!("{} must stream cells", kind.as_str()),
-                    ),
-                    None => (TileDecision::Fetched, "no synopsis".to_string()),
-                }
-            } else {
-                (
-                    TileDecision::Fetched,
-                    "tile partially overlaps region".to_string(),
+            (TileDecision::SynopsisPrune(PruneRule::EmptyTile), ..) => {
+                "synopsis records zero cells".to_string()
+            }
+            (TileDecision::SynopsisPrune(PruneRule::Extrema), Some(p), _) => {
+                let syn = tile.synopsis.as_ref().expect("rule implies synopsis");
+                format!(
+                    "extrema [{}, {}] vs `{p}`: {}",
+                    syn.min().unwrap_or(f64::NAN),
+                    syn.max().unwrap_or(f64::NAN),
+                    p.extrema_rule()
                 )
-            };
-            tiles.push(TilePlan {
-                tile: pos,
-                domain: tile.domain.to_string(),
-                decision,
-                rule,
-            });
+            }
+            (TileDecision::SynopsisPrune(PruneRule::SynopsisBins), ..) => {
+                "synopsis bins ∩ candidate bins = ∅".to_string()
+            }
+            (TileDecision::SynopsisCondense, _, Some(kind)) => {
+                format!("{} answered from synopsis", kind.as_str())
+            }
+            (_, Some(_), _) => "synopsis cannot disprove a match".to_string(),
+            (_, None, None) => "no predicate".to_string(),
+            (_, None, Some(_)) if !self.region.contains_domain(&tile.domain) => {
+                "tile partially overlaps region".to_string()
+            }
+            (_, None, Some(kind)) if tile.synopsis.is_some() => {
+                format!("{} must stream cells", kind.as_str())
+            }
+            (_, None, Some(_)) => "no synopsis".to_string(),
         }
-        mark_coalesced(&self.blobs, &meta, &mut tiles);
-        Ok(ExplainPlan {
-            object: name.to_string(),
-            region: region.to_string(),
-            predicate: predicate.map(ToString::to_string),
-            condenser: Some(kind.as_str()),
-            epoch: self.epoch(),
-            index_nodes,
-            tiles,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggKind;
     use crate::array::Array;
     use crate::celltype::CellType;
     use crate::database::Database;
     use crate::mdd::MddType;
-    use crate::predicate::PredOp;
-    use tilestore_geometry::DefDomain;
+    use crate::predicate::{CellPredicate, PredOp};
+    use tilestore_geometry::{DefDomain, Domain};
     use tilestore_tiling::{AlignedTiling, Scheme};
 
     fn d(s: &str) -> Domain {
@@ -370,7 +245,10 @@ mod tests {
             op: PredOp::Gt,
             literal: 200.0,
         };
-        let plan = snap.explain_range("grid", &region, Some(&p)).unwrap();
+        let plan = snap
+            .plan("grid", &region, Some(&p), None)
+            .unwrap()
+            .explain();
         let result = snap.range_query_where("grid", &region, Some(&p)).unwrap();
         assert_eq!(plan.fetched(), result.stats.tiles_read, "{plan:?}");
         assert_eq!(plan.pruned(), result.stats.tiles_pruned, "{plan:?}");
@@ -406,7 +284,10 @@ mod tests {
         let snap = db.begin_read();
         let syn = snap.object("pair").unwrap().tiles[0].synopsis.unwrap();
         assert_eq!(p.prune_rule(&syn), Some(PruneRule::SynopsisBins));
-        let plan = snap.explain_range("pair", &region, Some(&p)).unwrap();
+        let plan = snap
+            .plan("pair", &region, Some(&p), None)
+            .unwrap()
+            .explain();
         assert_eq!(plan.tiles.len(), 1, "{plan:?}");
         assert_eq!(plan.tiles[0].decision.as_str(), "synopsis-prune");
         assert_eq!(plan.tiles[0].rule, "synopsis bins ∩ candidate bins = ∅");
@@ -418,8 +299,10 @@ mod tests {
     #[test]
     fn coalesced_tiles_in_the_plan_match_the_executed_reads() {
         // 128x128 u32 in 1 KiB tiles: 64 single-page tiles, twice the
-        // 256 KiB / 8 KiB = 32-page batch cap, on a handle with no executor.
+        // 256 KiB / 8 KiB = 32-page batch cap. Reads ignore an executor, so
+        // attaching one changes nothing.
         let db = Database::in_memory().unwrap();
+        db.set_executor(std::sync::Arc::new(tilestore_exec::ThreadPool::new(3)));
         db.create_object(
             "big",
             MddType::new(CellType::of::<u32>(), DefDomain::unlimited(2).unwrap()),
@@ -434,15 +317,26 @@ mod tests {
         .unwrap();
         db.defrag("big").unwrap();
         let snap = db.begin_read();
-        let plan = snap.explain_range("big", &region, None).unwrap();
+        let coalesced = |plan: &ExplainPlan| {
+            plan.tiles
+                .iter()
+                .filter(|t| t.decision == TileDecision::FetchCoalesced)
+                .count() as u64
+        };
+        let plan = snap.plan("big", &region, None, None).unwrap().explain();
         let io = snap.range_query("big", &region).unwrap().stats.io;
-        let coalesced = plan
-            .tiles
-            .iter()
-            .filter(|t| t.decision == TileDecision::FetchCoalesced)
-            .count() as u64;
         assert!(io.runs_coalesced > 1, "the cap splits the read: {io:?}");
-        assert_eq!(coalesced, io.pages_read_run - io.runs_coalesced, "{io:?}");
+        assert_eq!(coalesced(&plan), io.pages_read_run - io.runs_coalesced);
+        // A condenser reads one tile at a time in index order: nothing
+        // coalesces, and the plan says so.
+        let plan = snap
+            .plan("big", &region, None, Some(AggKind::Sum))
+            .unwrap()
+            .explain();
+        let (_, stats) = snap.aggregate("big", &region, AggKind::Sum).unwrap();
+        assert_eq!(plan.fetched(), 64);
+        assert_eq!(coalesced(&plan), 0, "{plan:?}");
+        assert_eq!(stats.io.pages_read_run, 0, "{:?}", stats.io);
     }
 
     #[test]
@@ -451,8 +345,9 @@ mod tests {
         let snap = db.begin_read();
         let region = d("[0:15,0:15]");
         let plan = snap
-            .explain_aggregate("grid", &region, AggKind::Max, None)
-            .unwrap();
+            .plan("grid", &region, None, Some(AggKind::Max))
+            .unwrap()
+            .explain();
         let (_, stats) = snap.aggregate("grid", &region, AggKind::Max).unwrap();
         assert_eq!(plan.fetched(), stats.tiles_read);
         assert_eq!(plan.pruned(), stats.tiles_pruned);
@@ -462,8 +357,9 @@ mod tests {
             .all(|t| t.decision == TileDecision::SynopsisCondense));
         // Sum cannot short-circuit: every tile streams.
         let plan = snap
-            .explain_aggregate("grid", &region, AggKind::Sum, None)
-            .unwrap();
+            .plan("grid", &region, None, Some(AggKind::Sum))
+            .unwrap()
+            .explain();
         let (_, stats) = snap.aggregate("grid", &region, AggKind::Sum).unwrap();
         assert_eq!(plan.fetched(), stats.tiles_read);
         assert_eq!(plan.pruned(), 0);
@@ -480,8 +376,9 @@ mod tests {
             literal: 50.0,
         };
         let _ = snap
-            .explain_range("grid", &d("[0:15,0:15]"), Some(&p))
-            .unwrap();
+            .plan("grid", &d("[0:15,0:15]"), Some(&p), None)
+            .unwrap()
+            .explain();
         assert_eq!(db.io_stats().snapshot().blobs_read, io_before.blobs_read);
         assert_eq!(
             snap.access_log("grid").unwrap().total_accesses(),
@@ -499,8 +396,9 @@ mod tests {
             literal: 3.0,
         };
         let plan = snap
-            .explain_range("grid", &d("[0:15,0:15]"), Some(&p))
-            .unwrap();
+            .plan("grid", &d("[0:15,0:15]"), Some(&p), None)
+            .unwrap()
+            .explain();
         let json = plan.to_json().to_string_compact();
         for key in [
             "\"object\"",

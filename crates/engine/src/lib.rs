@@ -10,6 +10,9 @@
 //! * [`Snapshot`] — epoch-stamped read sessions ([`Database::begin_read`]):
 //!   queries execute against an immutable catalog snapshot and never block
 //!   behind writers; [`QueryResult`] / [`WriteReceipt`] carry the epoch;
+//! * [`Plan`] — a statement's per-tile decisions and batched reads, made
+//!   once by [`Snapshot::plan`] and run by range reads and condensers alike;
+//!   EXPLAIN renders it ([`ExplainPlan`]);
 //! * [`DatabaseBuilder`] — unified construction with optional recorder,
 //!   executor and compression default;
 //! * [`Array`] / [`CellValue`] / [`CellType`] — dense array values with
@@ -37,6 +40,7 @@ mod induce;
 mod mdd;
 mod modify;
 mod persist;
+mod plan;
 mod predicate;
 mod shared;
 mod snapshot;
@@ -58,6 +62,7 @@ pub use persist::{
     fsck, CachedFileStore, Catalog, FsckReport, ACCESS_LOG_FILE, CATALOG_FILE, CATALOG_TMP_FILE,
     DEFAULT_CACHE_PAGES, PAGES_FILE,
 };
+pub use plan::Plan;
 pub use predicate::{CellPredicate, PredOp, PruneRule};
 pub use shared::SharedDatabase;
 pub use snapshot::{QueryResult, Snapshot, WriteReceipt};
@@ -65,8 +70,8 @@ pub use stats::{DefragStep, InsertStats, QueryStats, QueryTimes, RetileStats};
 pub use synopsis::TileSynopsis;
 
 /// Compile-time thread-safety assertions. The serving layer shares one
-/// `Database<CachedFileStore>` across connection threads and scatters query
-/// work onto executor workers; if a future change drops `Send`/`Sync` on
+/// `Database<CachedFileStore>` across connection threads and scatters
+/// insert/retile work onto executor workers; if a future change drops `Send`/`Sync` on
 /// these types (say, by adding an `Rc` or a raw pointer field), the build
 /// breaks here instead of the server crate failing with an opaque trait
 /// bound error — or worse, compiling against a quietly serialized fallback.

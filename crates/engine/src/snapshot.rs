@@ -17,16 +17,14 @@
 //! story is unchanged, snapshots just defer the hand-off.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tilestore_compress::CellContext;
-use tilestore_exec::{scatter_on, ThreadPool};
 use tilestore_geometry::{copy_region, Domain};
 use tilestore_obs::AccessRecorder;
-use tilestore_storage::{BlobId, BlobPlacement, BlobStore, IoSnapshot, PageStore};
+use tilestore_storage::{BlobId, BlobStore, IoSnapshot, PageStore};
 
 use crate::access::{AccessLog, AccessRegion};
 use crate::array::Array;
@@ -211,7 +209,6 @@ pub struct Snapshot<S: PageStore> {
     pub(crate) catalog: Arc<CatalogState>,
     pub(crate) blobs: Arc<BlobStore<S>>,
     pub(crate) tracker: Arc<EpochTracker>,
-    pub(crate) executor: Option<Arc<ThreadPool>>,
     pub(crate) recorder: Option<Arc<AccessRecorder>>,
     /// Request id queries through this snapshot are attributed to (0 =
     /// none). Atomic so the serving layer can stamp a shared snapshot.
@@ -237,9 +234,8 @@ impl<S: PageStore> Snapshot<S> {
     }
 
     /// Tags every query executed through this snapshot with `request_id`:
-    /// all spans and events it produces — including those recorded on
-    /// executor worker threads — carry the id, so one request's span tree
-    /// can be exported from the shared trace ring.
+    /// all spans and events it produces carry the id, so one request's span
+    /// tree can be exported from the shared trace ring.
     pub fn set_request_id(&self, request_id: u64) {
         self.request.store(request_id, Ordering::Relaxed);
     }
@@ -320,30 +316,45 @@ impl<S: PageStore> Snapshot<S> {
         region: &Domain,
         predicate: Option<&CellPredicate>,
     ) -> Result<QueryResult> {
-        let entry = self.catalog.entry(name)?;
-        if predicate.is_some() {
-            // A predicate compares numerically; reject Rgb-style cells here
-            // rather than failing mid-scan.
-            crate::aggregate::decode_numeric(
-                &entry.meta.mdd_type.cell,
-                &entry.meta.mdd_type.cell.default,
-            )?;
-        }
-        if !entry.meta.mdd_type.definition.admits(region) {
-            return Err(EngineError::OutsideDefinitionDomain {
-                domain: region.to_string(),
-                definition: entry.meta.mdd_type.definition.to_string(),
-            });
-        }
         let _req = self.request_scope();
-        self.record_access(name, entry, region);
-        let (array, stats) = execute_range(
-            &self.blobs,
-            self.executor.as_deref(),
-            &entry.meta,
-            region,
-            predicate,
-        )?;
+        let _span =
+            tilestore_obs::tracer().span_with("query", || format!("object={name} region={region}"));
+        let started = Instant::now();
+        let plan = self.plan(name, region, predicate, None)?;
+        self.record_access(name, self.catalog.entry(name)?, region);
+        let meta = &plan.object;
+        let cell = &meta.mdd_type.cell;
+        let mut array = Array::filled(region.clone(), &cell.default)?;
+        let out = array.bytes_mut();
+        let mut stats = plan.stats();
+        let mut masked = Vec::new();
+        // The plan's batches coalesce tiles on consecutive pages into one
+        // positioned read; each payload is decoded zero-copy where the
+        // codec allows and its clip pasted straight into the result.
+        stats.io = plan.fetch(&self.blobs, |pos, payload| {
+            let tile = &meta.tiles[pos as usize];
+            let src = match predicate {
+                // Masked select: failing cells become the default before the
+                // paste. The view may alias the shared scratch, so the
+                // rewrite goes through an owned buffer.
+                Some(p) => {
+                    masked.clear();
+                    masked.extend_from_slice(payload);
+                    p.mask_payload(cell, &mut masked)?;
+                    &masked[..]
+                }
+                None => payload,
+            };
+            let clip = tile
+                .domain
+                .intersection(region)
+                .expect("index returned an intersecting tile");
+            stats.cells_processed += tile.domain.cells();
+            stats.cells_copied += copy_region(&tile.domain, src, region, out, &clip, cell.size)?;
+            Ok(())
+        })?;
+        stats.cells_defaulted = region.cells() - stats.cells_copied;
+        record_query(&mut stats, started);
         Ok(QueryResult {
             array,
             stats,
@@ -394,46 +405,6 @@ impl<S: PageStore> Snapshot<S> {
     }
 }
 
-/// Upper bound on the bytes one band stages per batched tile read. Large
-/// enough that a defragmented range query coalesces many tiles into each
-/// positioned read, small enough to bound the band's scratch buffer: at
-/// 4 MiB the 64 MiB cold scan ran 28 % slower (p50) and held 1 MiB more
-/// RSS than at 256 KiB.
-const READAHEAD_BATCH_BYTES: usize = 256 << 10;
-
-/// The physical read plan, shared by the band body and EXPLAIN so the two
-/// cannot disagree: sorts `plan` by each blob's first page (elevator
-/// order) and cuts it greedily into batches of at most
-/// [`READAHEAD_BATCH_BYTES`] (always at least one tile), each fetched by one
-/// `BlobStore::read_batch`. Within a batch, a blob whose pages directly
-/// follow its predecessor's ([`folds_into`]) shares its positioned read.
-pub(crate) fn read_batches<T>(
-    plan: &mut [(T, BlobPlacement)],
-    page_size: usize,
-) -> Vec<Range<usize>> {
-    plan.sort_by_key(|(_, p)| p.first_page.0);
-    let cap = (READAHEAD_BATCH_BYTES / page_size).max(1) as u64;
-    let mut batches = Vec::new();
-    let mut i = 0;
-    while i < plan.len() {
-        let mut j = i;
-        let mut pages = 0u64;
-        while j < plan.len() && (j == i || pages + plan[j].1.pages <= cap) {
-            pages += plan[j].1.pages;
-            j += 1;
-        }
-        batches.push(i..j);
-        i = j;
-    }
-    batches
-}
-
-/// Whether `next`'s pages directly follow `prev`'s, so a batch holding both
-/// reads them with one positioned read.
-pub(crate) fn folds_into(prev: &BlobPlacement, next: &BlobPlacement) -> bool {
-    prev.runs == 1 && prev.first_page.0 + prev.pages == next.first_page.0
-}
-
 /// Fetches and decompresses one tile's cell payload, with the counts of
 /// the read.
 pub(crate) fn read_tile_payload<S: PageStore>(
@@ -452,55 +423,6 @@ pub(crate) fn read_tile_payload<S: PageStore>(
     Ok((payload, io))
 }
 
-/// The shared query executor: index lookup, tile fetch, composition.
-/// Operates on immutable metadata plus the internally-synchronized BLOB
-/// store, so it needs no database lock — this is what lets a query run
-/// fully concurrent with writers.
-pub(crate) fn execute_range<S: PageStore>(
-    blobs: &BlobStore<S>,
-    executor: Option<&ThreadPool>,
-    meta: &MddObject,
-    region: &Domain,
-    predicate: Option<&CellPredicate>,
-) -> Result<(Array, QueryStats)> {
-    let _span = tilestore_obs::tracer()
-        .span_with("query", || format!("object={} region={region}", meta.name));
-    let started = Instant::now();
-    let search = meta.index.search(region);
-    let mut result = Array::filled(region.clone(), &meta.mdd_type.cell.default)?;
-    let mut stats = QueryStats {
-        index_nodes: search.nodes_visited,
-        ..QueryStats::default()
-    };
-    // Value-predicate pruning: drop every hit whose synopsis proves it
-    // cannot hold a matching cell. A pruned tile is
-    // equivalent to an all-default tile, and the result is pre-filled with
-    // the default, so skipping it changes nothing.
-    let mut hits = search.hits;
-    if let Some(p) = predicate {
-        let before = hits.len();
-        hits.retain(|&pos| p.prune(meta, pos as usize).is_none());
-        stats.tiles_pruned = (before - hits.len()) as u64;
-    }
-    let band_stats = fetch_tiles(
-        blobs,
-        executor,
-        meta,
-        region,
-        &hits,
-        predicate,
-        result.bytes_mut(),
-    )?;
-    stats.merge(&band_stats);
-    for &pos in &hits {
-        stats.tiles_read += 1;
-        stats.cells_processed += meta.tiles[pos as usize].domain.cells();
-    }
-    stats.cells_defaulted = region.cells() - stats.cells_copied;
-    record_query(&mut stats, started);
-    Ok((result, stats))
-}
-
 /// Closes one query's accounting: stamps its wall-clock time and feeds the
 /// engine's hot metrics. Range reads and aggregates both end here, so
 /// `engine.queries` and its latency/tile histograms count every statement
@@ -512,143 +434,6 @@ pub(crate) fn record_query(stats: &mut QueryStats, started: Instant) {
     hot.query_latency_ns.record(stats.elapsed_ns);
     hot.query_tiles.record(stats.tiles_read);
     hot.tiles_pruned.add(stats.tiles_pruned);
-}
-
-/// Tile composition: splits the query region (and the result byte buffer)
-/// into disjoint contiguous bands along axis 0 — one per executor worker
-/// plus the caller, or a single band when there is no executor or fewer
-/// than two tiles — and runs the one band body per band through
-/// [`scatter_on`], on the pool or inline. Each band fetches the tiles it
-/// intersects into a reused scratch buffer, decodes them zero-copy where
-/// the codec allows, and pastes the clipped region straight into its slice
-/// of the result. Bands partition the region, so every result cell is
-/// written by exactly one band; band boundaries snap to tile-row starts, so
-/// with an aligned tiling no tile is fetched twice (a tile crossing a cut
-/// that could not snap is fetched once per band it touches).
-///
-/// Each band fetches its tiles in the batches of [`read_batches`]: one
-/// `read_pages` call per batch, so tiles the defragmenter laid on
-/// consecutive pages coalesce into single positioned reads — even across
-/// blob boundaries — and against a sharded buffer pool each batch is one
-/// lock acquisition per shard touched (hits served under it, misses read
-/// straight into the band's scratch buffer).
-///
-/// Returns the per-band statistics merged (saturating) into one
-/// [`QueryStats`]; only the per-cell counters and `io` — the sum of the
-/// counts each band's `read_batch` calls returned — are populated; the
-/// caller owns tile counts and timing.
-fn fetch_tiles<S: PageStore>(
-    blobs: &BlobStore<S>,
-    executor: Option<&ThreadPool>,
-    meta: &MddObject,
-    region: &Domain,
-    hits: &[u64],
-    predicate: Option<&CellPredicate>,
-    out: &mut [u8],
-) -> Result<QueryStats> {
-    let cell_size = meta.cell_size();
-    let rows = usize::try_from(region.extent(0)).map_err(|_| {
-        EngineError::Catalog(format!("query region too large for this host: {region}"))
-    })?;
-    let slab = out.len() / rows; // bytes per axis-0 index
-    let workers = executor.map_or(0, ThreadPool::workers);
-    let bands = if hits.len() > 1 { workers + 1 } else { 1 }.min(rows);
-    let lo0 = region.lo(0);
-    let hi0 = lo0 + rows as i64;
-    // Snap band boundaries to rows where a tile begins: a cut through
-    // the middle of a tile makes both neighbouring bands read it, so
-    // the ideal even split is adjusted to the nearest tile-row start.
-    // With an aligned tiling this eliminates duplicate reads entirely.
-    let mut tile_starts: Vec<i64> = hits
-        .iter()
-        .map(|&pos| meta.tiles[pos as usize].domain.lo(0))
-        .filter(|&s| s > lo0 && s < hi0)
-        .collect();
-    tile_starts.sort_unstable();
-    tile_starts.dedup();
-    let mut cuts: Vec<i64> = vec![lo0];
-    for b in 1..bands {
-        let ideal = lo0 + (rows * b / bands) as i64;
-        let snapped = tile_starts
-            .iter()
-            .copied()
-            .min_by_key(|s| (s - ideal).abs())
-            .unwrap_or(ideal);
-        if snapped > *cuts.last().expect("cuts is non-empty") {
-            cuts.push(snapped);
-        }
-    }
-    cuts.push(hi0);
-    let mut tasks: Vec<(Domain, &mut [u8])> = Vec::with_capacity(cuts.len() - 1);
-    let mut rest = out;
-    for w in cuts.windows(2) {
-        let len = (w[1] - w[0]) as usize;
-        let (head, tail) = rest.split_at_mut(len * slab);
-        rest = tail;
-        let band_range = tilestore_geometry::AxisRange::new(w[0], w[1] - 1)?;
-        tasks.push((region.with_axis(0, band_range)?, head));
-    }
-    let ctx = CellContext {
-        cell_size,
-        default: &meta.mdd_type.cell.default,
-    };
-    // Pool workers run on their own threads: re-enter the caller's request
-    // scope so per-band spans stay attributed to the request.
-    let rid = tilestore_obs::current_request_id();
-    let page_size = blobs.page_store().page_size();
-    let bands = scatter_on(
-        executor,
-        tasks,
-        |_, (band_dom, band_out)| -> Result<QueryStats> {
-            let _req = tilestore_obs::request_scope(rid);
-            let mut scratch = Vec::new();
-            let mut masked = Vec::new();
-            let mut band = QueryStats::default();
-            let mut plan = Vec::new();
-            for &pos in hits {
-                let tile = &meta.tiles[pos as usize];
-                let Some(overlap) = tile.domain.intersection(&band_dom) else {
-                    continue;
-                };
-                plan.push(((tile, overlap), blobs.blob_placement(tile.blob)?));
-            }
-            for batch in read_batches(&mut plan, page_size) {
-                let ids: Vec<BlobId> = plan[batch.clone()]
-                    .iter()
-                    .map(|((t, _), _)| t.blob)
-                    .collect();
-                let (ranges, io) = blobs.read_batch(&ids, &mut scratch)?;
-                band.io += &io;
-                for (((tile, overlap), _), &(off, len)) in plan[batch].iter().zip(&ranges) {
-                    let payload =
-                        tilestore_compress::decompress_view(&scratch[off..off + len], &ctx)
-                            .map_err(|e| {
-                                EngineError::Catalog(format!("tile decompression failed: {e}"))
-                            })?;
-                    let src: &[u8] = match predicate {
-                        // Masked select: failing cells become the default
-                        // before the band copy. The view may alias the shared
-                        // scratch, so the rewrite goes through an owned buffer.
-                        Some(p) => {
-                            masked.clear();
-                            masked.extend_from_slice(&payload);
-                            p.mask_payload(&meta.mdd_type.cell, &mut masked)?;
-                            &masked
-                        }
-                        None => &payload,
-                    };
-                    band.cells_copied +=
-                        copy_region(&tile.domain, src, &band_dom, band_out, overlap, cell_size)?;
-                }
-            }
-            Ok(band)
-        },
-    );
-    let mut merged = QueryStats::default();
-    for band in bands {
-        merged.merge(&band?);
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]

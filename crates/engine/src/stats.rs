@@ -50,10 +50,10 @@ impl QueryStats {
     }
 
     /// Folds another stats record into this one, counter by counter, for
-    /// combining the per-band records of a fetch. Every band's `io` holds
-    /// only the counts its own reads returned, so the merged record is the
-    /// query's I/O and nothing a concurrent query did. Sums saturate rather
-    /// than wrap.
+    /// combining the per-shard records of a cluster statement. Every
+    /// record's `io` holds only the counts its own reads returned, so the
+    /// merged record is the statement's I/O and nothing a concurrent query
+    /// did. Sums saturate rather than wrap.
     pub fn merge(&mut self, other: &QueryStats) {
         self.index_nodes = self.index_nodes.saturating_add(other.index_nodes);
         self.tiles_read = self.tiles_read.saturating_add(other.tiles_read);

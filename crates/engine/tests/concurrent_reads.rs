@@ -10,7 +10,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tilestore_engine::{Array, CellType, Database, MddType};
 use tilestore_storage::{MemPageStore, PageId, PageStore};
@@ -215,5 +215,49 @@ fn writers_queue_behind_each_other_but_never_behind_readers() {
                 .array,
             grid()
         );
+    });
+}
+
+/// Regression: `begin_read` registers its epoch with the tracker while it
+/// still holds the catalog lock. Registering after releasing it left a gap
+/// in which a retile swapped the catalog, found no live snapshot, and
+/// deleted the blobs the new reader was about to read, so the read failed
+/// with `Storage(UnknownBlob)`. Two readers loop over fresh snapshots while
+/// a writer retiles a one- or two-tile object back to back for about a
+/// second; the tiny object keeps swaps frequent, and a second reader makes
+/// a reader preempted inside `begin_read` likely.
+#[test]
+fn fresh_snapshots_racing_back_to_back_retiles_read_every_blob() {
+    let db = Database::in_memory().unwrap();
+    let regular = |bytes| Scheme::Aligned(AlignedTiling::regular(2, bytes));
+    db.create_object(
+        "m",
+        MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
+        regular(64),
+    )
+    .unwrap();
+    let cells = Array::from_fn("[0:3,0:3]".parse().unwrap(), |p| (p[0] * 4 + p[1]) as u32);
+    db.insert("m", &cells.unwrap()).unwrap();
+    let origin = "[0:0,0:0]".parse().unwrap();
+    let writing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let started = Instant::now();
+            let mut retiles = 0u64;
+            while retiles < 20_000 && started.elapsed() < Duration::from_secs(1) {
+                let bytes = if retiles.is_multiple_of(2) { 32 } else { 64 };
+                db.retile("m", regular(bytes)).unwrap();
+                retiles += 1;
+            }
+            writing.store(false, Ordering::SeqCst);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                while writing.load(Ordering::SeqCst) {
+                    let q = db.begin_read().range_query("m", &origin).unwrap();
+                    assert_eq!(q.array.bytes(), &0u32.to_le_bytes());
+                }
+            });
+        }
     });
 }

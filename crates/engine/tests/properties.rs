@@ -2,9 +2,13 @@
 //! tiling scheme and any query region, `insert` followed by `range_query`
 //! returns exactly the original cells (default value outside coverage).
 
+use std::sync::Arc;
+
 use tilestore_engine::{
-    AggKind, AggValue, Array, CellPredicate, CellType, Database, MddType, PredOp, TileSynopsis,
+    AggKind, AggValue, Array, CellPredicate, CellType, Database, ExplainPlan, MddType, PredOp,
+    TileDecision, TileSynopsis,
 };
+use tilestore_exec::ThreadPool;
 use tilestore_geometry::{Domain, Point, PointIter};
 use tilestore_testkit::prop::{check, Source};
 use tilestore_testkit::{prop_assert, prop_assert_eq};
@@ -364,10 +368,14 @@ fn all_nan_tile_ne_is_never_pruned() {
 /// EXPLAIN must be the executor's decision procedure, not a description of
 /// it: for any array, tiling, region and predicate, the report's fetched
 /// and pruned tile counts reconcile exactly with the executed statement's
-/// `tiles_read` / `tiles_pruned` counters — for masked range reads and for
-/// every condenser kind.
+/// `tiles_read` / `tiles_pruned` counters, and its `fetch-coalesced` tiles
+/// with the page joins of the executed reads (`pages_read_run −
+/// runs_coalesced`; these objects' tiles are single-page) — for masked
+/// range reads and for every condenser kind, on a handle with and without
+/// an executor.
 #[test]
 fn explain_reconciles_with_executor_counters() {
+    let pool = Arc::new(ThreadPool::new(3));
     check(
         "explain_reconciles_with_executor_counters",
         64,
@@ -381,69 +389,96 @@ fn explain_reconciles_with_executor_counters() {
             (dom, sch, query, pred, with_pred, kind)
         },
         |(dom, sch, query, pred, with_pred, kind)| {
-            let db = Database::in_memory().unwrap();
-            db.create_object(
-                "obj",
-                MddType::new(
-                    CellType::of::<u16>(),
-                    tilestore_geometry::DefDomain::unlimited(2).unwrap(),
-                ),
-                sch.clone(),
-            )
-            .unwrap();
-            let data = Array::from_fn(dom.clone(), |p| (p[0] * 131 + p[1] * 7) as u16).unwrap();
-            db.insert("obj", &data).unwrap();
-            let snap = db.begin_read();
-            let predicate = with_pred.then_some(pred);
-
-            // Range read: plan first, then execute, same snapshot.
-            let plan = snap.explain_range("obj", query, predicate).unwrap();
-            let q = snap.range_query_where("obj", query, predicate).unwrap();
-            prop_assert_eq!(
-                plan.fetched(),
-                q.stats.tiles_read,
-                "range fetched mismatch: {:?}",
-                plan
-            );
-            prop_assert_eq!(
-                plan.pruned(),
-                q.stats.tiles_pruned,
-                "range pruned mismatch: {:?}",
-                plan
-            );
-            prop_assert_eq!(
-                plan.tiles.len() as u64,
-                q.stats.tiles_read + q.stats.tiles_pruned
-            );
-
-            // Condenser: the aggregate path adds the synopsis short-circuit.
-            let agg = [
-                AggKind::Sum,
-                AggKind::Avg,
-                AggKind::Min,
-                AggKind::Max,
-                AggKind::CountNonDefault,
-                AggKind::SomeNonDefault,
-                AggKind::AllNonDefault,
-            ][*kind];
-            let plan = snap
-                .explain_aggregate("obj", query, agg, predicate)
+            for executor in [None, Some(Arc::clone(&pool))] {
+                let db = Database::in_memory().unwrap();
+                if let Some(pool) = executor {
+                    db.set_executor(pool);
+                }
+                db.create_object(
+                    "obj",
+                    MddType::new(
+                        CellType::of::<u16>(),
+                        tilestore_geometry::DefDomain::unlimited(2).unwrap(),
+                    ),
+                    sch.clone(),
+                )
                 .unwrap();
-            let (_, stats) = snap.aggregate_where("obj", query, agg, predicate).unwrap();
-            prop_assert_eq!(
-                plan.fetched(),
-                stats.tiles_read,
-                "{:?} fetched mismatch: {:?}",
-                agg,
-                plan
-            );
-            prop_assert_eq!(
-                plan.pruned(),
-                stats.tiles_pruned,
-                "{:?} pruned mismatch: {:?}",
-                agg,
-                plan
-            );
+                let data = Array::from_fn(dom.clone(), |p| (p[0] * 131 + p[1] * 7) as u16).unwrap();
+                db.insert("obj", &data).unwrap();
+                let snap = db.begin_read();
+                let predicate = with_pred.then_some(pred);
+                let coalesced = |plan: &ExplainPlan| {
+                    plan.tiles
+                        .iter()
+                        .filter(|t| t.decision == TileDecision::FetchCoalesced)
+                        .count() as u64
+                };
+
+                // Range read: plan first, then execute, same snapshot.
+                let plan = snap.plan("obj", query, predicate, None).unwrap().explain();
+                let q = snap.range_query_where("obj", query, predicate).unwrap();
+                prop_assert_eq!(
+                    plan.fetched(),
+                    q.stats.tiles_read,
+                    "range fetched mismatch: {:?}",
+                    plan
+                );
+                prop_assert_eq!(
+                    plan.pruned(),
+                    q.stats.tiles_pruned,
+                    "range pruned mismatch: {:?}",
+                    plan
+                );
+                prop_assert_eq!(
+                    plan.tiles.len() as u64,
+                    q.stats.tiles_read + q.stats.tiles_pruned
+                );
+                prop_assert_eq!(
+                    coalesced(&plan),
+                    q.stats.io.pages_read_run - q.stats.io.runs_coalesced,
+                    "range coalesced mismatch: {:?} vs {:?}",
+                    q.stats.io,
+                    plan
+                );
+
+                // Condenser: the aggregate path adds the synopsis short-circuit.
+                let agg = [
+                    AggKind::Sum,
+                    AggKind::Avg,
+                    AggKind::Min,
+                    AggKind::Max,
+                    AggKind::CountNonDefault,
+                    AggKind::SomeNonDefault,
+                    AggKind::AllNonDefault,
+                ][*kind];
+                let plan = snap
+                    .plan("obj", query, predicate, Some(agg))
+                    .unwrap()
+                    .explain();
+                let (_, stats) = snap.aggregate_where("obj", query, agg, predicate).unwrap();
+                prop_assert_eq!(
+                    plan.fetched(),
+                    stats.tiles_read,
+                    "{:?} fetched mismatch: {:?}",
+                    agg,
+                    plan
+                );
+                prop_assert_eq!(
+                    plan.pruned(),
+                    stats.tiles_pruned,
+                    "{:?} pruned mismatch: {:?}",
+                    agg,
+                    plan
+                );
+                prop_assert_eq!(
+                    coalesced(&plan),
+                    stats.io.pages_read_run - stats.io.runs_coalesced,
+                    "{:?} coalesced mismatch: {:?} vs {:?}",
+                    agg,
+                    stats.io,
+                    plan
+                );
+            }
             Ok(())
         },
     );

@@ -1,12 +1,14 @@
 //! A zero-dependency thread-pool executor with scoped fork-join.
 //!
-//! The engine's hot path — fetch, decode and clip the tiles a range query
-//! intersects — is embarrassingly parallel once the index has produced the
-//! tile set, and so are the per-tile materialization loops of `insert` and
-//! `retile`. This crate provides the substrate: a fixed pool of worker
-//! threads (std only: threads, mutexes, condvars) plus a scoped
-//! scatter/gather API in the style of `std::thread::scope`, so tasks may
-//! borrow from the caller's stack. The engine writes each operation's task
+//! The per-tile materialization loops of the engine's `insert` and
+//! `retile` — cut, compress and store each tile — are embarrassingly
+//! parallel once the tiling has produced the tile set. (Reads do not use
+//! the pool: a query runs its plan's batched reads on the calling thread,
+//! since splitting a query into bands never measured faster.) This crate
+//! provides the substrate: a fixed pool of worker threads (std only:
+//! threads, mutexes, condvars) plus a scoped scatter/gather API in the
+//! style of `std::thread::scope`, so tasks may borrow from the caller's
+//! stack. The engine writes each operation's task
 //! body once and hands it to [`scatter_on`], which runs it on the pool when
 //! one is attached and inline on the caller's thread when none is.
 //!

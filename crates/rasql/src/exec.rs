@@ -218,11 +218,14 @@ pub fn explain_query<S: PageStore>(snap: &Snapshot<S>, query: &Query) -> Result<
     shape.explainable()?;
     let meta = snap.object(&query.from)?;
     let access = shape.resolve(meta.current_domain.as_ref())?;
-    let predicate = shape.predicate.as_ref();
-    Ok(match shape.condenser {
-        None => snap.explain_range(&query.from, &access.region, predicate)?,
-        Some(op) => snap.explain_aggregate(&query.from, &access.region, op.kind(), predicate)?,
-    })
+    let condenser = shape.condenser.map(|op| op.kind());
+    let plan = snap.plan(
+        &query.from,
+        &access.region,
+        shape.predicate.as_ref(),
+        condenser,
+    )?;
+    Ok(plan.explain())
 }
 
 /// What a query reads and computes, checked without a catalog — step one

@@ -19,7 +19,8 @@
 //! * [`service`] — [`Service`], what the core asks of the store behind it.
 //!   A [`SharedDatabase`](tilestore_engine::SharedDatabase) implements it
 //!   here (adding `pin`, `unpin`, `fsck`) and [`serve`] is the wrapper that
-//!   gives it a tile-fetch [`ThreadPool`](tilestore_exec::ThreadPool);
+//!   gives it a [`ThreadPool`](tilestore_exec::ThreadPool) for the tile
+//!   tasks of inserts and retiles;
 //!   `tilestore-cluster` implements it for its coordinator;
 //! * [`client`] — [`Client`]: a blocking connection with typed
 //!   [`ClientError`]s and bit-exact value decoding ([`RemoteValue`]); its

@@ -5,17 +5,18 @@
 //!
 //! ```text
 //! accept thread ──spawns──▶ connection threads ──scatter──▶ executor workers
-//!   (nonblocking poll)        (frame parse, admission,        (tile fetches of
-//!    joins conns on            deadline check, the request     the requests the
-//!    shutdown, final save)     itself, response write)         sessions run)
+//!   (nonblocking poll)        (frame parse, admission,        (tile tasks of
+//!    joins conns on            deadline check, the request,    inserts and
+//!    shutdown, final save)     its reads, response write)      retiles)
 //! ```
 //!
 //! A request executes **inline on its connection thread**: the session that
 //! parsed the frame runs the op and writes the response, so a request costs
-//! no queue hop and no cross-thread wake-up. The executor pool (`workers`)
-//! only parallelizes the tile fetches inside a request; the scoped
-//! scheduler's caller participation means a session makes progress even
-//! when every worker is busy.
+//! no queue hop and no cross-thread wake-up. Queries read their tiles on
+//! that thread too; the executor pool only parallelizes the tile
+//! materialization of an `insert` or `retile`, and the scoped scheduler's
+//! caller participation means a session makes progress even when every
+//! worker is busy.
 //!
 //! **Backpressure**: at most `max_inflight` requests execute at once, over
 //! all connections; the next one is refused with a typed `busy` response
@@ -64,10 +65,6 @@ const SHUTDOWN_STALL_ROUNDS: u32 = 100;
 /// Tuning knobs of a serving endpoint.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads of the tile-fetch executor [`serve`] installs on the
-    /// database. Requests do not run on it, so it does not bound them; a
-    /// coordinator brings its own scatter pool and ignores this.
-    pub workers: usize,
     /// Maximum concurrently executing requests; the next is refused `busy`.
     pub max_inflight: usize,
     /// Deadline applied to requests that carry none, in milliseconds
@@ -82,9 +79,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             max_inflight: 64,
             default_deadline_ms: 30_000,
             slow_query_ms: 500,
@@ -166,8 +160,9 @@ impl Drop for Slot<'_> {
 /// port). `dir` is the database directory for the final save and `fsck`
 /// requests; pass `None` for purely in-memory serving.
 ///
-/// A pool of `config.workers` threads is installed as the database's
-/// executor, so queries served here parallelize their tile fetches.
+/// A pool sized to the machine's available parallelism is installed as the
+/// database's executor, so inserts and retiles served here materialize
+/// their tiles in parallel.
 ///
 /// # Errors
 /// Socket bind/configuration errors.
@@ -177,7 +172,7 @@ pub fn serve<S: PageStore + 'static>(
     addr: &str,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    db.set_executor(Arc::new(ThreadPool::new(config.workers)));
+    db.set_executor(Arc::new(ThreadPool::with_default_workers()));
     serve_backend(Arc::new(db), dir, addr, &config)
 }
 

@@ -87,7 +87,6 @@ fn every_statement_is_byte_identical_over_the_wire() {
         None,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 3,
             ..ServerConfig::default()
         },
     )
@@ -229,7 +228,6 @@ fn explain_plans_match_in_process_and_reconcile_with_execution() {
         None,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 3,
             ..ServerConfig::default()
         },
     )

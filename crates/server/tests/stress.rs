@@ -55,7 +55,6 @@ fn concurrent_clients_with_inserts_and_a_retile() {
         Some(dir.path().to_path_buf()),
         "127.0.0.1:0",
         ServerConfig {
-            workers: 3,
             max_inflight: 4, // small on purpose: admission refusals must occur
             default_deadline_ms: 30_000,
             ..ServerConfig::default()

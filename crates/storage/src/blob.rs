@@ -385,7 +385,7 @@ impl<S: PageStore> BlobStore<S> {
         data.resize(entry.pages.len() * page_size, 0);
         // One batched read: a caching store serves all hits in a shard under
         // a single lock acquisition and copies misses straight into `data`,
-        // so no pinning window exists and band-parallel tile fetches stop
+        // so no pinning window exists and concurrent tile fetches stop
         // convoying on per-page pin/read/unpin lock traffic.
         let mut io = self.store.read_pages(&entry.pages, data)?;
         data.truncate(entry.len as usize);

@@ -259,7 +259,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
             ..IoSnapshot::default()
         };
         // Pass 1: group by shard and serve hits under one lock acquisition
-        // per shard — the convoy-killer for band-parallel tile fetches,
+        // per shard — the convoy-killer for concurrent tile fetches,
         // which used to take three pool locks (pin, read, unpin) per page.
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, &page) in pages.iter().enumerate() {

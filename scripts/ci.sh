@@ -35,10 +35,10 @@ for needle in 'TcpListener::bind' 'fn read_frame_interruptible'; do
     [ "$count" -le 1 ] || { echo "serving core forked: $count x '$needle'" >&2; exit 1; }
 done
 
-# --- One body per engine operation: range fetch, insert and retile pick
-# between the pool and the caller's thread only inside
-# `tilestore_exec::scatter_on`. A branch on the executor in non-test engine
-# code (everything before a file's `#[cfg(test)]`) is the fork coming back.
+# --- One body per engine operation: insert and retile pick between the
+# pool and the caller's thread only inside `tilestore_exec::scatter_on`. A
+# branch on the executor in non-test engine code (everything before a
+# file's `#[cfg(test)]`) is the fork coming back.
 non_test() { for f in "$@"; do sed '/^#\[cfg(test)\]/q' "$f"; done; }
 engine_non_test() { non_test crates/engine/src/*.rs; }
 for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
@@ -47,6 +47,30 @@ for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
         exit 1
     fi
 done
+
+# --- One plan per statement: `Snapshot::plan` validates, decides every
+# candidate tile and cuts the reads once; range reads, condensers and
+# EXPLAIN all consume that plan. EXPLAIN's own candidate walk or coalescing
+# pass, or range reads cut into executor bands, in non-test snapshot.rs,
+# explain.rs or aggregate.rs is a second plan coming back; so is a second
+# place in non-test engine code that cuts read batches.
+plan_consumers() {
+    non_test crates/engine/src/snapshot.rs crates/engine/src/explain.rs \
+        crates/engine/src/aggregate.rs
+}
+for needle in explain_candidates mark_coalesced scatter_on; do
+    # No `grep -q`: exiting at the first match would fail the pipeline
+    # under `pipefail` and hide the match.
+    if plan_consumers | grep -F "$needle" >/dev/null; then
+        echo "second plan: '$needle' in snapshot.rs, explain.rs or aggregate.rs" >&2
+        exit 1
+    fi
+done
+batch_cuts=$(engine_non_test | grep -F 'read_batches(' | grep -cvF 'fn read_batches(' || true)
+if [ "$batch_cuts" -gt 1 ]; then
+    echo "read batches cut at $batch_cuts call sites in crates/engine/src" >&2
+    exit 1
+fi
 
 # --- One read protocol in the buffer pool: every pool read runs the one
 # three-pass body, and only its pass 3 installs. A second call to
@@ -121,11 +145,8 @@ done
 
 # --- Keep both harnesses compiling and running against today's APIs.
 # The benchmark's tests drive its binary, so they run on one CPU the way
-# `run.sh` runs it. A served query's response carries its own buffer-pool
-# hits and misses; when the bands of a query whose pages overflow the pool
-# race on several CPUs, which band's installs evict pages the other was
-# about to hit changes from run to run, and with it the frame sizes the
-# determinism test compares.
+# `run.sh` runs it: a served query's response carries its own buffer-pool
+# hits and misses, and the determinism test compares the frame sizes.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --no-run
 bench_cpu=$(awk '/^Cpus_allowed_list/ { n = split($2, a, /[,-]/); print a[n] }' /proc/self/status)
 taskset -c "$bench_cpu" cargo test -q --offline --manifest-path benchmark/Cargo.toml

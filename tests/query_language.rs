@@ -171,3 +171,52 @@ fn section_and_induced_compose_across_crates() {
     .unwrap();
     assert!((a.as_number().unwrap() - b.as_number().unwrap()).abs() < 1e-9);
 }
+
+/// `EXPLAIN ANALYZE` reports the reads the statement made: on a defragged
+/// object of single-page tiles, the plan's `fetch-coalesced` tiles are
+/// exactly the page joins of the analyzed run (`pages_read_run −
+/// runs_coalesced`), for a range read that coalesces and for a condenser,
+/// which reads one tile at a time in index order and so joins none.
+#[test]
+fn explain_analyze_coalescing_matches_the_executed_reads() {
+    use tilestore::engine::TileDecision;
+    use tilestore::rasql::{execute_statement, StatementResult};
+
+    let db = Database::in_memory().unwrap();
+    db.create_object(
+        "big",
+        MddType::new(CellType::of::<u32>(), DefDomain::unlimited(2).unwrap()),
+        Scheme::Aligned(AlignedTiling::regular(2, 1024)),
+    )
+    .unwrap();
+    db.insert(
+        "big",
+        &Array::from_fn(d("[0:127,0:127]"), |p| (p[0] * 128 + p[1]) as u32).unwrap(),
+    )
+    .unwrap();
+    db.defrag("big").unwrap();
+    let analyzed = |stmt: &str| {
+        let StatementResult::Explain(report) = execute_statement(&db.begin_read(), stmt).unwrap()
+        else {
+            panic!("{stmt} did not explain");
+        };
+        let coalesced = report
+            .plan
+            .tiles
+            .iter()
+            .filter(|t| t.decision == TileDecision::FetchCoalesced)
+            .count() as u64;
+        let io = report.analyze.expect("ANALYZE executes").stats.io;
+        (report.plan.fetched(), coalesced, io)
+    };
+
+    let (fetched, coalesced, io) = analyzed("EXPLAIN ANALYZE SELECT big FROM big");
+    assert_eq!(fetched, 64);
+    assert!(coalesced > 0, "a defragged range read coalesces: {io:?}");
+    assert_eq!(coalesced, io.pages_read_run - io.runs_coalesced, "{io:?}");
+
+    let (fetched, coalesced, io) = analyzed("EXPLAIN ANALYZE SELECT sum_cells(big) FROM big");
+    assert_eq!(fetched, 64);
+    assert_eq!(coalesced, 0);
+    assert_eq!(coalesced, io.pages_read_run - io.runs_coalesced, "{io:?}");
+}
