@@ -49,13 +49,26 @@ pub fn encode(payload: &[u8], default: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a stream produced by [`encode`]; `cell_size` must match, and
-/// the stream must declare exactly `expected_len` bytes of cells (checked
-/// before anything is allocated).
+/// Decodes a stream produced by [`encode`] into a fresh buffer.
+#[cfg(test)]
+fn decode(stream: &[u8], cell_size: usize, expected_len: usize) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    decode_into(stream, cell_size, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a stream produced by [`encode`] into `out` (cleared first);
+/// `cell_size` must match, and the stream must declare exactly
+/// `expected_len` bytes of cells (checked before anything is allocated).
 ///
 /// # Errors
 /// [`CompressError::Corrupt`] on malformed streams.
-pub fn decode(stream: &[u8], cell_size: usize, expected_len: usize) -> Result<Vec<u8>> {
+pub fn decode_into(
+    stream: &[u8],
+    cell_size: usize,
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     if cell_size == 0 {
         return Err(CompressError::ZeroCellSize);
     }
@@ -72,7 +85,8 @@ pub fn decode(stream: &[u8], cell_size: usize, expected_len: usize) -> Result<Ve
         .ok_or_else(|| CompressError::Corrupt("truncated default cell".to_string()))?
         .to_vec();
     pos += cell_size;
-    let mut out = Vec::with_capacity(expected_len);
+    out.clear();
+    out.reserve(expected_len);
     for _ in 0..cells {
         out.extend_from_slice(&default);
     }
@@ -105,7 +119,7 @@ pub fn decode(stream: &[u8], cell_size: usize, expected_len: usize) -> Result<Ve
             stream.len() - pos
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Estimated compressed size for a tile of `cells` cells with

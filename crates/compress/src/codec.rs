@@ -206,9 +206,7 @@ pub fn decompress(stream: &[u8], ctx: &CellContext<'_>) -> Result<Vec<u8>> {
 }
 
 /// Like [`decompress`], but borrows the payload of a raw ([`Codec::None`])
-/// stream instead of copying it. The engine's parallel tile-fetch path uses
-/// this to paste uncompressed tiles straight from the read buffer into the
-/// result array.
+/// stream instead of copying it.
 ///
 /// # Errors
 /// The errors of [`decompress`].
@@ -217,37 +215,123 @@ pub fn decompress_view<'a>(
     ctx: &CellContext<'_>,
 ) -> Result<std::borrow::Cow<'a, [u8]>> {
     use std::borrow::Cow;
+    let header = stream_header(stream)?;
+    let body = &stream[header.body_offset..];
+    if header.codec == Codec::None {
+        header.check_raw_body(body.len())?;
+        return Ok(Cow::Borrowed(body));
+    }
+    let mut out = Vec::new();
+    decode_body(&header, body, ctx, &mut out, &mut Vec::new())?;
+    Ok(Cow::Owned(out))
+}
+
+/// The header every framed stream opens with: the codec, the decoded
+/// length, and where the body starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamHeader {
+    /// The codec the body is encoded with.
+    pub codec: Codec,
+    /// Length of the decoded payload in bytes.
+    pub original_len: usize,
+    /// Bytes of the header: the body starts at this offset.
+    pub body_offset: usize,
+}
+
+impl StreamHeader {
+    /// Checks that a raw stream's body of `body_len` bytes is exactly the
+    /// payload it declares.
+    ///
+    /// # Errors
+    /// [`CompressError::LengthMismatch`].
+    pub fn check_raw_body(&self, body_len: usize) -> Result<()> {
+        if body_len != self.original_len {
+            return Err(CompressError::LengthMismatch {
+                expected: self.original_len as u64,
+                got: body_len as u64,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Parses the header of a framed stream; `stream` need only hold its
+/// first bytes. Readers that keep a stream in pieces (a blob's page
+/// frames) use it to find a raw tile's cells without gathering them.
+///
+/// # Errors
+/// [`CompressError::Corrupt`] / [`CompressError::UnknownCodec`].
+pub fn stream_header(stream: &[u8]) -> Result<StreamHeader> {
     let tag = *stream
         .first()
         .ok_or_else(|| CompressError::Corrupt("empty stream".to_string()))?;
     let codec = Codec::from_tag(tag)?;
     let mut pos = 1usize;
     let original_len = read_varint(stream, &mut pos)? as usize;
-    let body = &stream[pos..];
-    let out: Cow<'a, [u8]> = match codec {
+    Ok(StreamHeader {
+        codec,
+        original_len,
+        body_offset: pos,
+    })
+}
+
+/// Decodes `body` as `header` describes into `out`; `stage` holds the
+/// intermediate PackBits output of [`Codec::DeltaPackBits`].
+fn decode_body(
+    header: &StreamHeader,
+    body: &[u8],
+    ctx: &CellContext<'_>,
+    out: &mut Vec<u8>,
+    stage: &mut Vec<u8>,
+) -> Result<()> {
+    let len = header.original_len;
+    match header.codec {
         Codec::None => {
-            if body.len() != original_len {
-                return Err(CompressError::LengthMismatch {
-                    expected: original_len as u64,
-                    got: body.len() as u64,
-                });
-            }
-            Cow::Borrowed(body)
+            header.check_raw_body(body.len())?;
+            out.clear();
+            out.extend_from_slice(body);
         }
-        Codec::PackBits => Cow::Owned(packbits::decode(body, original_len)?),
-        Codec::DeltaPackBits => Cow::Owned(delta::inverse(
-            &packbits::decode(body, original_len)?,
-            ctx.cell_size,
-        )?),
-        Codec::ChunkOffset => Cow::Owned(chunk_offset::decode(body, ctx.cell_size, original_len)?),
-    };
-    if out.len() != original_len {
+        Codec::PackBits => packbits::decode_into(body, len, out)?,
+        Codec::DeltaPackBits => {
+            packbits::decode_into(body, len, stage)?;
+            delta::inverse_into(stage, ctx.cell_size, out)?;
+        }
+        Codec::ChunkOffset => chunk_offset::decode_into(body, ctx.cell_size, len, out)?,
+    }
+    if out.len() != len {
         return Err(CompressError::LengthMismatch {
-            expected: original_len as u64,
+            expected: len as u64,
             got: out.len() as u64,
         });
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Decode buffers a reader keeps across the tiles of one query, so that
+/// decoding allocates only when a tile outgrows them.
+#[derive(Debug, Default)]
+pub struct DecodeBuf {
+    out: Vec<u8>,
+    stage: Vec<u8>,
+}
+
+impl DecodeBuf {
+    /// Decodes a framed stream into this buffer and returns the payload,
+    /// mutable so that a masked read can rewrite it in place.
+    ///
+    /// # Errors
+    /// The errors of [`decompress`].
+    pub fn decode(&mut self, stream: &[u8], ctx: &CellContext<'_>) -> Result<&mut [u8]> {
+        let header = stream_header(stream)?;
+        decode_body(
+            &header,
+            &stream[header.body_offset..],
+            ctx,
+            &mut self.out,
+            &mut self.stage,
+        )?;
+        Ok(&mut self.out)
+    }
 }
 
 /// Which codec a framed stream used (for statistics).
@@ -331,6 +415,39 @@ mod tests {
             let s = compress(&CompressionPolicy::Fixed(codec), &data, &c).unwrap();
             assert_eq!(decompress(&s, &c).unwrap(), data, "{codec:?}");
         }
+    }
+
+    #[test]
+    fn one_decode_buf_serves_every_codec_and_size() {
+        let default = 0u32.to_le_bytes();
+        let c = ctx(4, &default);
+        let mut buf = DecodeBuf::default();
+        // Large, small, large again: the buffers shrink and regrow between
+        // tiles and every decode is exact.
+        for cells in [4096u32, 3, 1000] {
+            let data: Vec<u8> = (0..cells)
+                .flat_map(|i| (if i % 5 == 0 { i * 3 } else { 0 }).to_le_bytes())
+                .collect();
+            for codec in [
+                Codec::None,
+                Codec::PackBits,
+                Codec::DeltaPackBits,
+                Codec::ChunkOffset,
+            ] {
+                let s = encode_with(codec, &data, &c).unwrap();
+                let header = stream_header(&s).unwrap();
+                assert_eq!((header.codec, header.original_len), (codec, data.len()));
+                if codec == Codec::None {
+                    assert_eq!(&s[header.body_offset..], &data[..]);
+                }
+                assert_eq!(buf.decode(&s, &c).unwrap(), &data[..], "{codec:?}");
+            }
+        }
+        // A corrupt stream fails without spoiling the buffer.
+        let good = encode_with(Codec::PackBits, &[7; 64], &c).unwrap();
+        assert!(buf.decode(&good[..good.len() - 1], &c).is_err());
+        assert!(buf.decode(&[], &c).is_err());
+        assert_eq!(buf.decode(&good, &c).unwrap(), &[7; 64][..]);
     }
 
     #[test]

@@ -120,25 +120,38 @@ pub fn forward(payload: &[u8], cell_size: usize) -> Result<Vec<u8>> {
 /// # Errors
 /// [`CompressError::ZeroCellSize`] / [`CompressError::BadPayload`].
 pub fn inverse(deltas: &[u8], cell_size: usize) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    inverse_into(deltas, cell_size, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`inverse`], but into `out`, so a caller decoding many tiles
+/// reuses one allocation. The kernels store every byte of `out`, so only
+/// its growth is zero-filled.
+///
+/// # Errors
+/// The errors of [`inverse`].
+pub fn inverse_into(deltas: &[u8], cell_size: usize, out: &mut Vec<u8>) -> Result<()> {
     check(deltas, cell_size)?;
     let cells = deltas.len() / cell_size;
-    let mut out = vec![0u8; deltas.len()];
+    out.resize(deltas.len(), 0);
+    let out = &mut out[..];
     let mut lane = 0usize;
     while lane < cell_size {
         let group = (cell_size - lane).min(8);
         match group {
-            1 => lane_group::<1>(deltas, cells, cell_size, lane, &mut out),
-            2 => lane_group::<2>(deltas, cells, cell_size, lane, &mut out),
-            3 => lane_group::<3>(deltas, cells, cell_size, lane, &mut out),
-            4 => lane_group::<4>(deltas, cells, cell_size, lane, &mut out),
-            5 => lane_group::<5>(deltas, cells, cell_size, lane, &mut out),
-            6 => lane_group::<6>(deltas, cells, cell_size, lane, &mut out),
-            7 => lane_group::<7>(deltas, cells, cell_size, lane, &mut out),
-            _ => lane_group::<8>(deltas, cells, cell_size, lane, &mut out),
+            1 => lane_group::<1>(deltas, cells, cell_size, lane, out),
+            2 => lane_group::<2>(deltas, cells, cell_size, lane, out),
+            3 => lane_group::<3>(deltas, cells, cell_size, lane, out),
+            4 => lane_group::<4>(deltas, cells, cell_size, lane, out),
+            5 => lane_group::<5>(deltas, cells, cell_size, lane, out),
+            6 => lane_group::<6>(deltas, cells, cell_size, lane, out),
+            7 => lane_group::<7>(deltas, cells, cell_size, lane, out),
+            _ => lane_group::<8>(deltas, cells, cell_size, lane, out),
         }
         lane += group;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Rebuilds lanes `lane..lane + R` of every cell with [`cell_kernel`].

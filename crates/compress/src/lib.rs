@@ -31,7 +31,8 @@ mod test_payloads;
 mod varint;
 
 pub use codec::{
-    compress, decompress, decompress_view, stream_codec, CellContext, Codec, CompressionPolicy,
+    compress, decompress, decompress_view, stream_codec, stream_header, CellContext, Codec,
+    CompressionPolicy, DecodeBuf, StreamHeader,
 };
 pub use error::{CompressError, Result};
 pub use synopsis::{compress_with_scan, scan_cells, CellScan, NULL_MASK_CHUNKS};

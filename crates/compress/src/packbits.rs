@@ -228,7 +228,19 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 /// [`CompressError::Corrupt`] on truncated runs or output overflow,
 /// [`CompressError::LengthMismatch`] when the stream decodes short.
 pub fn decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
+    decode_into(input, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`decode`], but into `out` (cleared first), so a caller decoding
+/// many streams reuses one allocation.
+///
+/// # Errors
+/// The errors of [`decode`]; `out` then holds an unspecified prefix.
+pub fn decode_into(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
+    out.reserve(expected_len);
     let mut i = 0;
     while i < input.len() {
         let c = input[i];
@@ -265,7 +277,7 @@ pub fn decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
             got: out.len() as u64,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -119,11 +119,19 @@ impl AccessLog {
 
     /// Records one access to `region`.
     pub fn record(&self, region: &Domain) {
+        self.record_keyed(&region.to_string(), region);
+    }
+
+    /// Records one access to `region`, whose textual form the caller has
+    /// already formatted as `key`.
+    pub(crate) fn record_keyed(&self, key: &str, region: &Domain) {
         let mut entries = lock(&self.entries);
-        entries
-            .entry(region.to_string())
-            .and_modify(|(_, c)| *c += 1)
-            .or_insert_with(|| (region.clone(), 1));
+        match entries.get_mut(key) {
+            Some((_, count)) => *count += 1,
+            None => {
+                entries.insert(key.to_string(), (region.clone(), 1));
+            }
+        }
     }
 
     /// Number of distinct regions recorded.

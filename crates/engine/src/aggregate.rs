@@ -328,7 +328,8 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         // folded in between, so the accumulator sees every tile in index
         // order.
         let mut candidates = plan.tiles.iter();
-        stats.io = plan.fetch(&self.blobs, |pos, bytes| {
+        stats.io = plan.fetch(&self.blobs, |pos, cells| {
+            let bytes = cells.bytes_mut();
             for &(skipped, decision) in candidates.by_ref() {
                 if skipped == pos {
                     break;

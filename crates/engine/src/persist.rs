@@ -210,6 +210,15 @@ impl<S: PageStore> Database<S> {
         self.set_catalog_epoch(catalog.epoch);
         self.blob_store().release_freed_pages();
         tilestore_obs::hot().catalog_commits.inc();
+        // The access log buffers its lines; a save writes them out too. Like
+        // a failed record, a failed flush is counted, not fatal.
+        if let Some(rec) = self.recorder() {
+            if rec.flush().is_err() {
+                tilestore_obs::metrics()
+                    .counter("engine.recorder_errors")
+                    .inc();
+            }
+        }
         Ok(())
     }
 }
@@ -660,6 +669,35 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].region, "[0:4,0:4]");
         assert_eq!(entries[0].count, 2);
+    }
+
+    #[test]
+    fn save_writes_out_every_buffered_access() {
+        let dir = tilestore_testkit::tempdir().unwrap();
+        let db = Database::create_dir(dir.path()).unwrap();
+        db.create_object(
+            "m",
+            MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
+            Scheme::Aligned(AlignedTiling::regular(2, 1024)),
+        )
+        .unwrap();
+        db.insert(
+            "m",
+            &Array::from_fn("[0:19,0:19]".parse().unwrap(), |p| p[0] as u32).unwrap(),
+        )
+        .unwrap();
+        for i in 0..40 {
+            let region: Domain = format!("[{}:{},0:4]", i % 20, i % 20).parse().unwrap();
+            db.range_query("m", &region).unwrap();
+        }
+        db.save(dir.path()).unwrap();
+        // The database stays open: only the save can have written the
+        // buffered lines out for a second reader of the file.
+        let other = AccessRecorder::open(dir.path().join(ACCESS_LOG_FILE)).unwrap();
+        let entries = other.entries_for("m").unwrap();
+        assert_eq!(entries.len(), 20);
+        assert!(entries.iter().all(|e| e.count == 2));
+        drop(db);
     }
 
     #[test]

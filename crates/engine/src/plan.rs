@@ -14,9 +14,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use tilestore_compress::CellContext;
-use tilestore_geometry::Domain;
-use tilestore_storage::{BlobId, BlobPlacement, BlobStore, IoSnapshot, PageStore};
+use tilestore_compress::{CellContext, Codec, DecodeBuf};
+use tilestore_geometry::{copy_region, copy_region_segmented, Domain, Segmented};
+use tilestore_storage::{BlobId, BlobPlacement, BlobSpan, BlobStore, Frame, IoSnapshot, PageStore};
 
 use crate::aggregate::{decode_numeric, kind_accepts_synopsis, AggKind};
 use crate::error::{EngineError, Result};
@@ -177,20 +177,25 @@ impl Plan {
         }
     }
 
-    /// Executes the plan's reads: one `read_batch` per batch into a scratch
-    /// buffer reused across batches, then each fetched tile's position and
-    /// decoded payload to `visit`, in read order. Returns the counts of the
-    /// reads.
+    /// Executes the plan's reads: one `read_batch` per batch, then each
+    /// fetched tile's position and cells to `visit`, in read order. The
+    /// cells stay in the batch's page frames (over a buffer pool, the
+    /// pool's own): a raw tile is handed over in place and a compressed one
+    /// is decoded from its frame. The decode and gather buffers are reused
+    /// across the tiles of the plan. Returns the counts of the reads.
     pub(crate) fn fetch<S: PageStore>(
         &self,
         blobs: &BlobStore<S>,
-        mut visit: impl FnMut(u64, &[u8]) -> Result<()>,
+        mut visit: impl FnMut(u64, TileCells<'_>) -> Result<()>,
     ) -> Result<IoSnapshot> {
         let ctx = CellContext {
             cell_size: self.object.cell_size(),
             default: &self.object.mdd_type.cell.default,
         };
-        let mut scratch = Vec::new();
+        let page_size = blobs.page_store().page_size();
+        let mut frames = Vec::new();
+        let mut gather = Vec::new();
+        let mut decoded = DecodeBuf::default();
         let mut ids: Vec<BlobId> = Vec::new();
         let mut io = IoSnapshot::default();
         for batch in &self.batches {
@@ -201,16 +206,101 @@ impl Plan {
                     .iter()
                     .map(|&i| self.object.tiles[self.tiles[i].0 as usize].blob),
             );
-            let (ranges, batch_io) = blobs.read_batch(&ids, &mut scratch)?;
+            frames.clear();
+            let (spans, batch_io) = blobs.read_batch(&ids, &mut frames)?;
             io += &batch_io;
-            for (&i, &(off, len)) in reads.iter().zip(&ranges) {
-                let payload = tilestore_compress::decompress_view(&scratch[off..off + len], &ctx)
-                    .map_err(|e| {
-                    EngineError::Catalog(format!("tile decompression failed: {e}"))
-                })?;
-                visit(self.tiles[i].0, &payload)?;
+            for (&i, span) in reads.iter().zip(&spans) {
+                let cells =
+                    TileCells::new(&frames, span, page_size, &ctx, &mut gather, &mut decoded)
+                        .map_err(|e| {
+                            EngineError::Catalog(format!("tile decompression failed: {e}"))
+                        })?;
+                visit(self.tiles[i].0, cells)?;
             }
         }
         Ok(io)
+    }
+}
+
+/// One fetched tile's cells, as [`Plan::fetch`] hands them over.
+pub(crate) enum TileCells<'a> {
+    /// A raw tile, still in its page frames: its cells start after the
+    /// stream header, and a row may straddle two frames.
+    Frames {
+        cells: Segmented<'a, Frame>,
+        len: usize,
+        /// The plan's gather buffer, for consumers that need the cells in
+        /// one slice.
+        gather: &'a mut Vec<u8>,
+    },
+    /// A compressed tile, decoded into the plan's decode buffer.
+    Decoded(&'a mut [u8]),
+}
+
+impl<'a> TileCells<'a> {
+    /// Locates the cells of the blob at `span` in `frames`: a raw stream's
+    /// in place, a compressed stream's decoded from its frame, or from
+    /// `gather` when the stream spans more than one frame.
+    fn new(
+        frames: &'a [Frame],
+        span: &BlobSpan,
+        page_size: usize,
+        ctx: &CellContext<'_>,
+        gather: &'a mut Vec<u8>,
+        decoded: &'a mut DecodeBuf,
+    ) -> tilestore_compress::Result<Self> {
+        let frames = &frames[span.frames.clone()];
+        let first = &frames[0][..span.len.min(page_size)];
+        let header = tilestore_compress::stream_header(first)?;
+        if header.codec == Codec::None {
+            header.check_raw_body(span.len - header.body_offset)?;
+            return Ok(TileCells::Frames {
+                cells: Segmented::new(frames, page_size, header.body_offset),
+                len: header.original_len,
+                gather,
+            });
+        }
+        let stream = if span.len <= page_size {
+            first
+        } else {
+            gather.resize(span.len, 0);
+            Segmented::new(frames, page_size, 0).read_at(0, gather);
+            &gather[..]
+        };
+        Ok(TileCells::Decoded(decoded.decode(stream, ctx)?))
+    }
+
+    /// Pastes the cells of `clip` from a tile over `tile` into `dst`, laid
+    /// out over `dst_domain`; returns the cells copied.
+    pub(crate) fn paste(
+        &self,
+        tile: &Domain,
+        dst_domain: &Domain,
+        dst: &mut [u8],
+        clip: &Domain,
+        cell_size: usize,
+    ) -> Result<u64> {
+        Ok(match self {
+            TileCells::Frames { cells, .. } => {
+                copy_region_segmented(tile, *cells, dst_domain, dst, clip, cell_size)?
+            }
+            TileCells::Decoded(bytes) => {
+                copy_region(tile, bytes, dst_domain, dst, clip, cell_size)?
+            }
+        })
+    }
+
+    /// The cells as one mutable slice: a raw tile's are gathered from its
+    /// frames into the plan's gather buffer, a decoded tile's are already
+    /// one.
+    pub(crate) fn bytes_mut(self) -> &'a mut [u8] {
+        match self {
+            TileCells::Frames { cells, len, gather } => {
+                gather.resize(len, 0);
+                cells.read_at(0, gather);
+                gather
+            }
+            TileCells::Decoded(bytes) => bytes,
+        }
     }
 }

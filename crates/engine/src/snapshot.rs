@@ -280,9 +280,10 @@ impl<S: PageStore> Snapshot<S> {
     /// Records an executed access for statistic tiling: the in-process
     /// log always, the persistent recorder when attached.
     fn record_access(&self, name: &str, entry: &ObjectEntry, region: &Domain) {
-        entry.log.record(region);
+        let key = region.to_string();
+        entry.log.record_keyed(&key, region);
         if let Some(rec) = &self.recorder {
-            if rec.record(name, &region.to_string()).is_err() {
+            if rec.record(name, &key).is_err() {
                 tilestore_obs::metrics()
                     .counter("engine.recorder_errors")
                     .inc();
@@ -327,30 +328,27 @@ impl<S: PageStore> Snapshot<S> {
         let mut array = Array::filled(region.clone(), &cell.default)?;
         let out = array.bytes_mut();
         let mut stats = plan.stats();
-        let mut masked = Vec::new();
         // The plan's batches coalesce tiles on consecutive pages into one
-        // positioned read; each payload is decoded zero-copy where the
-        // codec allows and its clip pasted straight into the result.
-        stats.io = plan.fetch(&self.blobs, |pos, payload| {
+        // positioned read; a raw tile's clip is pasted straight from its
+        // page frames, a compressed one's from its decoded cells.
+        stats.io = plan.fetch(&self.blobs, |pos, cells| {
             let tile = &meta.tiles[pos as usize];
-            let src = match predicate {
-                // Masked select: failing cells become the default before the
-                // paste. The view may alias the shared scratch, so the
-                // rewrite goes through an owned buffer.
-                Some(p) => {
-                    masked.clear();
-                    masked.extend_from_slice(payload);
-                    p.mask_payload(cell, &mut masked)?;
-                    &masked[..]
-                }
-                None => payload,
-            };
             let clip = tile
                 .domain
                 .intersection(region)
                 .expect("index returned an intersecting tile");
             stats.cells_processed += tile.domain.cells();
-            stats.cells_copied += copy_region(&tile.domain, src, region, out, &clip, cell.size)?;
+            stats.cells_copied += match predicate {
+                // Masked select: failing cells become the default before the
+                // paste, rewritten in the plan's own buffers, never in a
+                // frame the pool shares.
+                Some(p) => {
+                    let bytes = cells.bytes_mut();
+                    p.mask_payload(cell, bytes)?;
+                    copy_region(&tile.domain, bytes, region, out, &clip, cell.size)?
+                }
+                None => cells.paste(&tile.domain, region, out, &clip, cell.size)?,
+            };
             Ok(())
         })?;
         stats.cells_defaulted = region.cells() - stats.cells_copied;

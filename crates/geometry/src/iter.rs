@@ -173,11 +173,74 @@ impl Iterator for RunIter {
     }
 }
 
+/// Bytes held in equal-length segments, read from `skip` bytes into the
+/// first one: a tile stream left in the page frames it was read into, whose
+/// cells start after the stream header and whose rows may straddle two
+/// frames. A contiguous buffer is the one-segment case.
+#[derive(Debug)]
+pub struct Segmented<'a, T> {
+    segments: &'a [T],
+    segment_len: usize,
+    skip: usize,
+}
+
+// A view of borrowed segments copies whatever the segments are.
+impl<T> Clone for Segmented<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Segmented<'_, T> {}
+
+impl<'a, T: AsRef<[u8]>> Segmented<'a, T> {
+    /// Views `segments`, each `segment_len` bytes long (the last may be
+    /// shorter), as one byte sequence starting `skip` bytes into the first.
+    ///
+    /// # Panics
+    /// Panics if `segment_len` is 0 and there is more than one segment.
+    #[must_use]
+    pub fn new(segments: &'a [T], segment_len: usize, skip: usize) -> Self {
+        assert!(
+            segment_len > 0 || segments.len() <= 1,
+            "empty segments cannot hold bytes"
+        );
+        Segmented {
+            segments,
+            segment_len,
+            skip,
+        }
+    }
+
+    /// Copies the `dst.len()` bytes at offset `at` of the sequence into
+    /// `dst`, one `copy_from_slice` per segment they touch.
+    ///
+    /// # Panics
+    /// Panics if the bytes run past the last segment.
+    pub fn read_at(&self, at: usize, dst: &mut [u8]) {
+        let mut pos = self.skip + at;
+        if let [only] = self.segments {
+            dst.copy_from_slice(&only.as_ref()[pos..pos + dst.len()]);
+            return;
+        }
+        let mut done = 0;
+        while done < dst.len() {
+            let from = pos % self.segment_len;
+            let n = (self.segment_len - from).min(dst.len() - done);
+            let seg = self.segments[pos / self.segment_len].as_ref();
+            dst[done..done + n].copy_from_slice(&seg[from..from + n]);
+            done += n;
+            pos += n;
+        }
+    }
+}
+
 /// Copies the cells of `src_region` from a buffer laid out over `src_domain`
 /// into a buffer laid out over `dst_domain`, for `cell_size`-byte cells.
 ///
 /// `region` must be contained in both domains. Returns the number of cells
-/// copied (used for `t_cpu` accounting).
+/// copied (used for `t_cpu` accounting). The source in pieces is
+/// [`copy_region_segmented`].
 ///
 /// # Errors
 /// [`GeometryError::NotContained`] when the region is outside either domain.
@@ -187,6 +250,27 @@ impl Iterator for RunIter {
 pub fn copy_region(
     src_domain: &Domain,
     src: &[u8],
+    dst_domain: &Domain,
+    dst: &mut [u8],
+    region: &Domain,
+    cell_size: usize,
+) -> Result<u64> {
+    let src = Segmented::new(std::slice::from_ref(&src), src.len(), 0);
+    copy_region_segmented(src_domain, src, dst_domain, dst, region, cell_size)
+}
+
+/// [`copy_region`] from a source held in segments: each run is copied with
+/// one `copy_from_slice` per segment it touches, so a tile's cells paste
+/// straight from the page frames that hold them.
+///
+/// # Errors
+/// [`GeometryError::NotContained`] when the region is outside either domain.
+///
+/// # Panics
+/// Panics if either buffer is smaller than its domain requires.
+pub fn copy_region_segmented<T: AsRef<[u8]>>(
+    src_domain: &Domain,
+    src: Segmented<'_, T>,
     dst_domain: &Domain,
     dst: &mut [u8],
     region: &Domain,
@@ -202,9 +286,8 @@ pub fn copy_region(
         debug_assert_eq!(s.len, d.len);
         debug_assert_eq!(s.inner_offset, d.inner_offset);
         let len = s.len as usize * cell_size;
-        let s0 = s.outer_offset as usize * cell_size;
         let d0 = d.outer_offset as usize * cell_size;
-        dst[d0..d0 + len].copy_from_slice(&src[s0..s0 + len]);
+        src.read_at(s.outer_offset as usize * cell_size, &mut dst[d0..d0 + len]);
         copied += s.len;
     }
     Ok(copied)
@@ -328,6 +411,25 @@ mod tests {
         let region = d("[1:1,0:1]");
         copy_region(&src_dom, &src, &dst_dom, &mut dst, &region, 2).unwrap();
         assert_eq!(dst, vec![0, 0, 0, 0, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn segmented_copy_reads_across_segment_boundaries() {
+        // A 4x4 u8 source behind a 3-byte header, in 5-byte segments: rows
+        // 0, 1 and 2 each straddle a boundary.
+        let mut stream = vec![0xEE; 3];
+        stream.extend(0..16u8);
+        let segments: Vec<&[u8]> = stream.chunks(5).collect();
+        let src_dom = d("[0:3,0:3]");
+        let region = d("[0:3,1:2]");
+        let mut dst = vec![0u8; 16];
+        let src = Segmented::new(&segments, 5, 3);
+        let copied = copy_region_segmented(&src_dom, src, &src_dom, &mut dst, &region, 1).unwrap();
+        assert_eq!(copied, 8);
+        assert_eq!(dst, vec![0, 1, 2, 0, 0, 5, 6, 0, 0, 9, 10, 0, 0, 13, 14, 0]);
+        let mut whole = vec![0u8; 16];
+        src.read_at(0, &mut whole);
+        assert_eq!(whole, (0..16).collect::<Vec<u8>>());
     }
 
     #[test]

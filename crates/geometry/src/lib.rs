@@ -13,7 +13,8 @@
 //! * [`RowMajor`] — cell linearization for storage on linear media;
 //! * [`PointIter`] / [`RunIter`] — cell- and run-granular iteration, with
 //!   [`copy_region`] / [`fill_region`] as the bulk data-movement primitives
-//!   behind query post-processing;
+//!   behind query post-processing, and [`copy_region_segmented`] to paste
+//!   from a source held in pieces ([`Segmented`], e.g. page frames);
 //! * [`GridIter`] — regular grid decomposition (the substrate of aligned
 //!   tiling);
 //! * [`difference`] / [`uncovered`] — disjoint box decomposition of domain
@@ -39,7 +40,9 @@ pub use difference::{difference, uncovered};
 pub use domain::{AxisRange, Domain};
 pub use error::{GeometryError, Result};
 pub use grid::GridIter;
-pub use iter::{copy_region, fill_region, PointIter, Run, RunIter};
+pub use iter::{
+    copy_region, copy_region_segmented, fill_region, PointIter, Run, RunIter, Segmented,
+};
 pub use order::RowMajor;
 pub use point::Point;
 pub use zorder::{morton_centroid_key, morton_key, sort_by_centroid_zorder, sort_by_zorder};

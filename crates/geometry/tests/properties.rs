@@ -1,7 +1,8 @@
 //! Property-based tests for the geometry invariants listed in DESIGN.md §7.
 
 use tilestore_geometry::{
-    copy_region, difference, uncovered, Domain, GridIter, Point, PointIter, RowMajor, RunIter,
+    copy_region, copy_region_segmented, difference, uncovered, Domain, GridIter, Point, PointIter,
+    RowMajor, RunIter, Segmented,
 };
 use tilestore_testkit::prop::{check, Source};
 use tilestore_testkit::{prop_assert, prop_assert_eq};
@@ -281,4 +282,52 @@ fn copy_region_matches_cellwise_reference() {
             Ok(())
         },
     );
+}
+
+/// The segmented source is the contiguous one cut into pieces: a stream of
+/// `skip` header bytes plus the cells, split into `seg`-byte segments (the
+/// way a tile stream sits in page frames), pastes exactly the bytes the
+/// contiguous cells do, for any segment length and header skip, rows
+/// straddling segment boundaries included.
+#[test]
+fn segmented_copy_region_matches_contiguous() {
+    let straddles = std::cell::Cell::new(0u64);
+    check(
+        "segmented_copy_region_matches_contiguous",
+        CASES,
+        |s| {
+            (
+                overlapping_pair(s),
+                s.usize_in(1, 8),
+                s.usize_in(1, 64),
+                s.usize_in(0, 12),
+            )
+        },
+        |((src_dom, dst_dom), cell_size, seg, skip)| {
+            let (cs, seg, skip) = (*cell_size, *seg, *skip);
+            let region = src_dom.intersection(dst_dom).unwrap();
+            let cells: Vec<u8> = (0..src_dom.cells() as usize * cs)
+                .map(|i| (i * 7 % 251) as u8)
+                .collect();
+            let mut stream = vec![0xA5u8; skip];
+            stream.extend_from_slice(&cells);
+            let segments: Vec<Vec<u8>> = stream.chunks(seg).map(<[u8]>::to_vec).collect();
+            let mut want = vec![0xEEu8; dst_dom.cells() as usize * cs];
+            let mut got = want.clone();
+            let n = copy_region(src_dom, &cells, dst_dom, &mut want, &region, cs).unwrap();
+            let src = Segmented::new(&segments, seg, skip);
+            let m = copy_region_segmented(src_dom, src, dst_dom, &mut got, &region, cs).unwrap();
+            prop_assert_eq!(n, m);
+            prop_assert_eq!(&got, &want);
+            for run in RunIter::new(src_dom, &region).unwrap() {
+                let start = skip + run.outer_offset as usize * cs;
+                let end = start + run.len as usize * cs;
+                if start / seg != (end - 1) / seg {
+                    straddles.set(straddles.get() + 1);
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(straddles.get() > 0, "no run straddled a segment boundary");
 }

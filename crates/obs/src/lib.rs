@@ -93,9 +93,6 @@ pub struct HotMetrics {
     /// Buffer-pool shard lock acquisitions that had to block because
     /// another thread held the shard (`try_lock` failed first).
     pub pool_shard_contention: Arc<Counter>,
-    /// `unpin_page` calls with no outstanding pin — a pin-leak or
-    /// double-unpin upstream (asserts in debug builds).
-    pub pin_underflow: Arc<Counter>,
     /// Physically consecutive page runs fetched with one positioned read
     /// instead of one read per page.
     pub runs_coalesced: Arc<Counter>,
@@ -126,7 +123,6 @@ impl HotMetrics {
             lock_poisoned: reg.counter("engine.lock_poisoned"),
             tiles_pruned: reg.counter("engine.tiles_pruned"),
             pool_shard_contention: reg.counter("pool.shard_contention"),
-            pin_underflow: reg.counter("engine.pin_underflow"),
             runs_coalesced: reg.counter("io.runs_coalesced"),
             readahead_bytes: reg.counter("io.readahead_bytes"),
         }

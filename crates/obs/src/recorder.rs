@@ -4,8 +4,12 @@
 //!
 //! Each line is a compact JSON object `{"object": <name>, "region": <domain>}`
 //! where the region is the engine's textual domain form (`[lo:hi,lo:hi]`).
-//! The recorder is append-only and flushes after every record, so the log
-//! survives crashes mid-workload and can be read back by any process.
+//! The recorder is append-only and buffered: a record is one line in the
+//! writer's buffer, and the buffer reaches the file when it fills, on
+//! rotation, on [`AccessRecorder::flush`] (which `Database::save` calls),
+//! before the log is read back or cleared, and when the recorder drops. A
+//! query therefore pays no system call for its log line; a process killed
+//! outright loses at most the lines still in the buffer.
 //!
 //! The log is size-bounded: when the live segment exceeds its byte cap it
 //! rotates to `access.log.1` (existing rotated segments shift up, the
@@ -56,8 +60,8 @@ pub struct AccessRecorder {
 
 /// Locks the live segment, recovering from poisoning: one panicking request
 /// handler must not permanently kill query logging for the whole process.
-/// The buffered writer only ever holds whole flushed lines (every `record`
-/// flushes), so the state behind a poisoned lock is still well-formed.
+/// Each record hands the buffered writer one whole line in one write, so
+/// the state behind a poisoned lock is still well-formed.
 fn lock(m: &Mutex<LiveSegment>) -> MutexGuard<'_, LiveSegment> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -128,24 +132,33 @@ impl AccessRecorder {
         Ok(())
     }
 
-    /// Appends one access of `region` on `object` and flushes, rotating
-    /// first if the live segment is over its byte cap.
+    /// Appends one access of `region` on `object` to the writer's buffer,
+    /// rotating first if the live segment is over its byte cap.
     ///
     /// # Errors
-    /// Returns the underlying I/O error if the write fails.
+    /// Returns the underlying I/O error if a write fails.
     pub fn record(&self, object: &str, region: &str) -> std::io::Result<()> {
-        let line = Json::obj(vec![
+        let mut line = Json::obj(vec![
             ("object", Json::Str(object.to_string())),
             ("region", Json::Str(region.to_string())),
         ])
         .to_string_compact();
+        line.push('\n');
         let mut live = lock(&self.live);
-        if live.bytes > 0 && live.bytes + line.len() as u64 + 1 > self.segment_bytes {
+        if live.bytes > 0 && live.bytes + line.len() as u64 > self.segment_bytes {
             self.rotate(&mut live)?;
         }
-        writeln!(live.writer, "{line}")?;
-        live.bytes += line.len() as u64 + 1;
-        live.writer.flush()
+        live.writer.write_all(line.as_bytes())?;
+        live.bytes += line.len() as u64;
+        Ok(())
+    }
+
+    /// Writes every buffered record to the file.
+    ///
+    /// # Errors
+    /// Returns the underlying I/O error if the write fails.
+    pub fn flush(&self) -> std::io::Result<()> {
+        lock(&self.live).writer.flush()
     }
 
     /// Reads the whole log back (rotated segments oldest first, then the
@@ -221,6 +234,8 @@ impl AccessRecorder {
     /// Returns the underlying I/O error if the file cannot be truncated.
     pub fn clear(&self) -> std::io::Result<()> {
         let mut live = lock(&self.live);
+        // Buffered lines go out before the truncation, not after it.
+        live.writer.flush()?;
         for i in 1..=MAX_SEGMENTS {
             let seg = segment_path(&self.path, i);
             if seg.exists() {
@@ -269,6 +284,23 @@ mod tests {
         assert_eq!(entries[1].region, "[50:59,50:59]");
         assert_eq!(entries[1].count, 1);
         assert_eq!(rec.total_accesses().unwrap(), 4);
+    }
+
+    #[test]
+    fn records_reach_the_file_on_flush_and_drop() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("access.log");
+        let rec = AccessRecorder::open(&path).unwrap();
+        rec.record("m", "[0:3]").unwrap();
+        rec.record("m", "[0:3]").unwrap();
+        // Buffered: a second reader of the file sees nothing yet.
+        let reader = AccessRecorder::open(&path).unwrap();
+        assert_eq!(reader.total_accesses().unwrap(), 0);
+        rec.flush().unwrap();
+        assert_eq!(reader.total_accesses().unwrap(), 2);
+        rec.record("m", "[4:7]").unwrap();
+        drop(rec);
+        assert_eq!(reader.total_accesses().unwrap(), 3);
     }
 
     #[test]

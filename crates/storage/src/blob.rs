@@ -16,12 +16,13 @@
 //! The exported [`BlobDirectory`] folds quarantined pages into its free list
 //! because the catalog being written no longer references them.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
 
 use crate::error::{Result, StorageError};
-use crate::page::{lock, PageId, PageStore};
+use crate::page::{lock, Frame, PageId, PageStore};
 use crate::stats::{IoSnapshot, IoStats};
 
 /// Identifier of a BLOB within a [`BlobStore`].
@@ -60,6 +61,17 @@ pub struct BlobPlacement {
     /// Number of maximal physically consecutive page runs the BLOB's pages
     /// form in payload order (1 = fully contiguous).
     pub runs: u64,
+}
+
+/// Where one BLOB of a [`BlobStore::read_batch`] lies: a range of the
+/// batch's frames, holding `len` payload bytes from the first frame's
+/// offset 0 (the last frame is zero-padded past them).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlobSpan {
+    /// Indexes of the BLOB's frames in the batch's frame list.
+    pub frames: Range<usize>,
+    /// Payload length in bytes.
+    pub len: usize,
 }
 
 /// Serializable directory of a [`BlobStore`] — persisted by the engine so a
@@ -423,12 +435,14 @@ impl<S: PageStore> BlobStore<S> {
         })
     }
 
-    /// Reads several BLOBs with one batched page read, returning each
-    /// BLOB's payload as a `(offset, len)` byte range into `out` (in the
-    /// order of `ids`) and the counts of this call. The page lists are
-    /// concatenated before the read, so blobs that sit on physically
-    /// consecutive pages — the invariant the defragmenter establishes —
-    /// coalesce into single positioned reads even across blob boundaries.
+    /// Reads several BLOBs with one batched page read, appending their
+    /// pages' frames to `frames` and returning, in the order of `ids`, the
+    /// span of frames each BLOB occupies, with the counts of this call. The
+    /// page lists are concatenated before the read, so blobs that sit on
+    /// physically consecutive pages — the invariant the defragmenter
+    /// establishes — coalesce into single positioned reads even across blob
+    /// boundaries. Over a buffer pool the frames of hits are the pool's own,
+    /// lent without a copy.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] (no pages are read) or backend read
@@ -436,42 +450,40 @@ impl<S: PageStore> BlobStore<S> {
     pub fn read_batch(
         &self,
         ids: &[BlobId],
-        out: &mut Vec<u8>,
-    ) -> Result<(Vec<(usize, usize)>, IoSnapshot)> {
+        frames: &mut Vec<Frame>,
+    ) -> Result<(Vec<BlobSpan>, IoSnapshot)> {
         let _span =
             tilestore_obs::tracer().span_with("blob_read_batch", || format!("blobs={}", ids.len()));
-        let page_size = self.store.page_size();
-        // Snapshot the entries up front so the batch sees one consistent
-        // directory state and unknown ids fail before any I/O.
-        let entries = {
+        // Resolve every id under one directory lock so the batch sees one
+        // consistent directory state and unknown ids fail before any I/O.
+        let base = frames.len();
+        let mut pages = Vec::new();
+        let mut spans = Vec::with_capacity(ids.len());
+        {
             let inner = lock(&self.inner);
-            ids.iter()
-                .map(|id| {
-                    inner
-                        .entries
-                        .get(&id.0)
-                        .cloned()
-                        .ok_or(StorageError::UnknownBlob { blob: id.0 })
-                })
-                .collect::<Result<Vec<_>>>()?
-        };
-        let mut pages = Vec::with_capacity(entries.iter().map(|e| e.pages.len()).sum());
-        let mut ranges = Vec::with_capacity(entries.len());
-        for e in &entries {
-            ranges.push((pages.len() * page_size, e.len as usize));
-            pages.extend_from_slice(&e.pages);
+            for id in ids {
+                let e = inner
+                    .entries
+                    .get(&id.0)
+                    .ok_or(StorageError::UnknownBlob { blob: id.0 })?;
+                let first = base + pages.len();
+                pages.extend_from_slice(&e.pages);
+                spans.push(BlobSpan {
+                    frames: first..base + pages.len(),
+                    len: e.len as usize,
+                });
+            }
         }
-        out.resize(pages.len() * page_size, 0);
-        let mut io = self.store.read_pages(&pages, out)?;
-        io.blobs_read = entries.len() as u64;
+        let mut io = self.store.read_frames(&pages, frames)?;
+        io.blobs_read = spans.len() as u64;
         let hot = tilestore_obs::hot();
-        for e in &entries {
-            io.bytes_read += e.len;
+        for span in &spans {
+            io.bytes_read += span.len as u64;
             hot.blob_reads.inc();
-            hot.tile_bytes.record(e.len);
+            hot.tile_bytes.record(span.len as u64);
         }
         self.stats.add(&io);
-        Ok((ranges, io))
+        Ok((spans, io))
     }
 
     /// Creates a BLOB like [`BlobStore::create`], but on freshly allocated,
@@ -733,10 +745,11 @@ mod tests {
         let ids: Vec<BlobId> = payloads.iter().map(|p| bs.create(p).unwrap()).collect();
         let before = bs.stats().snapshot();
         let mut out = Vec::new();
-        let (ranges, s) = bs.read_batch(&ids, &mut out).unwrap();
-        assert_eq!(ranges.len(), 4);
-        for (i, &(off, len)) in ranges.iter().enumerate() {
-            assert_eq!(&out[off..off + len], payloads[i].as_slice());
+        let (spans, s) = bs.read_batch(&ids, &mut out).unwrap();
+        assert_eq!(spans.len(), 4);
+        for (i, span) in spans.iter().enumerate() {
+            let bytes: Vec<u8> = out[span.frames.clone()].concat();
+            assert_eq!(&bytes[..span.len], payloads[i].as_slice());
         }
         assert_eq!(bs.stats().snapshot().since(&before), s);
         assert_eq!(s.blobs_read, 4);

@@ -5,38 +5,77 @@
 //! realistic substrate a DBMS would run on. It wraps any [`PageStore`] and
 //! is itself a [`PageStore`], so the BLOB layer can run with or without it.
 //!
+//! # Shared frames
+//!
+//! A cached page is a [`Frame`], an `Arc<[u8]>`. A read lends it: a hit
+//! clones the `Arc` under the shard lock, so the reader pastes or decodes
+//! straight from the pool's bytes, and the frame stays alive in the reader's
+//! hands even if the pool evicts or rewrites the page meanwhile. A miss
+//! fetches a fresh frame from the store, installs a clone and lends it.
+//!
 //! # Sharding
 //!
 //! The frame table is split into `N` shards (a power of two), each with its
-//! own mutex, LRU state, pin table and `capacity / N` frames. A page maps to
-//! a shard by a Fibonacci hash of its id, so concurrent readers touching
-//! different pages contend on different locks instead of funnelling through
-//! one global mutex. Within a shard, recency is tracked with a tick-indexed
-//! ordered map (`tick → page`), so eviction is an O(log n) pop of the oldest
-//! tick instead of an O(n) scan.
+//! own mutex, LRU state and `capacity / N` frames. A page maps to a shard by
+//! a Fibonacci hash of its id, so concurrent readers touching different
+//! pages contend on different locks instead of funnelling through one
+//! global mutex. Within a shard, recency is a doubly linked list threaded
+//! through the frame slots by index, so a hit, an install and an eviction
+//! are each O(1).
 //!
 //! # Freshness invariant
 //!
 //! The pool is write-through, and it guarantees: **after `write_page(p, new)`
-//! returns, no read of `p` observes bytes older than `new`**. The miss path
-//! fetches from the store outside the lock; each shard keeps a write-version
-//! counter, sampled when the miss starts, and the fetched bytes are installed
-//! only if no write landed on the shard in between — otherwise the (possibly
-//! stale) fetch is discarded and the frame table is left untouched. This is
-//! conservative (a write to a *different* page in the same shard also voids
-//! the install), which costs at most a re-fetch, never staleness.
+//! returns, no read of `p` observes bytes older than `new`**. A write swaps
+//! a fresh frame into the slot of a cached page, so a frame lent before the
+//! write keeps the bytes it was read with, exactly as a copy taken then
+//! would. The miss path fetches from the store outside the lock; each shard
+//! keeps a write-version counter, sampled when the miss starts, and the
+//! fetched frames are installed only if no write landed on the shard in
+//! between — otherwise the (possibly stale) fetch is lent but the frame
+//! table is left untouched. This is conservative (a write to a *different*
+//! page in the same shard also voids the install), which costs at most a
+//! re-fetch, never staleness.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use tilestore_obs::Counter;
 
 use crate::error::Result;
-use crate::page::{lock, PageId, PageStore};
+use crate::page::{lock, Frame, PageId, PageStore};
 use crate::stats::{IoSnapshot, IoStats};
 
 /// Default number of shards, clamped down so every shard holds ≥ 1 frame.
 pub const DEFAULT_SHARDS: usize = 8;
+
+/// The Fibonacci multiplier: `2^64 / φ`, odd.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// End of a shard's recency list.
+const NIL: u32 = u32::MAX;
+
+/// Hashes a page id with one multiply. Page ids are dense integers, so
+/// SipHash's defence against chosen keys buys nothing here.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIB);
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(FIB);
+    }
+}
 
 /// A write-through, sharded LRU page cache.
 pub struct BufferPool<S> {
@@ -57,59 +96,103 @@ struct Shard {
     misses: Arc<Counter>,
 }
 
-#[derive(Debug, Default)]
+/// One cached page, linked into its shard's recency list.
+struct Slot {
+    page: u64,
+    frame: Frame,
+    /// Neighbours in the recency list: `prev` was used more recently.
+    prev: u32,
+    next: u32,
+}
+
 struct PoolInner {
-    /// page -> (frame payload, LRU tick of last use)
-    frames: HashMap<u64, (Box<[u8]>, u64)>,
-    /// LRU tick of last use -> page; the first entry is the eviction victim.
-    /// Invariant: `order` and `frames` hold exactly the same pages, with
-    /// matching ticks (ticks are unique, drawn from a monotonic counter).
-    order: BTreeMap<u64, u64>,
-    /// page -> pin count. Pinned pages are exempt from eviction; the BLOB
-    /// layer pins a tile's pages for the duration of the tile read so a
-    /// concurrent scan cannot evict a frame out from under a reader.
-    pins: HashMap<u64, u32>,
-    tick: u64,
+    /// page -> index of its slot.
+    map: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    /// The cached frames. Invariant: `map` and `slots` hold exactly the
+    /// same pages, and the list from `head` through `next` links visits
+    /// every slot once, most recently used first.
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the eviction victim.
+    tail: u32,
     /// Bumped by every `write_page` that maps to this shard. A miss samples
     /// it before fetching; if it moved by install time the fetched bytes may
-    /// predate a completed write and are discarded.
+    /// predate a completed write and are not installed.
     writes: u64,
 }
 
 impl PoolInner {
-    /// Draws the next recency tick.
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Moves `page` (already cached, at `old_tick`) to `new_tick`.
-    fn touch(&mut self, page: u64, old_tick: u64, new_tick: u64) {
-        self.order.remove(&old_tick);
-        self.order.insert(new_tick, page);
-    }
-
-    /// Installs `page` at `tick`, evicting the least recently used
-    /// *unpinned* frames while the shard is at or above `capacity`. When
-    /// every cached frame is pinned the shard temporarily exceeds capacity
-    /// rather than dropping a frame a reader is still using.
-    fn install(&mut self, page: u64, payload: Box<[u8]>, tick: u64, capacity: usize) {
-        while self.frames.len() >= capacity {
-            let victim = self
-                .order
-                .iter()
-                .map(|(&t, &p)| (t, p))
-                .find(|(_, p)| !self.pins.contains_key(p));
-            match victim {
-                Some((victim_tick, victim_page)) => {
-                    self.order.remove(&victim_tick);
-                    self.frames.remove(&victim_page);
-                }
-                None => break,
-            }
+    fn new() -> Self {
+        PoolInner {
+            map: HashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            writes: 0,
         }
-        self.frames.insert(page, (payload, tick));
-        self.order.insert(tick, page);
+    }
+
+    fn slot(&mut self, s: u32) -> &mut Slot {
+        &mut self.slots[s as usize]
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slot(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slot(n).prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, s: u32) {
+        let head = self.head;
+        let slot = self.slot(s);
+        slot.prev = NIL;
+        slot.next = head;
+        match head {
+            NIL => self.tail = s,
+            h => self.slot(h).prev = s,
+        }
+        self.head = s;
+    }
+
+    /// The cached slot of `page`, marked most recently used.
+    fn touch(&mut self, page: u64) -> Option<u32> {
+        let s = *self.map.get(&page)?;
+        if self.head != s {
+            self.unlink(s);
+            self.push_front(s);
+        }
+        Some(s)
+    }
+
+    /// Installs `frame` for an uncached `page` as the most recently used,
+    /// taking over the least recently used slot when the shard holds
+    /// `capacity` frames.
+    fn install(&mut self, page: u64, frame: Frame, capacity: usize) {
+        let fresh = Slot {
+            page,
+            frame,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = if self.slots.len() < capacity {
+            self.slots.push(fresh);
+            (self.slots.len() - 1) as u32
+        } else {
+            let s = self.tail;
+            self.unlink(s);
+            let victim = std::mem::replace(self.slot(s), fresh);
+            self.map.remove(&victim.page);
+            s
+        };
+        self.map.insert(page, s);
+        self.push_front(s);
     }
 }
 
@@ -145,7 +228,7 @@ impl<S: PageStore> BufferPool<S> {
         let shards: Vec<Shard> = (0..n)
             .map(|i| Shard {
                 capacity: capacity / n + usize::from(i < capacity % n),
-                inner: Mutex::new(PoolInner::default()),
+                inner: Mutex::new(PoolInner::new()),
                 hits: reg.counter(&format!("pool.shard{i}.cache_hits")),
                 misses: reg.counter(&format!("pool.shard{i}.cache_misses")),
             })
@@ -162,11 +245,20 @@ impl<S: PageStore> BufferPool<S> {
     /// page ids a tile occupies across shards, so one tile read touches
     /// several lock domains instead of hammering one.
     fn shard_index(&self, page: u64) -> usize {
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33 & self.mask) as usize
+        (page.wrapping_mul(FIB) >> 33 & self.mask) as usize
     }
 
-    fn shard(&self, page: u64) -> &Shard {
-        &self.shards[self.shard_index(page)]
+    /// `(shard, index)` for every page of `pages`, sorted: each shard's
+    /// pages together, in caller order within the shard.
+    fn by_shard(
+        &self,
+        pages: &[PageId],
+        indices: impl Iterator<Item = usize>,
+    ) -> Vec<(usize, usize)> {
+        let mut order: Vec<(usize, usize)> =
+            indices.map(|i| (self.shard_index(pages[i].0), i)).collect();
+        order.sort_unstable();
+        order
     }
 
     /// Locks a shard, counting contention: a failed `try_lock` bumps
@@ -198,26 +290,19 @@ impl<S: PageStore> BufferPool<S> {
     /// Number of frames currently cached, across all shards.
     #[must_use]
     pub fn cached_frames(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock(&s.inner).frames.len())
-            .sum()
+        self.shards.iter().map(|s| lock(&s.inner).map.len()).sum()
     }
 
-    /// Drops every cached frame (cold-start measurements). Pins survive: a
-    /// pinned page simply re-enters the pool on its next read.
+    /// Drops every cached frame (cold-start measurements). Frames already
+    /// lent stay valid in their readers' hands.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut inner = lock(&shard.inner);
-            inner.frames.clear();
-            inner.order.clear();
+            inner.map.clear();
+            inner.slots.clear();
+            inner.head = NIL;
+            inner.tail = NIL;
         }
-    }
-
-    /// Number of pages currently pinned (with any positive pin count).
-    #[must_use]
-    pub fn pinned_pages(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.inner).pins.len()).sum()
     }
 }
 
@@ -235,7 +320,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
     }
 
     /// A one-page batch: the single-page read runs the same hit/miss/install
-    /// protocol as [`PageStore::read_pages`].
+    /// protocol as [`PageStore::read_frames`].
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
         self.read_pages(std::slice::from_ref(&page), buf).map(drop)
     }
@@ -251,145 +336,106 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         self.store.read_page_run(first, count, buf)
     }
 
+    /// [`PageStore::read_frames`] plus one copy of each frame into `buf`.
     fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<IoSnapshot> {
         let ps = self.store.page_size();
         assert_eq!(buf.len(), pages.len() * ps, "buffer/pages length mismatch");
+        let mut frames = Vec::with_capacity(pages.len());
+        let io = self.read_frames(pages, &mut frames)?;
+        for (dst, frame) in buf.chunks_exact_mut(ps).zip(&frames) {
+            dst.copy_from_slice(frame);
+        }
+        Ok(io)
+    }
+
+    /// The pool's one read protocol, in three passes: lend the hits, fetch
+    /// the misses, install what was fetched.
+    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
         let mut io = IoSnapshot {
             pages_read: pages.len() as u64,
             ..IoSnapshot::default()
         };
-        // Pass 1: group by shard and serve hits under one lock acquisition
-        // per shard — the convoy-killer for concurrent tile fetches,
-        // which used to take three pool locks (pin, read, unpin) per page.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &page) in pages.iter().enumerate() {
-            by_shard[self.shard_index(page.0)].push(i);
-        }
-        let mut miss_idx: Vec<usize> = Vec::new();
+        let mut lent: Vec<Option<Frame>> = vec![None; pages.len()];
+        // Pass 1: serve hits shard by shard, under one lock acquisition per
+        // shard: a hit clones the frame's `Arc` and re-ranks it in O(1).
+        let mut misses: Vec<usize> = Vec::new();
         let mut versions = vec![0u64; self.shards.len()];
-        for (si, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
+        for group in self
+            .by_shard(pages, 0..pages.len())
+            .chunk_by(|a, b| a.0 == b.0)
+        {
+            let si = group[0].0;
             let shard = &self.shards[si];
-            let mut hits = 0u64;
-            let misses_before = miss_idx.len();
+            let misses_before = misses.len();
             {
                 let mut inner = self.lock_shard(shard);
-                for &i in idxs {
-                    let tick = inner.next_tick();
-                    if let Some((frame, last)) = inner.frames.get_mut(&pages[i].0) {
-                        buf[i * ps..(i + 1) * ps].copy_from_slice(frame);
-                        let old = *last;
-                        *last = tick;
-                        inner.touch(pages[i].0, old, tick);
-                        hits += 1;
-                    } else {
-                        miss_idx.push(i);
+                for &(_, i) in group {
+                    match inner.touch(pages[i].0) {
+                        Some(s) => lent[i] = Some(Frame::clone(&inner.slot(s).frame)),
+                        None => misses.push(i),
                     }
                 }
                 versions[si] = inner.writes;
             }
-            let misses = (miss_idx.len() - misses_before) as u64;
+            let missed = (misses.len() - misses_before) as u64;
+            let hits = group.len() as u64 - missed;
             if hits > 0 {
                 shard.hits.add(hits);
                 tilestore_obs::hot().cache_hits.add(hits);
             }
-            if misses > 0 {
-                shard.misses.add(misses);
-                tilestore_obs::hot().cache_misses.add(misses);
+            if missed > 0 {
+                shard.misses.add(missed);
+                tilestore_obs::hot().cache_misses.add(missed);
             }
             io.cache_hits += hits;
-            io.cache_misses += misses;
+            io.cache_misses += missed;
         }
-        if miss_idx.is_empty() {
-            self.stats.add(&io);
-            return Ok(io);
-        }
-        // Pass 2: fetch misses from the store straight into the caller's
-        // buffer. The bytes never transit the cache, so no pinning is needed
-        // to protect them from eviction. Misses that are consecutive both in
-        // the caller's order and in page id have physically adjacent frames
-        // and a contiguous destination slice — fetch each such run with one
-        // positioned read. Coalescing only changes how the miss bytes are
-        // fetched; the pass-1 version sample and the pass-3 install guard
-        // are untouched, so the stale-frame invariant holds as before.
-        miss_idx.sort_unstable();
-        let coalesce = self.store.run_read_supported();
-        let mut k = 0;
-        while k < miss_idx.len() {
-            let start = miss_idx[k];
-            let mut len = 1;
-            while coalesce
-                && k + len < miss_idx.len()
-                && miss_idx[k + len] == start + len
-                && pages[start + len].0 == pages[start].0 + len as u64
+        if !misses.is_empty() {
+            misses.sort_unstable();
+            self.fetch_misses(pages, &misses, &mut lent, &mut io)?;
+            // Pass 3: install the fetched frames, one lock per shard, each
+            // guarded by that shard's write version sampled in pass 1. If a
+            // write landed on the shard while the fetch was in flight, the
+            // fetched bytes may predate a write that has already returned to
+            // its caller: installing them would leave the cache permanently
+            // stale, so the caller gets them (the read merely overlapped the
+            // write) but the frame table is left alone. A frame a concurrent
+            // miss installed first is as fresh as ours and is just touched.
+            for group in self
+                .by_shard(pages, misses.into_iter())
+                .chunk_by(|a, b| a.0 == b.0)
             {
-                len += 1;
-            }
-            if len > 1 {
-                self.store.read_page_run(
-                    pages[start],
-                    len,
-                    &mut buf[start * ps..(start + len) * ps],
-                )?;
-                io.count_run(len, ps);
-            } else {
-                self.store
-                    .read_page(pages[start], &mut buf[start * ps..(start + 1) * ps])?;
-            }
-            k += len;
-        }
-        io.publish_runs();
-        // Pass 3: install the fetched frames, one lock per shard, each
-        // guarded by that shard's write version sampled in pass 1. If a
-        // write landed on the shard while the fetch was in flight, the
-        // fetched bytes may predate a write that has already returned to
-        // its caller: installing them would leave the cache permanently
-        // stale, so the caller gets them (the read merely overlapped the
-        // write) but the frame table is left alone. A frame a concurrent
-        // miss installed first is as fresh as ours and is just touched.
-        let mut installs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for &i in &miss_idx {
-            installs[self.shard_index(pages[i].0)].push(i);
-        }
-        for (si, idxs) in installs.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[si];
-            let mut inner = self.lock_shard(shard);
-            if inner.writes != versions[si] {
-                continue;
-            }
-            for &i in idxs {
-                let tick = inner.next_tick();
-                if let Some((_, last)) = inner.frames.get_mut(&pages[i].0) {
-                    let old = *last;
-                    *last = tick;
-                    inner.touch(pages[i].0, old, tick);
+                let si = group[0].0;
+                let shard = &self.shards[si];
+                let mut inner = self.lock_shard(shard);
+                if inner.writes != versions[si] {
                     continue;
                 }
-                let payload = buf[i * ps..(i + 1) * ps].to_vec().into_boxed_slice();
-                inner.install(pages[i].0, payload, tick, shard.capacity);
+                for &(_, i) in group {
+                    if inner.touch(pages[i].0).is_none() {
+                        let frame = lent[i].clone().expect("pass 2 fetched every miss");
+                        inner.install(pages[i].0, frame, shard.capacity);
+                    }
+                }
             }
         }
         self.stats.add(&io);
+        frames.extend(
+            lent.into_iter()
+                .map(|f| f.expect("every page hit or fetched")),
+        );
         Ok(io)
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> Result<()> {
         // Write-through: the store is always current.
         self.store.write_page(page, buf)?;
-        let shard = self.shard(page.0);
-        let mut inner = self.lock_shard(shard);
+        let mut inner = self.lock_shard(&self.shards[self.shard_index(page.0)]);
         inner.writes += 1;
-        let tick = inner.next_tick();
-        if let Some((frame, last)) = inner.frames.get_mut(&page.0) {
-            frame.copy_from_slice(buf);
-            let old = *last;
-            *last = tick;
-            inner.touch(page.0, old, tick);
+        if let Some(s) = inner.touch(page.0) {
+            // A fresh frame, not an overwrite: readers holding the old one
+            // keep the bytes they read before this write.
+            inner.slot(s).frame = Frame::from(buf);
         }
         Ok(())
     }
@@ -398,26 +444,51 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         // Write-through means no dirty frames: delegate to the store.
         self.store.sync()
     }
+}
 
-    fn pin_page(&self, page: PageId) {
-        let mut inner = self.lock_shard(self.shard(page.0));
-        *inner.pins.entry(page.0).or_insert(0) += 1;
-    }
-
-    fn unpin_page(&self, page: PageId) {
-        let mut inner = self.lock_shard(self.shard(page.0));
-        if let Some(count) = inner.pins.get_mut(&page.0) {
-            *count -= 1;
-            if *count == 0 {
-                inner.pins.remove(&page.0);
+impl<S: PageStore> BufferPool<S> {
+    /// Pass 2 of [`PageStore::read_frames`]: fetches the missed pages (caller
+    /// indexes `misses`, ascending) from the store into `lent`, outside
+    /// every shard lock. Misses that are consecutive both in the caller's
+    /// order and in page id are physically adjacent frames, fetched with one
+    /// store read — one positioned read on a file store. Coalescing only
+    /// changes how the miss bytes are fetched; the pass-1 version sample and
+    /// the pass-3 install guard are untouched, so the stale-frame invariant
+    /// holds as before. The store's run counts join `io`.
+    fn fetch_misses(
+        &self,
+        pages: &[PageId],
+        misses: &[usize],
+        lent: &mut [Option<Frame>],
+        io: &mut IoSnapshot,
+    ) -> Result<()> {
+        let coalesce = self.store.run_read_supported();
+        let mut fetched = Vec::new();
+        let mut k = 0;
+        while k < misses.len() {
+            let start = misses[k];
+            let mut len = 1;
+            while coalesce
+                && k + len < misses.len()
+                && misses[k + len] == start + len
+                && pages[start + len].0 == pages[start].0 + len as u64
+            {
+                len += 1;
             }
-        } else {
-            drop(inner);
-            // A pin-leak or double-unpin upstream: loud in debug builds,
-            // counted in release so it surfaces in the ops plane.
-            debug_assert!(false, "unpin_page({}) without a matching pin", page.0);
-            tilestore_obs::hot().pin_underflow.inc();
+            fetched.clear();
+            let run = self
+                .store
+                .read_frames(&pages[start..start + len], &mut fetched)?;
+            *io += &IoSnapshot {
+                pages_read: 0,
+                ..run
+            };
+            for (slot, frame) in lent[start..start + len].iter_mut().zip(fetched.drain(..)) {
+                *slot = Some(frame);
+            }
+            k += len;
         }
+        Ok(())
     }
 }
 
@@ -438,14 +509,26 @@ mod tests {
         p.read_pages(&[page], &mut buf).unwrap().cache_hits == 1
     }
 
-    /// Checks the `frames`/`order` cross-invariant on every shard.
+    /// Checks the `map`/`slots`/recency-list cross-invariant on every
+    /// shard: the list from `head` visits every slot once, its back links
+    /// mirror its forward links, it ends at `tail`, and `map` points each
+    /// page at its slot.
     fn assert_coherent<S: PageStore>(p: &BufferPool<S>) {
         for shard in p.shards.iter() {
             let inner = lock(&shard.inner);
-            assert_eq!(inner.frames.len(), inner.order.len());
-            for (&tick, &page) in &inner.order {
-                assert_eq!(inner.frames.get(&page).map(|(_, t)| *t), Some(tick));
+            assert_eq!(inner.map.len(), inner.slots.len());
+            assert!(inner.slots.len() <= shard.capacity);
+            let (mut s, mut prev, mut seen) = (inner.head, NIL, 0);
+            while s != NIL {
+                let slot = &inner.slots[s as usize];
+                assert_eq!(slot.prev, prev);
+                assert_eq!(inner.map.get(&slot.page), Some(&s));
+                (prev, s) = (s, slot.next);
+                seen += 1;
+                assert!(seen <= inner.slots.len(), "recency list has a cycle");
             }
+            assert_eq!(inner.tail, prev);
+            assert_eq!(seen, inner.slots.len());
         }
     }
 
@@ -613,72 +696,47 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frames_survive_a_miss_heavy_scan() {
+    fn a_lent_frame_keeps_its_bytes_through_a_scan_that_evicts_it() {
         let p = pool(2);
         let pages = p.allocate(6).unwrap();
         let mut buf = vec![0u8; 1024];
         p.write_page(pages[0], &vec![7u8; 1024]).unwrap();
         p.read_page(pages[0], &mut buf).unwrap(); // install frame 0
-        p.pin_page(pages[0]);
-        assert_eq!(p.pinned_pages(), 1);
-        // A scan over 5 other pages would normally evict frame 0 (LRU);
-        // the pin must keep it resident.
+        let mut lent = Vec::new();
+        let io = p.read_frames(&pages[..1], &mut lent).unwrap();
+        assert_eq!((io.cache_hits, io.cache_misses), (1, 0));
+        // A scan over 5 other pages evicts frame 0 (LRU), and a write
+        // replaces the page on the store: the lent frame is the reader's.
         for &pg in &pages[1..] {
             p.read_page(pg, &mut buf).unwrap();
         }
-        assert!(hit(&p, pages[0]), "pinned frame evicted");
+        assert!(!hit(&p, pages[0]), "the scan evicted frame 0");
+        p.write_page(pages[0], &vec![8u8; 1024]).unwrap();
+        assert_eq!(&lent[0][..], &vec![7u8; 1024][..]);
         p.read_page(pages[0], &mut buf).unwrap();
-        assert_eq!(buf, vec![7u8; 1024]);
-        // Pins nest: one unpin of a doubly-pinned page keeps it protected.
-        p.pin_page(pages[0]);
-        p.unpin_page(pages[0]);
-        for &pg in &pages[1..] {
-            p.read_page(pg, &mut buf).unwrap();
-        }
-        assert!(hit(&p, pages[0]));
-        // After the last unpin it becomes evictable again.
-        p.unpin_page(pages[0]);
-        assert_eq!(p.pinned_pages(), 0);
-        for &pg in &pages[1..] {
-            p.read_page(pg, &mut buf).unwrap();
-        }
-        assert!(!hit(&p, pages[0]));
+        assert_eq!(buf, vec![8u8; 1024]);
         assert_coherent(&p);
     }
 
     #[test]
-    fn fully_pinned_pool_overflows_instead_of_evicting() {
-        let p = pool(2);
-        let pages = p.allocate(3).unwrap();
-        let mut buf = vec![0u8; 1024];
-        p.read_page(pages[0], &mut buf).unwrap();
-        p.read_page(pages[1], &mut buf).unwrap();
-        p.pin_page(pages[0]);
-        p.pin_page(pages[1]);
-        // Capacity is 2 and both frames are pinned: the third page must
-        // still be cacheable (temporarily exceeding capacity) rather than
-        // dropping a pinned frame.
-        p.read_page(pages[2], &mut buf).unwrap();
-        assert_eq!(p.cached_frames(), 3);
-        assert!(hit(&p, pages[0]) && hit(&p, pages[1]));
-        p.unpin_page(pages[0]);
-        p.unpin_page(pages[1]);
-        // The next install drains the overflow back under capacity.
-        let extra = p.allocate(1).unwrap();
-        p.read_page(extra[0], &mut buf).unwrap();
-        assert!(p.cached_frames() <= 2);
-        assert_coherent(&p);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "without a matching pin"))]
-    fn unpin_without_pin_is_loud() {
-        let p = pool(2);
+    fn a_write_swaps_the_cached_frame_and_spares_the_lent_one() {
+        let p = pool(4);
         let pages = p.allocate(1).unwrap();
-        let before = tilestore_obs::hot().pin_underflow.get();
-        p.unpin_page(pages[0]);
-        // Release builds reach here and must have counted the underflow.
-        assert!(tilestore_obs::hot().pin_underflow.get() > before);
+        p.write_page(pages[0], &vec![1u8; 1024]).unwrap();
+        let mut before = Vec::new();
+        p.read_frames(&pages, &mut before).unwrap(); // miss: installs
+        p.read_frames(&pages, &mut before).unwrap(); // hit: lends
+        assert!(
+            Arc::ptr_eq(&before[0], &before[1]),
+            "a hit lends the cached frame"
+        );
+        p.write_page(pages[0], &vec![2u8; 1024]).unwrap();
+        let mut after = Vec::new();
+        let io = p.read_frames(&pages, &mut after).unwrap();
+        assert_eq!(io.cache_hits, 1);
+        assert_eq!(&after[0][..], &vec![2u8; 1024][..]);
+        assert!(before.iter().all(|f| f[..] == vec![1u8; 1024][..]));
+        assert_coherent(&p);
     }
 
     #[test]

@@ -25,13 +25,13 @@ mod fault;
 mod page;
 mod stats;
 
-pub use blob::{BlobDirectory, BlobId, BlobPlacement, BlobStore, PageCheck};
+pub use blob::{BlobDirectory, BlobId, BlobPlacement, BlobSpan, BlobStore, PageCheck};
 pub use buffer::{BufferPool, DEFAULT_SHARDS};
 pub use cost::CostModel;
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjectingPageStore, FaultPlan};
 pub use page::{
-    FilePageStore, MemPageStore, PageId, PageStore, TornWritable, DEFAULT_PAGE_SIZE, FRAME_HEADER,
-    MIN_PAGE_SIZE,
+    FilePageStore, Frame, MemPageStore, PageId, PageStore, TornWritable, DEFAULT_PAGE_SIZE,
+    FRAME_HEADER, MIN_PAGE_SIZE,
 };
 pub use stats::{IoSnapshot, IoStats};

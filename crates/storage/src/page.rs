@@ -15,9 +15,10 @@
 
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::path::Path;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tilestore_testkit::{crc32, FromJson, Json, JsonError, ToJson};
 
@@ -59,6 +60,11 @@ impl FromJson for PageId {
         Ok(PageId(u64::from_json(v)?))
     }
 }
+
+/// One page's bytes, shared: a caching store lends the frame it holds
+/// instead of copying it, and a reader keeps the bytes alive for as long as
+/// it holds the frame, whatever the store evicts or rewrites meanwhile.
+pub type Frame = Arc<[u8]>;
 
 /// A store of fixed-size pages.
 ///
@@ -127,31 +133,30 @@ pub trait PageStore: Send + Sync {
     fn read_pages(&self, pages: &[PageId], buf: &mut [u8]) -> Result<IoSnapshot> {
         let ps = self.page_size();
         assert_eq!(buf.len(), pages.len() * ps, "buffer/pages length mismatch");
-        let mut io = IoSnapshot {
-            pages_read: pages.len() as u64,
-            ..IoSnapshot::default()
-        };
-        if !self.run_read_supported() {
-            for (i, &page) in pages.iter().enumerate() {
-                self.read_page(page, &mut buf[i * ps..(i + 1) * ps])?;
-            }
-            return Ok(io);
-        }
-        let mut i = 0;
-        while i < pages.len() {
-            let mut j = i + 1;
-            while j < pages.len() && pages[j].0 == pages[j - 1].0 + 1 {
-                j += 1;
-            }
-            if j - i > 1 {
-                self.read_page_run(pages[i], j - i, &mut buf[i * ps..j * ps])?;
-                io.count_run(j - i, ps);
+        read_runs(pages, self.run_read_supported(), ps, |run| {
+            let dst = &mut buf[run.start * ps..run.end * ps];
+            if run.len() > 1 {
+                self.read_page_run(pages[run.start], run.len(), dst)
             } else {
-                self.read_page(pages[i], &mut buf[i * ps..(i + 1) * ps])?;
+                self.read_page(pages[run.start], dst)
             }
-            i = j;
-        }
-        io.publish_runs();
+        })
+    }
+
+    /// Reads `pages` like [`PageStore::read_pages`], appending one frame
+    /// per page to `frames`, in order. The default reads into one staging
+    /// buffer and copies each page into its frame; the file store copies
+    /// each verified payload once, and the buffer pool lends its cached
+    /// frames without copying them.
+    ///
+    /// # Errors
+    /// As [`PageStore::read_pages`]; on error `frames` holds an unspecified
+    /// number of appended frames.
+    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
+        let ps = self.page_size();
+        let mut staging = vec![0u8; pages.len() * ps];
+        let io = self.read_pages(pages, &mut staging)?;
+        frames.extend(staging.chunks_exact(ps).map(Frame::from));
         Ok(io)
     }
 
@@ -168,16 +173,36 @@ pub trait PageStore: Send + Sync {
     /// # Errors
     /// Backend I/O errors.
     fn sync(&self) -> Result<()>;
+}
 
-    /// Pins a page: a caching store must keep its frame resident (exempt
-    /// from eviction) until a matching [`PageStore::unpin_page`]. Pins
-    /// nest. Non-caching backends need no bookkeeping — the default is a
-    /// no-op. The BLOB layer pins every page of a tile for the duration of
-    /// the tile read, so a concurrent scan cannot evict a frame mid-read.
-    fn pin_page(&self, _page: PageId) {}
-
-    /// Releases one pin taken by [`PageStore::pin_page`].
-    fn unpin_page(&self, _page: PageId) {}
+/// Cuts `pages` into maximal runs of consecutively numbered pages (single
+/// pages unless `coalesce`), hands each run's index range to `read`, and
+/// returns the counts: every page read, and each run of more than one page
+/// as one coalesced read.
+fn read_runs(
+    pages: &[PageId],
+    coalesce: bool,
+    page_size: usize,
+    mut read: impl FnMut(Range<usize>) -> Result<()>,
+) -> Result<IoSnapshot> {
+    let mut io = IoSnapshot {
+        pages_read: pages.len() as u64,
+        ..IoSnapshot::default()
+    };
+    let mut i = 0;
+    while i < pages.len() {
+        let mut j = i + 1;
+        while coalesce && j < pages.len() && pages[j].0 == pages[j - 1].0 + 1 {
+            j += 1;
+        }
+        read(i..j)?;
+        if j - i > 1 {
+            io.count_run(j - i, page_size);
+        }
+        i = j;
+    }
+    io.publish_runs();
+    Ok(io)
 }
 
 /// Backends that can simulate a write torn by a crash: only a prefix of the
@@ -452,15 +477,15 @@ impl FilePageStore {
         frame[FRAME_HEADER..].copy_from_slice(payload);
     }
 
-    /// Verifies a frame read for `page` and copies the payload into `buf`.
-    fn decode_frame(frame: &[u8], page: PageId, buf: &mut [u8]) -> Result<()> {
+    /// Verifies a frame read for `page` and returns its payload, or `None`
+    /// for a page never written, which reads back as zeroes.
+    fn verify_frame(frame: &[u8], page: PageId) -> Result<Option<&[u8]>> {
         let header = &frame[..FRAME_HEADER];
         if header.iter().all(|&b| b == 0) {
             // Never written (fresh allocation): reads back as zeroes. A torn
             // first write of fewer than 4 bytes also lands here and yields
             // the pre-write zero state, which is a consistent prior state.
-            buf.fill(0);
-            return Ok(());
+            return Ok(None);
         }
         if frame[0..4] != FRAME_MAGIC {
             tilestore_obs::hot().checksum_failures.inc();
@@ -479,8 +504,56 @@ impl FilePageStore {
             tilestore_obs::hot().checksum_failures.inc();
             return Err(StorageError::ChecksumMismatch { page: page.0 });
         }
-        buf.copy_from_slice(&frame[FRAME_HEADER..]);
+        Ok(Some(&frame[FRAME_HEADER..]))
+    }
+
+    /// Reads the `count` frames of consecutive pages from `first` with one
+    /// positioned read into a run buffer, verifies each exactly as a
+    /// single-page read would, and hands its payload (`None`: never
+    /// written) to `each` in page order.
+    fn read_run(
+        &self,
+        first: PageId,
+        count: usize,
+        mut each: impl FnMut(usize, Option<&[u8]>),
+    ) -> Result<()> {
+        if count == 0 {
+            return Ok(());
+        }
+        self.check_in_range(PageId(first.0 + count as u64 - 1))?;
+        let offset = first.0 * self.frame_size();
+        if count == 1 {
+            self.with_frame_buf(|frame| {
+                self.read_at(frame, offset)?;
+                each(0, Self::verify_frame(frame, first)?);
+                Ok::<_, StorageError>(())
+            })?;
+            tilestore_obs::hot().pages_read.inc();
+            tilestore_obs::tracer().event("page_read", || format!("page={}", first.0));
+            return Ok(());
+        }
+        let fs = self.frame_size() as usize;
+        // The thread-local staging buffer holds exactly one frame; a run
+        // needs its own scratch.
+        let mut frames = vec![0u8; count * fs];
+        self.read_at(&mut frames, offset)?;
+        for (i, frame) in frames.chunks_exact(fs).enumerate() {
+            each(i, Self::verify_frame(frame, PageId(first.0 + i as u64))?);
+        }
+        tilestore_obs::hot().pages_read.add(count as u64);
+        tilestore_obs::tracer().event("page_run_read", || {
+            format!("first={} count={count}", first.0)
+        });
         Ok(())
+    }
+
+    /// Copies a payload handed out by [`FilePageStore::read_run`] into
+    /// `dst`; a never-written page reads as zeroes.
+    fn copy_payload(dst: &mut [u8], payload: Option<&[u8]>) {
+        match payload {
+            Some(payload) => dst.copy_from_slice(payload),
+            None => dst.fill(0),
+        }
     }
 }
 
@@ -504,15 +577,7 @@ impl PageStore for FilePageStore {
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        self.check_in_range(page)?;
-        let offset = page.0 * self.frame_size();
-        self.with_frame_buf(|frame| {
-            self.read_at(frame, offset)?;
-            Self::decode_frame(frame, page, buf)
-        })?;
-        tilestore_obs::hot().pages_read.inc();
-        tilestore_obs::tracer().event("page_read", || format!("page={}", page.0));
-        Ok(())
+        self.read_run(page, 1, |_, payload| Self::copy_payload(buf, payload))
     }
 
     fn run_read_supported(&self) -> bool {
@@ -524,28 +589,25 @@ impl PageStore for FilePageStore {
     /// verified exactly as a single-page read would.
     fn read_page_run(&self, first: PageId, count: usize, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), count * self.page_size, "buffer/run mismatch");
-        if count == 0 {
-            return Ok(());
-        }
-        self.check_in_range(PageId(first.0 + count as u64 - 1))?;
-        let fs = self.frame_size() as usize;
-        // The thread-local staging buffer holds exactly one frame; a run
-        // needs its own scratch.
-        let mut frames = vec![0u8; count * fs];
-        self.read_at(&mut frames, first.0 * self.frame_size())?;
-        for i in 0..count {
-            let page = PageId(first.0 + i as u64);
-            Self::decode_frame(
-                &frames[i * fs..(i + 1) * fs],
-                page,
-                &mut buf[i * self.page_size..(i + 1) * self.page_size],
-            )?;
-        }
-        tilestore_obs::hot().pages_read.add(count as u64);
-        tilestore_obs::tracer().event("page_run_read", || {
-            format!("first={} count={count}", first.0)
-        });
-        Ok(())
+        let ps = self.page_size;
+        self.read_run(first, count, |i, payload| {
+            Self::copy_payload(&mut buf[i * ps..(i + 1) * ps], payload);
+        })
+    }
+
+    /// Each run of consecutive pages arrives with one positioned read, as
+    /// in [`PageStore::read_pages`], and each verified payload is copied
+    /// once, from the run buffer into its frame.
+    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
+        let ps = self.page_size;
+        read_runs(pages, true, ps, |run| {
+            self.read_run(pages[run.start], run.len(), |_, payload| {
+                frames.push(match payload {
+                    Some(payload) => Frame::from(payload),
+                    None => Frame::from(vec![0u8; ps]),
+                });
+            })
+        })
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> Result<()> {

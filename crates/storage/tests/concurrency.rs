@@ -199,3 +199,121 @@ fn page_versions_never_go_backwards_across_shard_counts() {
         }
     }
 }
+
+/// Bytes of `page` at `version`: its id, the version, then a fill byte
+/// derived from both, so a frame is recognisably one written version.
+fn versioned_page(ps: usize, page: u64, version: u64) -> Vec<u8> {
+    let mut bytes = vec![(page * 31 + version * 7) as u8; ps];
+    bytes[..8].copy_from_slice(&page.to_le_bytes());
+    bytes[8..16].copy_from_slice(&version.to_le_bytes());
+    bytes
+}
+
+/// The version a frame of `page` holds, failing unless the frame is
+/// exactly one written version of that page.
+fn frame_version(ps: usize, page: u64, frame: &[u8]) -> u64 {
+    let version = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+    assert!(
+        frame == versioned_page(ps, page, version).as_slice(),
+        "frame of page {page} is not one written version"
+    );
+    version
+}
+
+/// Lent frames under concurrent writes and eviction: readers hold the
+/// frames of their last few batches while a writer rewrites every page and
+/// a miss-heavy scan cycles the whole file through a pool a quarter its
+/// size. Every frame is exactly one written version when lent and still
+/// that version when the reader lets it go, and no read sees a version
+/// older than a write that had returned before the read started.
+#[test]
+fn lent_frames_stay_whole_under_writes_and_eviction() {
+    let ps = 512usize;
+    let pool = BufferPool::with_shards(MemPageStore::new(ps).unwrap(), 16, 4).unwrap();
+    let pages = pool.allocate(64).unwrap();
+    for &pg in &pages {
+        pool.write_page(pg, &versioned_page(ps, pg.0, 0)).unwrap();
+    }
+    let floor: Vec<AtomicU64> = (0..pages.len()).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for v in 1u64..=200 {
+                for (i, &pg) in pages.iter().enumerate() {
+                    pool.write_page(pg, &versioned_page(ps, pg.0, v)).unwrap();
+                    floor[i].store(v, Ordering::Release);
+                }
+            }
+            stop.store(true, Ordering::Release);
+        });
+        // The scan: every page in order, so nearly every read misses and
+        // installs, evicting frames the readers still hold.
+        s.spawn(|| {
+            let mut frames = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                frames.clear();
+                pool.read_frames(&pages, &mut frames).unwrap();
+                for (pg, frame) in pages.iter().zip(&frames) {
+                    frame_version(ps, pg.0, frame);
+                }
+            }
+        });
+        for t in 0..3u64 {
+            let (pool, pages, floor, stop) = (&pool, &pages, &floor, &stop);
+            s.spawn(move || {
+                let mut held: std::collections::VecDeque<Vec<(u64, u64, _)>> =
+                    std::collections::VecDeque::new();
+                let mut x = t.wrapping_mul(0x9E37_79B9) + 1;
+                let mut batches = 0u32;
+                while !stop.load(Ordering::Acquire) || batches < 200 {
+                    // Mostly the first 8 pages, so readers hit frames
+                    // the writer keeps replacing; now and then any page.
+                    let span = if batches.is_multiple_of(4) {
+                        pages.len()
+                    } else {
+                        8
+                    };
+                    let batch: Vec<usize> = (0..4)
+                        .map(|_| {
+                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            (x >> 33) as usize % span
+                        })
+                        .collect();
+                    let ids: Vec<_> = batch.iter().map(|&i| pages[i]).collect();
+                    // Sampled before the read starts: these writes returned.
+                    let committed: Vec<u64> = batch
+                        .iter()
+                        .map(|&i| floor[i].load(Ordering::Acquire))
+                        .collect();
+                    let mut frames = Vec::new();
+                    pool.read_frames(&ids, &mut frames).unwrap();
+                    let mut kept = Vec::new();
+                    for ((pg, frame), floor) in ids.iter().zip(frames).zip(committed) {
+                        let v = frame_version(ps, pg.0, &frame);
+                        assert!(
+                            v >= floor,
+                            "page {} stale: saw {v}, write {floor} had returned",
+                            pg.0
+                        );
+                        kept.push((pg.0, v, frame));
+                    }
+                    held.push_back(kept);
+                    if held.len() > 8 {
+                        for (page, v, frame) in held.pop_front().unwrap() {
+                            assert_eq!(frame_version(ps, page, &frame), v, "lent frame changed");
+                        }
+                    }
+                    batches += 1;
+                    if batches > 50_000 {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let mut frames = Vec::new();
+    pool.read_frames(&pages, &mut frames).unwrap();
+    for (pg, frame) in pages.iter().zip(&frames) {
+        assert_eq!(frame_version(ps, pg.0, frame), 200);
+    }
+}

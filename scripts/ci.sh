@@ -12,12 +12,13 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The codec kernels, the run walker and the CRC-32 fold ship with
-# overflow checks off and full optimisation, and wrapping arithmetic or
-# inlined SIMD there fails differently (silently) than under the debug
-# build above, so their crates run again as they ship.
+# The codec kernels, the run walker, the CRC-32 fold and the buffer pool's
+# lent frames and miss path ship with overflow checks off and full
+# optimisation, and wrapping arithmetic, inlined SIMD or a race there fails
+# differently (silently) than under the debug build above, so their crates
+# run again as they ship.
 cargo test -q --offline --release -p tilestore-compress -p tilestore-geometry \
-    -p tilestore-testkit
+    -p tilestore-testkit -p tilestore-storage
 # The buffer-pool concurrency suite (stale-frame race repro + cross-shard
 # freshness property) is the regression gate for the sharded cache; run it
 # by name so a filtered or partial test invocation can never skip it.
@@ -42,7 +43,7 @@ done
 non_test() { for f in "$@"; do sed '/^#\[cfg(test)\]/q' "$f"; done; }
 engine_non_test() { non_test crates/engine/src/*.rs; }
 for needle in 'if let Some(pool)' 'executor.filter(' 'pool.scatter('; do
-    if engine_non_test | grep -qF "$needle"; then
+    if engine_non_test | grep -F "$needle" >/dev/null; then
         echo "engine forked on the executor: '$needle' in crates/engine/src" >&2
         exit 1
     fi
@@ -82,11 +83,21 @@ if [ "$installs" -ne 1 ]; then
     exit 1
 fi
 
+# --- No pins: a reader keeps a pool frame alive by holding the frame the
+# pool lent it, so the pool has no pin table to leak or underflow. A pin
+# API in crates/*/src is that dead machinery coming back.
+for needle in pin_page pinned_pages; do
+    if grep -rqF "$needle" crates/*/src; then
+        echo "pin API is back: '$needle' in crates/*/src" >&2
+        exit 1
+    fi
+done
+
 # --- One I/O accounting path: every read returns the counts of that call
 # and a query adds up its own. Diffing the store's shared totals around a
 # query counts whatever ran concurrently, so no snapshot/`since` pair may
 # come back into non-test engine code, nor the per-batch `RunRead` summary.
-if engine_non_test | grep -qF -e '.since(' -e 'stats().snapshot()'; then
+if engine_non_test | grep -F -e '.since(' -e 'stats().snapshot()' >/dev/null; then
     echo "per-query I/O diffed from shared counters in crates/engine/src" >&2
     exit 1
 fi
@@ -100,7 +111,7 @@ fi
 # spelled out in non-test cluster code are its copy of rasql coming back,
 # and the AST carries the engine's operators, not a mirror of them.
 for needle in 'AxisSelect::Point' 'AxisSelect::All' 'BinOp::Add' 'AggKind::CountNonDefault'; do
-    if non_test crates/cluster/src/*.rs | grep -qF "$needle"; then
+    if non_test crates/cluster/src/*.rs | grep -F "$needle" >/dev/null; then
         echo "coordinator mirrors rasql: '$needle' in crates/cluster/src" >&2
         exit 1
     fi
@@ -123,7 +134,7 @@ done
 
 # --- In-tree clients move cells as binary parts: the hex codec is the JSON
 # debug surface of the server, never on the `Client` or coordinator path.
-if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -qE 'hex_(en|de)code'; then
+if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -E 'hex_(en|de)code' >/dev/null; then
     echo "hex codec on an in-tree client path (client.rs or crates/cluster/src)" >&2
     exit 1
 fi
