@@ -318,7 +318,7 @@ impl<S: PageStore> crate::snapshot::Snapshot<S> {
         });
         let started = Instant::now();
         let plan = self.plan(name, region, predicate, Some(kind))?;
-        self.catalog.entry(name)?.log.record(region);
+        self.record_access(name, self.catalog.entry(name)?, region);
         let meta = &plan.object;
         let cell_type = &meta.mdd_type.cell;
         let cell_size = cell_type.size;

@@ -466,6 +466,7 @@ mod tests {
     use tilestore_tiling::{AlignedTiling, Scheme};
 
     use super::*;
+    use crate::aggregate::AggKind;
     use crate::array::Array;
     use crate::celltype::CellType;
     use crate::mdd::MddType;
@@ -697,6 +698,34 @@ mod tests {
         let entries = other.entries_for("m").unwrap();
         assert_eq!(entries.len(), 20);
         assert!(entries.iter().all(|e| e.count == 2));
+        drop(db);
+    }
+
+    #[test]
+    fn condensers_reach_the_persistent_access_log() {
+        let dir = tilestore_testkit::tempdir().unwrap();
+        let db = Database::create_dir(dir.path()).unwrap();
+        db.create_object(
+            "m",
+            MddType::new(CellType::of::<u32>(), "[0:*,0:*]".parse().unwrap()),
+            Scheme::Aligned(AlignedTiling::regular(2, 1024)),
+        )
+        .unwrap();
+        db.insert(
+            "m",
+            &Array::from_fn("[0:19,0:19]".parse().unwrap(), |p| p[0] as u32).unwrap(),
+        )
+        .unwrap();
+        let region: Domain = "[2:7,3:9]".parse().unwrap();
+        db.aggregate("m", &region, AggKind::Sum).unwrap();
+        db.aggregate("m", &region, AggKind::CountNonDefault)
+            .unwrap();
+        db.save(dir.path()).unwrap();
+        let other = AccessRecorder::open(dir.path().join(ACCESS_LOG_FILE)).unwrap();
+        let entries = other.entries_for("m").unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].region, region.to_string());
+        assert_eq!(entries[0].count, 2);
         drop(db);
     }
 

@@ -48,6 +48,9 @@ pub struct Plan {
     reads: Vec<usize>,
     /// Consecutive ranges of `reads`, one `BlobStore::read_batch` each.
     batches: Vec<Range<usize>>,
+    /// Pages the reads fetch in all, passed with every batch: the buffer
+    /// pool decides from it whether the statement is a scan.
+    pages: usize,
 }
 
 /// Sorts `plan` by each blob's first page (elevator order) and cuts it
@@ -127,16 +130,17 @@ impl<S: PageStore> Snapshot<S> {
             }
             tiles.push((pos, skip.unwrap_or(TileDecision::Fetched)));
         }
+        let mut placed = reads
+            .iter()
+            .map(|&i| {
+                let blob = meta.tiles[tiles[i].0 as usize].blob;
+                Ok((i, self.blobs.blob_placement(blob)?))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let pages = placed.iter().map(|(_, p)| p.pages as usize).sum();
         let batches = if condenser.is_some() {
             (0..reads.len()).map(|i| i..i + 1).collect()
         } else {
-            let mut placed = reads
-                .iter()
-                .map(|&i| {
-                    let blob = meta.tiles[tiles[i].0 as usize].blob;
-                    Ok((i, self.blobs.blob_placement(blob)?))
-                })
-                .collect::<Result<Vec<_>>>()?;
             let batches = read_batches(&mut placed, self.blobs.page_store().page_size());
             for batch in &batches {
                 for k in batch.start + 1..batch.end {
@@ -161,6 +165,7 @@ impl<S: PageStore> Snapshot<S> {
             tiles,
             reads,
             batches,
+            pages,
         })
     }
 }
@@ -180,9 +185,13 @@ impl Plan {
     /// Executes the plan's reads: one `read_batch` per batch, then each
     /// fetched tile's position and cells to `visit`, in read order. The
     /// cells stay in the batch's page frames (over a buffer pool, the
-    /// pool's own): a raw tile is handed over in place and a compressed one
-    /// is decoded from its frame. The decode and gather buffers are reused
-    /// across the tiles of the plan. Returns the counts of the reads.
+    /// pool's own for hits and views of the run buffers read for misses): a
+    /// raw tile is handed over in place and a compressed one is decoded from
+    /// its frame. Every batch carries the plan's page total, so the pool
+    /// treats a large plan as one scan. The decode and gather buffers are
+    /// reused across the tiles of the plan, and the frames are dropped
+    /// batch by batch, so a plan holds at most one batch's run buffers.
+    /// Returns the counts of the reads.
     pub(crate) fn fetch<S: PageStore>(
         &self,
         blobs: &BlobStore<S>,
@@ -207,7 +216,7 @@ impl Plan {
                     .map(|&i| self.object.tiles[self.tiles[i].0 as usize].blob),
             );
             frames.clear();
-            let (spans, batch_io) = blobs.read_batch(&ids, &mut frames)?;
+            let (spans, batch_io) = blobs.read_batch(&ids, &mut frames, self.pages)?;
             io += &batch_io;
             for (&i, span) in reads.iter().zip(&spans) {
                 let cells =

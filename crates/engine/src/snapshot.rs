@@ -279,7 +279,7 @@ impl<S: PageStore> Snapshot<S> {
 
     /// Records an executed access for statistic tiling: the in-process
     /// log always, the persistent recorder when attached.
-    fn record_access(&self, name: &str, entry: &ObjectEntry, region: &Domain) {
+    pub(crate) fn record_access(&self, name: &str, entry: &ObjectEntry, region: &Domain) {
         let key = region.to_string();
         entry.log.record_keyed(&key, region);
         if let Some(rec) = &self.recorder {

@@ -93,6 +93,12 @@ pub struct HotMetrics {
     /// Buffer-pool shard lock acquisitions that had to block because
     /// another thread held the shard (`try_lock` failed first).
     pub pool_shard_contention: Arc<Counter>,
+    /// Buffer-pool misses of a scan (a statement larger than a quarter of
+    /// the pool) lent without being installed: their first touch.
+    pub pool_scan_skips: Arc<Counter>,
+    /// Buffer-pool misses of a scan installed because a scan had skipped
+    /// the same page recently: their second touch.
+    pub pool_second_touch_installs: Arc<Counter>,
     /// Physically consecutive page runs fetched with one positioned read
     /// instead of one read per page.
     pub runs_coalesced: Arc<Counter>,
@@ -123,6 +129,8 @@ impl HotMetrics {
             lock_poisoned: reg.counter("engine.lock_poisoned"),
             tiles_pruned: reg.counter("engine.tiles_pruned"),
             pool_shard_contention: reg.counter("pool.shard_contention"),
+            pool_scan_skips: reg.counter("pool.scan_skips"),
+            pool_second_touch_installs: reg.counter("pool.second_touch_installs"),
             runs_coalesced: reg.counter("io.runs_coalesced"),
             readahead_bytes: reg.counter("io.readahead_bytes"),
         }

@@ -65,6 +65,14 @@ fn metrics_health_and_slow_log_are_live(kind: Kind, handle: &ServerHandle) {
         .and_then(Json::as_u64)
         .expect("metrics carry engine.queries");
     assert!(queries >= 1, "{kind:?}: engine.queries = {queries}");
+    // The buffer pool's scan admission reports what it skipped and admitted.
+    for name in ["pool.scan_skips", "pool.second_touch_installs"] {
+        let counter = metrics.get("counters").and_then(|c| c.get(name));
+        assert!(
+            counter.and_then(Json::as_u64).is_some(),
+            "{kind:?}: no {name}"
+        );
+    }
     // Histogram snapshots expose the percentile shape.
     let latency = metrics
         .get("histograms")

@@ -442,7 +442,11 @@ impl<S: PageStore> BlobStore<S> {
     /// physically consecutive pages — the invariant the defragmenter
     /// establishes — coalesce into single positioned reads even across blob
     /// boundaries. Over a buffer pool the frames of hits are the pool's own,
-    /// lent without a copy.
+    /// lent without a copy, and the frames of misses are views of the run
+    /// buffers the misses were read into. `statement_pages` is the page
+    /// total of the statement the batch belongs to, forwarded to
+    /// [`PageStore::read_frames`]: the pool installs a large statement's
+    /// misses only on their second touch.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] (no pages are read) or backend read
@@ -451,6 +455,7 @@ impl<S: PageStore> BlobStore<S> {
         &self,
         ids: &[BlobId],
         frames: &mut Vec<Frame>,
+        statement_pages: usize,
     ) -> Result<(Vec<BlobSpan>, IoSnapshot)> {
         let _span =
             tilestore_obs::tracer().span_with("blob_read_batch", || format!("blobs={}", ids.len()));
@@ -474,7 +479,7 @@ impl<S: PageStore> BlobStore<S> {
                 });
             }
         }
-        let mut io = self.store.read_frames(&pages, frames)?;
+        let mut io = self.store.read_frames(&pages, frames, statement_pages)?;
         io.blobs_read = spans.len() as u64;
         let hot = tilestore_obs::hot();
         for span in &spans {
@@ -743,18 +748,21 @@ mod tests {
             .map(|i| vec![i; 700 + 400 * i as usize]) // 1..=3 pages each
             .collect();
         let ids: Vec<BlobId> = payloads.iter().map(|p| bs.create(p).unwrap()).collect();
+        let total_pages: u64 = payloads.iter().map(|p| bs.pages_for(p.len() as u64)).sum();
         let before = bs.stats().snapshot();
         let mut out = Vec::new();
-        let (spans, s) = bs.read_batch(&ids, &mut out).unwrap();
+        let (spans, s) = bs.read_batch(&ids, &mut out, total_pages as usize).unwrap();
         assert_eq!(spans.len(), 4);
         for (i, span) in spans.iter().enumerate() {
-            let bytes: Vec<u8> = out[span.frames.clone()].concat();
+            let bytes: Vec<u8> = out[span.frames.clone()]
+                .iter()
+                .flat_map(|f| f.iter().copied())
+                .collect();
             assert_eq!(&bytes[..span.len], payloads[i].as_slice());
         }
         assert_eq!(bs.stats().snapshot().since(&before), s);
         assert_eq!(s.blobs_read, 4);
         assert_eq!(s.bytes_read, payloads.iter().map(|p| p.len() as u64).sum());
-        let total_pages: u64 = payloads.iter().map(|p| bs.pages_for(p.len() as u64)).sum();
         assert_eq!(s.pages_read, total_pages);
         // Sequential creates land on consecutive pages, so the whole batch
         // is one physical run.
@@ -762,7 +770,9 @@ mod tests {
         assert_eq!(s.pages_read_run, total_pages);
         // An unknown id fails the whole batch before any I/O.
         let before = bs.stats().snapshot();
-        assert!(bs.read_batch(&[ids[0], BlobId(99)], &mut out).is_err());
+        assert!(bs
+            .read_batch(&[ids[0], BlobId(99)], &mut out, total_pages as usize)
+            .is_err());
         assert_eq!(bs.stats().snapshot(), before);
     }
 

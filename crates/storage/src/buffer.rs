@@ -7,11 +7,26 @@
 //!
 //! # Shared frames
 //!
-//! A cached page is a [`Frame`], an `Arc<[u8]>`. A read lends it: a hit
-//! clones the `Arc` under the shard lock, so the reader pastes or decodes
+//! A cached page is a [`Frame`] that owns its one page. A read lends it: a
+//! hit clones the `Arc` under the shard lock, so the reader pastes or decodes
 //! straight from the pool's bytes, and the frame stays alive in the reader's
 //! hands even if the pool evicts or rewrites the page meanwhile. A miss
-//! fetches a fresh frame from the store, installs a clone and lends it.
+//! lends the store's frame — over a file store, a view into the run buffer
+//! its positioned read filled — and the pool copies that view out only if
+//! it installs the page, so cached memory stays `capacity × page_size`.
+//!
+//! # Scan admission
+//!
+//! A statement that fetches more than a quarter of the pool's frames is a
+//! scan, and the LRU rule "install every miss" would let one such scan
+//! evict the whole working set for pages nobody reads again. A scan's miss
+//! is therefore installed only on its second touch: each shard keeps a
+//! ghost list of the page ids scans recently skipped (at most one shard
+//! capacity of ids, no bytes), a scan miss whose id is a ghost is installed,
+//! and any other scan miss is lent uncached and becomes a ghost. A repeated
+//! large window installs on its second pass and hits from its third; a
+//! one-off scan leaves the cached pages alone. Statements under the
+//! threshold install every miss, as plain LRU does.
 //!
 //! # Sharding
 //!
@@ -84,6 +99,9 @@ pub struct BufferPool<S> {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the shard count is a power of two.
     mask: u64,
+    /// A statement fetching more pages than this is a scan: its misses are
+    /// installed only on their second touch.
+    scan_pages: usize,
 }
 
 /// One lock domain of the pool: its own LRU state and frame budget.
@@ -120,6 +138,59 @@ struct PoolInner {
     /// it before fetching; if it moved by install time the fetched bytes may
     /// predate a completed write and are not installed.
     writes: u64,
+    /// Pages scans recently skipped installing.
+    ghosts: Ghosts,
+}
+
+/// A bounded FIFO set of page ids: the pages scans skipped installing, most
+/// recent last. `ring` holds the ids in insertion order, overwritten
+/// cyclically once full; `map` holds the live ones with their ring index.
+/// An id taken out of the set leaves a dead ring entry behind, which the
+/// cyclic overwrite recycles, so both stay within `capacity`.
+struct Ghosts {
+    map: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    ring: Vec<u64>,
+    /// Ring index the next id overwrites once the ring is full.
+    next: u32,
+}
+
+impl Ghosts {
+    fn new() -> Self {
+        Ghosts {
+            map: HashMap::default(),
+            ring: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Takes `page` out of the set, reporting whether it was in it.
+    fn take(&mut self, page: u64) -> bool {
+        self.map.remove(&page).is_some()
+    }
+
+    /// Adds `page` as the most recent id, dropping the oldest when the set
+    /// holds `capacity` ids.
+    fn add(&mut self, page: u64, capacity: usize) {
+        let i = if self.ring.len() < capacity {
+            self.ring.push(page);
+            (self.ring.len() - 1) as u32
+        } else {
+            let i = self.next;
+            let old = std::mem::replace(&mut self.ring[i as usize], page);
+            if self.map.get(&old) == Some(&i) {
+                self.map.remove(&old);
+            }
+            self.next = (i + 1) % capacity as u32;
+            i
+        };
+        self.map.insert(page, i);
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.ring.clear();
+        self.next = 0;
+    }
 }
 
 impl PoolInner {
@@ -130,6 +201,7 @@ impl PoolInner {
             head: NIL,
             tail: NIL,
             writes: 0,
+            ghosts: Ghosts::new(),
         }
     }
 
@@ -238,6 +310,7 @@ impl<S: PageStore> BufferPool<S> {
             stats: IoStats::new(),
             shards: shards.into_boxed_slice(),
             mask: (n - 1) as u64,
+            scan_pages: (capacity / 4).max(1),
         })
     }
 
@@ -293,8 +366,8 @@ impl<S: PageStore> BufferPool<S> {
         self.shards.iter().map(|s| lock(&s.inner).map.len()).sum()
     }
 
-    /// Drops every cached frame (cold-start measurements). Frames already
-    /// lent stay valid in their readers' hands.
+    /// Drops every cached frame and every ghost (cold-start measurements).
+    /// Frames already lent stay valid in their readers' hands.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut inner = lock(&shard.inner);
@@ -302,6 +375,7 @@ impl<S: PageStore> BufferPool<S> {
             inner.slots.clear();
             inner.head = NIL;
             inner.tail = NIL;
+            inner.ghosts.clear();
         }
     }
 }
@@ -341,7 +415,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         let ps = self.store.page_size();
         assert_eq!(buf.len(), pages.len() * ps, "buffer/pages length mismatch");
         let mut frames = Vec::with_capacity(pages.len());
-        let io = self.read_frames(pages, &mut frames)?;
+        let io = self.read_frames(pages, &mut frames, pages.len())?;
         for (dst, frame) in buf.chunks_exact_mut(ps).zip(&frames) {
             dst.copy_from_slice(frame);
         }
@@ -349,8 +423,15 @@ impl<S: PageStore> PageStore for BufferPool<S> {
     }
 
     /// The pool's one read protocol, in three passes: lend the hits, fetch
-    /// the misses, install what was fetched.
-    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
+    /// the misses, install what was fetched and admitted. A statement of
+    /// more than a quarter of the pool's frames admits a miss only on its
+    /// second touch (see the module docs).
+    fn read_frames(
+        &self,
+        pages: &[PageId],
+        frames: &mut Vec<Frame>,
+        statement_pages: usize,
+    ) -> Result<IoSnapshot> {
         let mut io = IoSnapshot {
             pages_read: pages.len() as u64,
             ..IoSnapshot::default()
@@ -392,7 +473,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         }
         if !misses.is_empty() {
             misses.sort_unstable();
-            self.fetch_misses(pages, &misses, &mut lent, &mut io)?;
+            self.fetch_misses(pages, &misses, statement_pages, &mut lent, &mut io)?;
             // Pass 3: install the fetched frames, one lock per shard, each
             // guarded by that shard's write version sampled in pass 1. If a
             // write landed on the shard while the fetch was in flight, the
@@ -401,6 +482,11 @@ impl<S: PageStore> PageStore for BufferPool<S> {
             // stale, so the caller gets them (the read merely overlapped the
             // write) but the frame table is left alone. A frame a concurrent
             // miss installed first is as fresh as ours and is just touched.
+            // A scan installs only the misses that were ghosts and makes
+            // ghosts of the rest. An installed frame is a copy that owns its
+            // page; the caller keeps the store's view.
+            let scan = statement_pages > self.scan_pages;
+            let (mut skipped, mut second_touch) = (0, 0);
             for group in self
                 .by_shard(pages, misses.into_iter())
                 .chunk_by(|a, b| a.0 == b.0)
@@ -412,11 +498,27 @@ impl<S: PageStore> PageStore for BufferPool<S> {
                     continue;
                 }
                 for &(_, i) in group {
-                    if inner.touch(pages[i].0).is_none() {
-                        let frame = lent[i].clone().expect("pass 2 fetched every miss");
-                        inner.install(pages[i].0, frame, shard.capacity);
+                    let page = pages[i].0;
+                    if inner.touch(page).is_some() {
+                        continue;
                     }
+                    if scan && !inner.ghosts.take(page) {
+                        inner.ghosts.add(page, shard.capacity);
+                        skipped += 1;
+                        continue;
+                    }
+                    second_touch += u64::from(scan);
+                    let frame = lent[i].as_ref().expect("pass 2 fetched every miss");
+                    inner.install(page, frame.owned(), shard.capacity);
                 }
+            }
+            if skipped > 0 {
+                tilestore_obs::hot().pool_scan_skips.add(skipped);
+            }
+            if second_touch > 0 {
+                tilestore_obs::hot()
+                    .pool_second_touch_installs
+                    .add(second_touch);
             }
         }
         self.stats.add(&io);
@@ -459,6 +561,7 @@ impl<S: PageStore> BufferPool<S> {
         &self,
         pages: &[PageId],
         misses: &[usize],
+        statement_pages: usize,
         lent: &mut [Option<Frame>],
         io: &mut IoSnapshot,
     ) -> Result<()> {
@@ -476,9 +579,11 @@ impl<S: PageStore> BufferPool<S> {
                 len += 1;
             }
             fetched.clear();
-            let run = self
-                .store
-                .read_frames(&pages[start..start + len], &mut fetched)?;
+            let run = self.store.read_frames(
+                &pages[start..start + len],
+                &mut fetched,
+                statement_pages,
+            )?;
             *io += &IoSnapshot {
                 pages_read: 0,
                 ..run
@@ -512,17 +617,34 @@ mod tests {
     /// Checks the `map`/`slots`/recency-list cross-invariant on every
     /// shard: the list from `head` visits every slot once, its back links
     /// mirror its forward links, it ends at `tail`, and `map` points each
-    /// page at its slot.
+    /// page at its slot. Every cached frame owns exactly its one page, so
+    /// cached memory is at most `capacity × page_size`, and the ghost list
+    /// holds at most one shard capacity of ids, each at its ring index.
     fn assert_coherent<S: PageStore>(p: &BufferPool<S>) {
         for shard in p.shards.iter() {
             let inner = lock(&shard.inner);
             assert_eq!(inner.map.len(), inner.slots.len());
             assert!(inner.slots.len() <= shard.capacity);
+            let ghosts = &inner.ghosts;
+            assert!(ghosts.ring.len() <= shard.capacity);
+            assert!(ghosts.map.len() <= ghosts.ring.len());
+            for (page, &i) in &ghosts.map {
+                assert_eq!(
+                    ghosts.ring[i as usize], *page,
+                    "ghost {page} off its ring slot"
+                );
+            }
             let (mut s, mut prev, mut seen) = (inner.head, NIL, 0);
             while s != NIL {
                 let slot = &inner.slots[s as usize];
                 assert_eq!(slot.prev, prev);
                 assert_eq!(inner.map.get(&slot.page), Some(&s));
+                assert!(
+                    slot.frame.owns_buffer(),
+                    "page {} pins a run buffer",
+                    slot.page
+                );
+                assert_eq!(slot.frame.len(), p.page_size());
                 (prev, s) = (s, slot.next);
                 seen += 1;
                 assert!(seen <= inner.slots.len(), "recency list has a cycle");
@@ -703,7 +825,7 @@ mod tests {
         p.write_page(pages[0], &vec![7u8; 1024]).unwrap();
         p.read_page(pages[0], &mut buf).unwrap(); // install frame 0
         let mut lent = Vec::new();
-        let io = p.read_frames(&pages[..1], &mut lent).unwrap();
+        let io = p.read_frames(&pages[..1], &mut lent, 1).unwrap();
         assert_eq!((io.cache_hits, io.cache_misses), (1, 0));
         // A scan over 5 other pages evicts frame 0 (LRU), and a write
         // replaces the page on the store: the lent frame is the reader's.
@@ -724,15 +846,15 @@ mod tests {
         let pages = p.allocate(1).unwrap();
         p.write_page(pages[0], &vec![1u8; 1024]).unwrap();
         let mut before = Vec::new();
-        p.read_frames(&pages, &mut before).unwrap(); // miss: installs
-        p.read_frames(&pages, &mut before).unwrap(); // hit: lends
+        p.read_frames(&pages, &mut before, 1).unwrap(); // miss: installs
+        p.read_frames(&pages, &mut before, 1).unwrap(); // hit: lends
         assert!(
-            Arc::ptr_eq(&before[0], &before[1]),
+            Frame::ptr_eq(&before[0], &before[1]),
             "a hit lends the cached frame"
         );
         p.write_page(pages[0], &vec![2u8; 1024]).unwrap();
         let mut after = Vec::new();
-        let io = p.read_frames(&pages, &mut after).unwrap();
+        let io = p.read_frames(&pages, &mut after, 1).unwrap();
         assert_eq!(io.cache_hits, 1);
         assert_eq!(&after[0][..], &vec![2u8; 1024][..]);
         assert!(before.iter().all(|f| f[..] == vec![1u8; 1024][..]));
@@ -800,6 +922,156 @@ mod tests {
             reads_done.load(Ordering::Relaxed)
         );
         assert!(p.cached_frames() <= 8);
+        assert_coherent(&p);
+    }
+
+    /// Writes page `i` of `pages` as `i + 1` repeated, reading back as a
+    /// one-byte fill that tells a frame's page.
+    fn fill<S: PageStore>(p: &BufferPool<S>, pages: &[PageId]) {
+        for (i, &pg) in pages.iter().enumerate() {
+            p.write_page(pg, &vec![i as u8 + 1; p.page_size()]).unwrap();
+        }
+    }
+
+    /// `(hits, misses)` of one statement reading `pages` in full.
+    fn statement<S: PageStore>(p: &BufferPool<S>, pages: &[PageId]) -> (u64, u64) {
+        let mut frames = Vec::new();
+        let io = p.read_frames(pages, &mut frames, pages.len()).unwrap();
+        for (frame, pg) in frames.iter().zip(pages) {
+            let want = frame[0];
+            assert!(frame.iter().all(|&b| b == want), "page {} torn", pg.0);
+        }
+        (io.cache_hits, io.cache_misses)
+    }
+
+    fn ghost_count<S: PageStore>(p: &BufferPool<S>) -> usize {
+        p.shards
+            .iter()
+            .map(|s| lock(&s.inner).ghosts.map.len())
+            .sum()
+    }
+
+    #[test]
+    fn a_scan_installs_nothing_on_first_touch() {
+        let p = pool(8);
+        let pages = p.allocate(8).unwrap();
+        fill(&p, &pages);
+        let skips = &tilestore_obs::hot().pool_scan_skips;
+        let before = skips.get();
+        // 4 pages is more than a quarter of 8 frames: a scan.
+        assert_eq!(statement(&p, &pages[..4]), (0, 4));
+        assert_eq!(p.cached_frames(), 0);
+        assert_eq!(ghost_count(&p), 4);
+        assert!(skips.get() >= before + 4);
+        // A quarter of the pool is not a scan: it installs at once.
+        assert_eq!(statement(&p, &pages[4..6]), (0, 2));
+        assert_eq!(p.cached_frames(), 2);
+        assert_eq!(statement(&p, &pages[4..6]), (2, 0));
+        // So does a single page, whatever the pool's size.
+        let tiny = pool(2);
+        let page = tiny.allocate(1).unwrap();
+        assert_eq!(statement(&tiny, &page), (0, 1));
+        assert_eq!(statement(&tiny, &page), (1, 0));
+        assert_coherent(&p);
+        assert_coherent(&tiny);
+    }
+
+    #[test]
+    fn a_repeated_scan_installs_on_second_touch_and_hits_on_third() {
+        let p = BufferPool::with_shards(MemPageStore::new(1024).unwrap(), 16, 2).unwrap();
+        let pages = p.allocate(12).unwrap();
+        fill(&p, &pages);
+        let installs = &tilestore_obs::hot().pool_second_touch_installs;
+        let before = installs.get();
+        assert_eq!(statement(&p, &pages), (0, 12));
+        assert_eq!(p.cached_frames(), 0);
+        assert_eq!(statement(&p, &pages), (0, 12));
+        assert_eq!(p.cached_frames(), 12);
+        assert_eq!(ghost_count(&p), 0, "every ghost was admitted");
+        assert!(installs.get() >= before + 12);
+        assert_eq!(statement(&p, &pages), (12, 0));
+        assert_coherent(&p);
+    }
+
+    #[test]
+    fn a_hot_set_survives_a_scan_larger_than_the_pool() {
+        let p = BufferPool::with_shards(MemPageStore::new(1024).unwrap(), 8, 2).unwrap();
+        let pages = p.allocate(72).unwrap();
+        fill(&p, &pages);
+        let (hot, cold) = pages.split_at(2);
+        assert_eq!(statement(&p, hot), (0, 2));
+        // A 70-page scan, whole and then in the plan's batches: one
+        // statement's page total rides on every batch.
+        assert_eq!(statement(&p, cold), (0, 70));
+        for batch in cold.chunks(5) {
+            let mut frames = Vec::new();
+            let io = p.read_frames(batch, &mut frames, cold.len()).unwrap();
+            assert_eq!(io.cache_misses, batch.len() as u64);
+        }
+        assert_eq!(statement(&p, hot), (2, 0), "the scan evicted the hot set");
+        assert_eq!(p.cached_frames(), 2);
+        assert_coherent(&p);
+    }
+
+    #[test]
+    fn the_ghost_list_never_exceeds_its_capacity() {
+        let p = BufferPool::with_shards(MemPageStore::new(1024).unwrap(), 16, 4).unwrap();
+        let pages = p.allocate(200).unwrap();
+        for round in 0..6 {
+            // Overlapping scans of varying length, so ghosts are both
+            // admitted and overwritten.
+            let start = round * 17 % 120;
+            statement(&p, &pages[start..start + 40 + round * 5]);
+            assert!(ghost_count(&p) <= 16);
+            assert_coherent(&p);
+        }
+        assert_eq!(ghost_count(&p), 16, "a long scan fills every shard's list");
+    }
+
+    #[test]
+    fn clear_drops_the_ghosts() {
+        let p = pool(8);
+        let pages = p.allocate(6).unwrap();
+        assert_eq!(statement(&p, &pages), (0, 6));
+        assert_eq!(ghost_count(&p), 6);
+        p.clear();
+        assert_eq!(ghost_count(&p), 0);
+        // No ghost is left, so the repeat is a first touch again.
+        assert_eq!(statement(&p, &pages), (0, 6));
+        assert_eq!(p.cached_frames(), 0);
+        assert_coherent(&p);
+    }
+
+    #[test]
+    fn run_reads_through_a_file_store_cache_one_page_per_frame() {
+        let dir = tilestore_testkit::tempdir().unwrap();
+        let store = crate::page::FilePageStore::create(dir.path().join("pages.db"), 512).unwrap();
+        let p = BufferPool::with_shards(store, 64, 4).unwrap();
+        let pages = p.allocate(48).unwrap();
+        fill(&p, &pages);
+        // Small statements install every miss; each frame arrived as a view
+        // of a multi-page run buffer and is cached as its own copy.
+        for batch in pages[..32].chunks(8) {
+            let mut frames = Vec::new();
+            let io = p.read_frames(batch, &mut frames, batch.len()).unwrap();
+            assert_eq!(io.runs_coalesced, 1);
+            assert!(
+                frames.iter().all(|f| !f.owns_buffer()),
+                "a miss lends views"
+            );
+        }
+        assert_eq!(p.cached_frames(), 32);
+        assert_coherent(&p);
+        // A scan's second touch installs copies too, and a hit lends them.
+        assert_eq!(statement(&p, &pages[16..]), (16, 16));
+        assert_eq!(statement(&p, &pages[16..]), (16, 16));
+        assert_eq!(p.cached_frames(), 48);
+        let mut frames = Vec::new();
+        p.read_frames(&pages, &mut frames, pages.len()).unwrap();
+        for (i, frame) in frames.iter().enumerate() {
+            assert!(frame.owns_buffer());
+            assert_eq!(&frame[..], &vec![i as u8 + 1; 512][..]);
+        }
         assert_coherent(&p);
     }
 }

@@ -61,10 +61,96 @@ impl FromJson for PageId {
     }
 }
 
-/// One page's bytes, shared: a caching store lends the frame it holds
-/// instead of copying it, and a reader keeps the bytes alive for as long as
-/// it holds the frame, whatever the store evicts or rewrites meanwhile.
-pub type Frame = Arc<[u8]>;
+/// One page's bytes, shared: a view of one page inside a shared buffer. A
+/// caching store lends the frame it holds instead of copying it, a file
+/// store lends views into the one run buffer a positioned read filled, and
+/// a reader keeps the bytes alive for as long as it holds the frame,
+/// whatever the store evicts or rewrites meanwhile. Cloning a frame clones
+/// the `Arc`, never the bytes.
+#[derive(Clone)]
+pub struct Frame {
+    buf: Arc<[u8]>,
+    offset: usize,
+    len: usize,
+}
+
+impl Frame {
+    /// The `len` bytes of `buf` from `offset`, shared with every other view
+    /// of `buf`.
+    pub(crate) fn view(buf: &Arc<[u8]>, offset: usize, len: usize) -> Self {
+        assert!(offset + len <= buf.len(), "frame view out of its buffer");
+        Frame {
+            buf: Arc::clone(buf),
+            offset,
+            len,
+        }
+    }
+
+    /// Whether the frame is the whole of its buffer, so holding it keeps
+    /// exactly its own page alive and nothing of its neighbours.
+    #[must_use]
+    pub(crate) fn owns_buffer(&self) -> bool {
+        self.offset == 0 && self.len == self.buf.len()
+    }
+
+    /// A frame that owns its buffer: this one when it already does,
+    /// otherwise a copy of its bytes. A cache keeps only such frames, so a
+    /// cached page never pins the rest of the run buffer it arrived in.
+    #[must_use]
+    pub(crate) fn owned(&self) -> Frame {
+        if self.owns_buffer() {
+            self.clone()
+        } else {
+            Frame::from(&self[..])
+        }
+    }
+
+    /// Whether two frames are views of the same bytes of the same buffer.
+    #[must_use]
+    pub fn ptr_eq(a: &Frame, b: &Frame) -> bool {
+        Arc::ptr_eq(&a.buf, &b.buf) && a.offset == b.offset && a.len == b.len
+    }
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.offset..self.offset + self.len]
+    }
+}
+
+impl AsRef<[u8]> for Frame {
+    #[inline]
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl std::fmt::Debug for Frame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Frame")
+            .field("len", &self.len)
+            .field("offset", &self.offset)
+            .field("buffer_len", &self.buf.len())
+            .finish()
+    }
+}
+
+impl From<&[u8]> for Frame {
+    fn from(bytes: &[u8]) -> Self {
+        let buf: Arc<[u8]> = Arc::from(bytes);
+        Frame::view(&buf, 0, buf.len())
+    }
+}
+
+/// A zero-filled buffer of `len` bytes, allocated once and shared from the
+/// start: the caller fills it through `Arc::get_mut` while it is still
+/// unique, then lends views of it.
+fn zeroed_shared(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
+}
 
 /// A store of fixed-size pages.
 ///
@@ -144,19 +230,32 @@ pub trait PageStore: Send + Sync {
     }
 
     /// Reads `pages` like [`PageStore::read_pages`], appending one frame
-    /// per page to `frames`, in order. The default reads into one staging
-    /// buffer and copies each page into its frame; the file store copies
-    /// each verified payload once, and the buffer pool lends its cached
-    /// frames without copying them.
+    /// per page to `frames`, in order. `statement_pages` is the number of
+    /// pages the whole statement this read belongs to fetches (a read that
+    /// is not part of a larger one passes `pages.len()`); the buffer pool
+    /// decides from it whether a miss is worth caching, and other stores
+    /// ignore it. The default reads into one shared staging buffer and
+    /// lends a view of it per page; the file store lends views of each
+    /// verified run buffer, and the buffer pool lends its cached frames.
+    /// Nothing is copied.
     ///
     /// # Errors
     /// As [`PageStore::read_pages`]; on error `frames` holds an unspecified
     /// number of appended frames.
-    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
+    fn read_frames(
+        &self,
+        pages: &[PageId],
+        frames: &mut Vec<Frame>,
+        statement_pages: usize,
+    ) -> Result<IoSnapshot> {
+        let _ = statement_pages;
         let ps = self.page_size();
-        let mut staging = vec![0u8; pages.len() * ps];
-        let io = self.read_pages(pages, &mut staging)?;
-        frames.extend(staging.chunks_exact(ps).map(Frame::from));
+        let mut staging = zeroed_shared(pages.len() * ps);
+        let io = self.read_pages(
+            pages,
+            Arc::get_mut(&mut staging).expect("a fresh staging buffer is unshared"),
+        )?;
+        frames.extend((0..pages.len()).map(|i| Frame::view(&staging, i * ps, ps)));
         Ok(io)
     }
 
@@ -508,52 +607,30 @@ impl FilePageStore {
     }
 
     /// Reads the `count` frames of consecutive pages from `first` with one
-    /// positioned read into a run buffer, verifies each exactly as a
-    /// single-page read would, and hands its payload (`None`: never
-    /// written) to `each` in page order.
-    fn read_run(
-        &self,
-        first: PageId,
-        count: usize,
-        mut each: impl FnMut(usize, Option<&[u8]>),
-    ) -> Result<()> {
+    /// positioned read into a fresh run buffer and verifies every frame
+    /// exactly as a single-page read would; a never-written page has its
+    /// payload zeroed in place. Only a buffer whose every frame passed is
+    /// returned, so no byte of a frame is lent before the whole run is
+    /// checked. Frame `i`'s payload sits at `i * frame_size + FRAME_HEADER`.
+    fn read_run(&self, first: PageId, count: usize) -> Result<Arc<[u8]>> {
+        let fs = self.frame_size() as usize;
+        let mut run = zeroed_shared(count * fs);
         if count == 0 {
-            return Ok(());
+            return Ok(run);
         }
         self.check_in_range(PageId(first.0 + count as u64 - 1))?;
-        let offset = first.0 * self.frame_size();
-        if count == 1 {
-            self.with_frame_buf(|frame| {
-                self.read_at(frame, offset)?;
-                each(0, Self::verify_frame(frame, first)?);
-                Ok::<_, StorageError>(())
-            })?;
-            tilestore_obs::hot().pages_read.inc();
-            tilestore_obs::tracer().event("page_read", || format!("page={}", first.0));
-            return Ok(());
-        }
-        let fs = self.frame_size() as usize;
-        // The thread-local staging buffer holds exactly one frame; a run
-        // needs its own scratch.
-        let mut frames = vec![0u8; count * fs];
-        self.read_at(&mut frames, offset)?;
-        for (i, frame) in frames.chunks_exact(fs).enumerate() {
-            each(i, Self::verify_frame(frame, PageId(first.0 + i as u64))?);
+        let frames = Arc::get_mut(&mut run).expect("a fresh run buffer is unshared");
+        self.read_at(frames, first.0 * self.frame_size())?;
+        for (i, frame) in frames.chunks_exact_mut(fs).enumerate() {
+            if Self::verify_frame(frame, PageId(first.0 + i as u64))?.is_none() {
+                frame[FRAME_HEADER..].fill(0);
+            }
         }
         tilestore_obs::hot().pages_read.add(count as u64);
         tilestore_obs::tracer().event("page_run_read", || {
             format!("first={} count={count}", first.0)
         });
-        Ok(())
-    }
-
-    /// Copies a payload handed out by [`FilePageStore::read_run`] into
-    /// `dst`; a never-written page reads as zeroes.
-    fn copy_payload(dst: &mut [u8], payload: Option<&[u8]>) {
-        match payload {
-            Some(payload) => dst.copy_from_slice(payload),
-            None => dst.fill(0),
-        }
+        Ok(run)
     }
 }
 
@@ -577,7 +654,18 @@ impl PageStore for FilePageStore {
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        self.read_run(page, 1, |_, payload| Self::copy_payload(buf, payload))
+        self.check_in_range(page)?;
+        self.with_frame_buf(|frame| {
+            self.read_at(frame, page.0 * self.frame_size())?;
+            match Self::verify_frame(frame, page)? {
+                Some(payload) => buf.copy_from_slice(payload),
+                None => buf.fill(0),
+            }
+            Ok::<_, StorageError>(())
+        })?;
+        tilestore_obs::hot().pages_read.inc();
+        tilestore_obs::tracer().event("page_read", || format!("page={}", page.0));
+        Ok(())
     }
 
     fn run_read_supported(&self) -> bool {
@@ -589,24 +677,31 @@ impl PageStore for FilePageStore {
     /// verified exactly as a single-page read would.
     fn read_page_run(&self, first: PageId, count: usize, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), count * self.page_size, "buffer/run mismatch");
-        let ps = self.page_size;
-        self.read_run(first, count, |i, payload| {
-            Self::copy_payload(&mut buf[i * ps..(i + 1) * ps], payload);
-        })
+        let run = self.read_run(first, count)?;
+        let fs = self.frame_size() as usize;
+        for (dst, frame) in buf
+            .chunks_exact_mut(self.page_size)
+            .zip(run.chunks_exact(fs))
+        {
+            dst.copy_from_slice(&frame[FRAME_HEADER..]);
+        }
+        Ok(())
     }
 
     /// Each run of consecutive pages arrives with one positioned read, as
-    /// in [`PageStore::read_pages`], and each verified payload is copied
-    /// once, from the run buffer into its frame.
-    fn read_frames(&self, pages: &[PageId], frames: &mut Vec<Frame>) -> Result<IoSnapshot> {
-        let ps = self.page_size;
+    /// in [`PageStore::read_pages`], and its frames are views of that one
+    /// verified run buffer: no page is copied.
+    fn read_frames(
+        &self,
+        pages: &[PageId],
+        frames: &mut Vec<Frame>,
+        _statement_pages: usize,
+    ) -> Result<IoSnapshot> {
+        let (ps, fs) = (self.page_size, self.frame_size() as usize);
         read_runs(pages, true, ps, |run| {
-            self.read_run(pages[run.start], run.len(), |_, payload| {
-                frames.push(match payload {
-                    Some(payload) => Frame::from(payload),
-                    None => Frame::from(vec![0u8; ps]),
-                });
-            })
+            let buf = self.read_run(pages[run.start], run.len())?;
+            frames.extend((0..run.len()).map(|i| Frame::view(&buf, i * fs + FRAME_HEADER, ps)));
+            Ok(())
         })
     }
 

@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 
-use tilestore_storage::{BufferPool, MemPageStore, PageId, PageStore, Result};
+use tilestore_storage::{
+    BufferPool, FilePageStore, Frame, MemPageStore, PageId, PageStore, Result, StorageError,
+};
 
 /// A pass-through page store that, once armed, pauses exactly one
 /// `read_page` *after* the bytes were fetched from the inner store and
@@ -252,7 +254,7 @@ fn lent_frames_stay_whole_under_writes_and_eviction() {
             let mut frames = Vec::new();
             while !stop.load(Ordering::Acquire) {
                 frames.clear();
-                pool.read_frames(&pages, &mut frames).unwrap();
+                pool.read_frames(&pages, &mut frames, pages.len()).unwrap();
                 for (pg, frame) in pages.iter().zip(&frames) {
                     frame_version(ps, pg.0, frame);
                 }
@@ -286,7 +288,7 @@ fn lent_frames_stay_whole_under_writes_and_eviction() {
                         .map(|&i| floor[i].load(Ordering::Acquire))
                         .collect();
                     let mut frames = Vec::new();
-                    pool.read_frames(&ids, &mut frames).unwrap();
+                    pool.read_frames(&ids, &mut frames, ids.len()).unwrap();
                     let mut kept = Vec::new();
                     for ((pg, frame), floor) in ids.iter().zip(frames).zip(committed) {
                         let v = frame_version(ps, pg.0, &frame);
@@ -312,8 +314,120 @@ fn lent_frames_stay_whole_under_writes_and_eviction() {
         }
     });
     let mut frames = Vec::new();
-    pool.read_frames(&pages, &mut frames).unwrap();
+    pool.read_frames(&pages, &mut frames, pages.len()).unwrap();
     for (pg, frame) in pages.iter().zip(&frames) {
         assert_eq!(frame_version(ps, pg.0, frame), 200);
+    }
+}
+
+/// One statement's read of consecutive pages, retried while it overlaps a
+/// write of one of them on the file: `pread` may see a frame half
+/// rewritten, and the frame's checksum turns that into an error instead of
+/// bytes.
+fn read_run_views<S: PageStore>(
+    pool: &BufferPool<S>,
+    ids: &[PageId],
+    statement: usize,
+) -> Vec<Frame> {
+    loop {
+        let mut frames = Vec::new();
+        match pool.read_frames(ids, &mut frames, statement) {
+            Ok(_) => return frames,
+            Err(StorageError::ChecksumMismatch { .. }) => continue,
+            Err(e) => panic!("run read failed: {e}"),
+        }
+    }
+}
+
+/// Run views under concurrent writes and a cycling scan, over a file
+/// store: a miss lends views into the one run buffer its positioned read
+/// filled, and the pool installs copies of them. Readers hold the views of
+/// their last few multi-page runs while a writer rewrites every page and a
+/// scan reads each 8-page window twice, so its second touch installs and
+/// the pool keeps cycling. Every view is one written version when lent and
+/// the same version when let go, and none is older than a write that had
+/// returned before its read started.
+#[test]
+fn run_views_stay_whole_under_writes_and_a_cycling_scan() {
+    let ps = 512usize;
+    let dir = tilestore_testkit::tempdir().unwrap();
+    let store = FilePageStore::create(dir.path().join("pages.db"), ps).unwrap();
+    let pool = BufferPool::with_shards(store, 16, 4).unwrap();
+    let pages = pool.allocate(64).unwrap();
+    for &pg in &pages {
+        pool.write_page(pg, &versioned_page(ps, pg.0, 0)).unwrap();
+    }
+    let floor: Vec<AtomicU64> = (0..pages.len()).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for v in 1u64..=60 {
+                for (i, &pg) in pages.iter().enumerate() {
+                    pool.write_page(pg, &versioned_page(ps, pg.0, v)).unwrap();
+                    floor[i].store(v, Ordering::Release);
+                }
+            }
+            stop.store(true, Ordering::Release);
+        });
+        // The scan: 8 of the pool's 16 frames is a scan, so each window's
+        // first read leaves ghosts and its second installs over the LRU.
+        s.spawn(|| {
+            let mut k = 0;
+            while !stop.load(Ordering::Acquire) {
+                let window = &pages[k % 8 * 8..][..8];
+                for _ in 0..2 {
+                    for (pg, frame) in window.iter().zip(read_run_views(&pool, window, 8)) {
+                        frame_version(ps, pg.0, &frame);
+                    }
+                }
+                k += 1;
+            }
+        });
+        for t in 0..3u64 {
+            let (pool, pages, floor, stop) = (&pool, &pages, &floor, &stop);
+            s.spawn(move || {
+                let mut held: std::collections::VecDeque<Vec<(u64, u64, Frame)>> =
+                    std::collections::VecDeque::new();
+                let mut x = t.wrapping_mul(0x9E37_79B9) + 1;
+                let mut runs = 0u32;
+                while !stop.load(Ordering::Acquire) || runs < 200 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let len = 2 + (x >> 40) as usize % 5;
+                    let start = (x >> 33) as usize % (pages.len() - len);
+                    let ids = &pages[start..start + len];
+                    // Sampled before the read starts: these writes returned.
+                    let committed: Vec<u64> = (start..start + len)
+                        .map(|i| floor[i].load(Ordering::Acquire))
+                        .collect();
+                    let mut kept = Vec::new();
+                    for ((pg, frame), floor) in ids
+                        .iter()
+                        .zip(read_run_views(pool, ids, len))
+                        .zip(committed)
+                    {
+                        let v = frame_version(ps, pg.0, &frame);
+                        assert!(
+                            v >= floor,
+                            "page {} stale: saw {v}, write {floor} had returned",
+                            pg.0
+                        );
+                        kept.push((pg.0, v, frame));
+                    }
+                    held.push_back(kept);
+                    if held.len() > 8 {
+                        for (page, v, frame) in held.pop_front().unwrap() {
+                            assert_eq!(frame_version(ps, page, &frame), v, "run view changed");
+                        }
+                    }
+                    runs += 1;
+                    if runs > 20_000 {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    for (pg, frame) in pages.iter().zip(read_run_views(&pool, &pages, pages.len())) {
+        assert_eq!(frame_version(ps, pg.0, &frame), 60);
     }
 }

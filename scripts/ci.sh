@@ -198,6 +198,10 @@ wait_addr() {
 "$TILESTORE" "$SMOKE_DIR/db" create img u8 2 'aligned:[*,1]:8' >/dev/null
 "$TILESTORE" "$SMOKE_DIR/db" load img '[0:63,0:63]' gradient >/dev/null
 
+# The checks below read a command's whole output with `grep -F … >/dev/null`,
+# never `grep -q`: under `pipefail`, `grep -q` exiting at the first match
+# can kill the writer with SIGPIPE and fail a check whose text is there.
+
 # Slow-query threshold 0: every statement lands in the slow log, so the
 # ops-plane checks below observe entries deterministically.
 "$TILESTORE" "$SMOKE_DIR/db" serve 127.0.0.1:0 0 >"$SERVE_LOG" &
@@ -205,31 +209,32 @@ SERVER_PID=$!
 ADDR=$(wait_addr "$SERVE_LOG" "$SERVER_PID")
 echo "smoke server on $ADDR"
 
-"$TILESTORE" client "$ADDR" ping | grep -q pong
+"$TILESTORE" client "$ADDR" ping | grep -F pong >/dev/null
 "$TILESTORE" client "$ADDR" query 'SELECT sum_cells(img) FROM img' >/dev/null
 "$TILESTORE" client "$ADDR" query 'SELECT img[0:3,0:3] FROM img' >/dev/null
 "$TILESTORE" client "$ADDR" query 'SELECT count_cells(img) FROM img WHERE img > 200' >/dev/null
-"$TILESTORE" client "$ADDR" info img | grep -q '"tiles"'
+"$TILESTORE" client "$ADDR" info img | grep -F '"tiles"' >/dev/null
 "$TILESTORE" client "$ADDR" fsck >/dev/null
 # --- Ops plane: the planner report, the metrics snapshot with percentile
 # summaries, the health check, and a slow-query entry for a statement the
 # smoke test just ran (threshold 0 records everything).
-"$TILESTORE" client "$ADDR" explain 'SELECT count_cells(img) FROM img WHERE img > 200' | grep -q '"plan"'
-"$TILESTORE" client "$ADDR" explain 'SELECT sum_cells(img) FROM img' --analyze | grep -q '"analyze"'
-"$TILESTORE" client "$ADDR" metrics | grep -q 'engine.queries'
-"$TILESTORE" client "$ADDR" metrics | grep -q '"p99"'
-"$TILESTORE" client "$ADDR" health | grep -q '"status": "ok"'
-"$TILESTORE" client "$ADDR" top | grep -q 'count_cells'
+"$TILESTORE" client "$ADDR" explain 'SELECT count_cells(img) FROM img WHERE img > 200' | grep -F '"plan"' >/dev/null
+"$TILESTORE" client "$ADDR" explain 'SELECT sum_cells(img) FROM img' --analyze | grep -F '"analyze"' >/dev/null
+"$TILESTORE" client "$ADDR" metrics | grep -F 'engine.queries' >/dev/null
+"$TILESTORE" client "$ADDR" metrics | grep -F '"p99"' >/dev/null
+"$TILESTORE" client "$ADDR" metrics | grep -F 'pool.second_touch_installs' >/dev/null
+"$TILESTORE" client "$ADDR" health | grep -F '"status": "ok"' >/dev/null
+"$TILESTORE" client "$ADDR" top | grep -F 'count_cells' >/dev/null
 test -s "$SMOKE_DIR/db/slow_queries.log"
 "$TILESTORE" client "$ADDR" shutdown >/dev/null
 wait "$SERVER_PID"
 SERVER_PID=""
-"$TILESTORE" "$SMOKE_DIR/db" query 'SELECT max_cells(img) FROM img WHERE img < 100' | grep -q pruned
+"$TILESTORE" "$SMOKE_DIR/db" query 'SELECT max_cells(img) FROM img WHERE img < 100' | grep -F pruned >/dev/null
 # --- Defrag smoke: rewrite the tile BLOBs onto contiguous pages (full,
 # then budget-paced), and verify queries still answer and fsck stays clean.
-"$TILESTORE" "$SMOKE_DIR/db" retile img --defrag | grep -q defragmented
-"$TILESTORE" "$SMOKE_DIR/db" retile img --defrag:4 | grep -q defragmented
-"$TILESTORE" "$SMOKE_DIR/db" query 'SELECT sum_cells(img) FROM img' | grep -q 'tiles'
+"$TILESTORE" "$SMOKE_DIR/db" retile img --defrag | grep -F defragmented >/dev/null
+"$TILESTORE" "$SMOKE_DIR/db" retile img --defrag:4 | grep -F defragmented >/dev/null
+"$TILESTORE" "$SMOKE_DIR/db" query 'SELECT sum_cells(img) FROM img' | grep -F 'tiles' >/dev/null
 "$TILESTORE" "$SMOKE_DIR/db" fsck >/dev/null
 echo "server smoke test passed"
 
@@ -242,12 +247,12 @@ CLUSTER="$SMOKE_DIR/cluster"
 "$TILESTORE" "$CLUSTER" create img u32 2 'regular:4' >/dev/null
 "$TILESTORE" "$CLUSTER" load img '[0:31,0:31]' gradient >/dev/null
 # The coordinator answers directly over local shards first.
-"$TILESTORE" "$CLUSTER" query 'SELECT img[14:17,2:5] FROM img' | grep -q 'array over \[14:17,2:5\]'
-"$TILESTORE" "$CLUSTER" explain 'SELECT img FROM img' | grep -q 'shard 1'
+"$TILESTORE" "$CLUSTER" query 'SELECT img[14:17,2:5] FROM img' | grep -F 'array over [14:17,2:5]' >/dev/null
+"$TILESTORE" "$CLUSTER" explain 'SELECT img FROM img' | grep -F 'shard 1' >/dev/null
 # Defrag shares the retile grammar on a cluster root; the seam query must
 # still stitch afterwards.
-"$TILESTORE" "$CLUSTER" retile img --defrag | grep -q 'defragmented on 2 shard(s)'
-"$TILESTORE" "$CLUSTER" query 'SELECT img[14:17,2:5] FROM img' | grep -q 'array over \[14:17,2:5\]'
+"$TILESTORE" "$CLUSTER" retile img --defrag | grep -F 'defragmented on 2 shard(s)' >/dev/null
+"$TILESTORE" "$CLUSTER" query 'SELECT img[14:17,2:5] FROM img' | grep -F 'array over [14:17,2:5]' >/dev/null
 
 # Each shard directory is a plain database; serve the two shards as
 # independent processes, then the coordinator over their addresses.
@@ -262,17 +267,17 @@ COORD_PID=$!
 COORD_ADDR=$(wait_addr "$SMOKE_DIR/coord.log" "$COORD_PID")
 echo "cluster coordinator on $COORD_ADDR (shards $SHARD0_ADDR, $SHARD1_ADDR)"
 
-"$TILESTORE" client "$COORD_ADDR" ping | grep -q pong
+"$TILESTORE" client "$COORD_ADDR" ping | grep -F pong >/dev/null
 # Seam-straddling read through the full remote scatter-gather path.
 "$TILESTORE" client "$COORD_ADDR" query 'SELECT img[14:17,2:5] FROM img' >/dev/null
 "$TILESTORE" client "$COORD_ADDR" query 'SELECT sum_cells(img) FROM img' >/dev/null
-"$TILESTORE" client "$COORD_ADDR" explain 'SELECT img FROM img' | grep -q '"shard"'
-"$TILESTORE" client "$COORD_ADDR" cluster | grep -q '"shards": 2'
+"$TILESTORE" client "$COORD_ADDR" explain 'SELECT img FROM img' | grep -F '"shard"' >/dev/null
+"$TILESTORE" client "$COORD_ADDR" cluster | grep -F '"shards": 2' >/dev/null
 # The coordinator is a backend of the same serving core, so it answers the
 # ops plane too and drains on a client's `shutdown` like a single server.
-"$TILESTORE" client "$COORD_ADDR" metrics | grep -q 'engine.queries'
-"$TILESTORE" client "$COORD_ADDR" health | grep -q '"status": "ok"'
-"$TILESTORE" client "$COORD_ADDR" top | grep -q 'slow queries'
+"$TILESTORE" client "$COORD_ADDR" metrics | grep -F 'engine.queries' >/dev/null
+"$TILESTORE" client "$COORD_ADDR" health | grep -F '"status": "ok"' >/dev/null
+"$TILESTORE" client "$COORD_ADDR" top | grep -F 'slow queries' >/dev/null
 "$TILESTORE" client "$COORD_ADDR" shutdown >/dev/null
 wait "$COORD_PID"
 COORD_PID=""
