@@ -432,6 +432,7 @@ fn sparse(json: bool) {
         "Compression",
         "Tiles",
         "Physical size",
+        "In pages",
         "cluster1 t_o",
         "background t_o",
     ]);
@@ -453,6 +454,7 @@ fn sparse(json: bool) {
                 policy_name.to_string(),
                 r.tiles.to_string(),
                 bytes(r.physical_bytes),
+                bytes(r.page_bytes),
                 secs(r.queries[0].times.t_o),
                 secs(r.queries[3].times.t_o),
             ]);

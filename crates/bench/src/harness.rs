@@ -4,7 +4,7 @@
 use tilestore_compress::CompressionPolicy;
 use tilestore_engine::{Array, CellType, Database, InsertStats, MddType, QueryStats, QueryTimes};
 use tilestore_geometry::{DefDomain, Domain};
-use tilestore_storage::CostModel;
+use tilestore_storage::{CostModel, PageStore};
 use tilestore_testkit::{Json, ToJson};
 use tilestore_tiling::TilingStrategy;
 
@@ -74,6 +74,8 @@ pub struct SchemeResult {
     pub max_tile_bytes: u64,
     /// Physical bytes in the BLOB store after compression.
     pub physical_bytes: u64,
+    /// Bytes of the whole pages those BLOBs occupy.
+    pub page_bytes: u64,
     /// Load statistics.
     pub load: InsertStats,
     /// One measurement per query, in query-set order.
@@ -87,6 +89,7 @@ impl ToJson for SchemeResult {
             ("tiles", self.tiles.to_json()),
             ("max_tile_bytes", self.max_tile_bytes.to_json()),
             ("physical_bytes", self.physical_bytes.to_json()),
+            ("page_bytes", self.page_bytes.to_json()),
             ("load", self.load.to_json()),
             ("queries", self.queries.to_json()),
         ])
@@ -154,6 +157,11 @@ impl Experiment<'_> {
         let physical_bytes = db.object_physical_bytes("workload")?;
         let meta = db.object("workload")?;
         let tiles = meta.tile_count();
+        let mut pages = 0u64;
+        for tile in &meta.tiles {
+            pages += db.blob_store().blob_placement(tile.blob)?.pages;
+        }
+        let page_bytes = pages * db.blob_store().page_store().page_size() as u64;
         let max_tile_bytes = meta
             .tiles
             .iter()
@@ -175,6 +183,7 @@ impl Experiment<'_> {
             tiles,
             max_tile_bytes,
             physical_bytes,
+            page_bytes,
             load,
             queries,
         })

@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 
 use tilestore_geometry::{AxisRange, Domain};
-use tilestore_testkit::json::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::{required, FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{ClusterError, Result};
 
@@ -148,22 +148,15 @@ impl ToJson for ShardMap {
 }
 
 impl FromJson for ShardMap {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let axis = v
-            .field("axis")?
-            .as_u64()
-            .ok_or_else(|| JsonError::msg("axis must be an integer"))? as usize;
-        let cuts = v
-            .field("cuts")?
-            .as_array()
-            .ok_or_else(|| JsonError::msg("cuts must be an array"))?
-            .iter()
-            .map(|c| {
-                c.as_i64()
-                    .ok_or_else(|| JsonError::msg("cut must be an integer"))
-            })
-            .collect::<std::result::Result<Vec<i64>, JsonError>>()?;
-        ShardMap::new(axis, cuts).map_err(|e| JsonError::msg(e.to_string()))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut axis, mut cuts) = (None, None);
+        r.object(|r, key| match key {
+            "axis" => r.field(&mut axis),
+            "cuts" => r.field(&mut cuts),
+            _ => r.skip(),
+        })?;
+        ShardMap::new(required(axis, "axis")?, required(cuts, "cuts")?)
+            .map_err(|e| JsonError::msg(e.to_string()))
     }
 }
 
@@ -196,9 +189,7 @@ impl ClusterManifest {
     /// Loads the manifest from `root/cluster.json`.
     pub fn load(root: &Path) -> Result<Self> {
         let text = std::fs::read_to_string(root.join(MANIFEST_FILE))?;
-        let v = Json::parse(&text)
-            .map_err(|e| ClusterError::Config(format!("bad cluster manifest: {e}")))?;
-        ClusterManifest::from_json(&v)
+        tilestore_testkit::json::from_str(&text)
             .map_err(|e| ClusterError::Config(format!("bad cluster manifest: {e}")))
     }
 
@@ -219,9 +210,16 @@ impl ToJson for ClusterManifest {
 }
 
 impl FromJson for ClusterManifest {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let map = ShardMap::from_json(v.field("map")?)?;
-        if let Some(n) = v.get("shards").and_then(Json::as_u64) {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut map, mut shards) = (None::<ShardMap>, None::<Json>);
+        r.object(|r, key| match key {
+            "map" => r.field(&mut map),
+            "shards" => r.field(&mut shards),
+            _ => r.skip(),
+        })?;
+        let map = required(map, "map")?;
+        // A count that is not a `u64` is not checked.
+        if let Some(n) = shards.as_ref().and_then(Json::as_u64) {
             if n as usize != map.shards() {
                 return Err(JsonError::msg("manifest shard count disagrees with map"));
             }

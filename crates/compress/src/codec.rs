@@ -7,7 +7,8 @@
 //! "selective compression of blocks" (§8): try the candidate codecs per
 //! tile and keep the smallest representation, falling back to raw.
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::chunk_offset;
 use crate::delta;
@@ -62,12 +63,12 @@ impl ToJson for Codec {
 }
 
 impl FromJson for Codec {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        match v.as_str() {
-            Some("none") => Ok(Codec::None),
-            Some("packbits") => Ok(Codec::PackBits),
-            Some("delta_packbits") => Ok(Codec::DeltaPackBits),
-            Some("chunk_offset") => Ok(Codec::ChunkOffset),
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        match &*r.str()? {
+            "none" => Ok(Codec::None),
+            "packbits" => Ok(Codec::PackBits),
+            "delta_packbits" => Ok(Codec::DeltaPackBits),
+            "chunk_offset" => Ok(Codec::ChunkOffset),
             _ => Err(JsonError::msg("unknown codec name")),
         }
     }
@@ -116,19 +117,18 @@ impl ToJson for CompressionPolicy {
 }
 
 impl FromJson for CompressionPolicy {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let kind = v
-            .field("kind")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("policy kind must be a string"))?;
-        match kind {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let kind = required(r.tag("kind")?, "kind")?;
+        let (mut codec, mut codecs) = (None, None);
+        r.object(|r, key| match key {
+            "codec" if kind == "fixed" => r.field(&mut codec),
+            "codecs" if kind == "selective" => r.field(&mut codecs),
+            _ => r.skip(),
+        })?;
+        match &*kind {
             "none" => Ok(CompressionPolicy::None),
-            "fixed" => Ok(CompressionPolicy::Fixed(Codec::from_json(
-                v.field("codec")?,
-            )?)),
-            "selective" => Ok(CompressionPolicy::Selective(Vec::from_json(
-                v.field("codecs")?,
-            )?)),
+            "fixed" => Ok(CompressionPolicy::Fixed(required(codec, "codec")?)),
+            "selective" => Ok(CompressionPolicy::Selective(required(codecs, "codecs")?)),
             other => Err(JsonError::msg(format!("unknown policy kind {other:?}"))),
         }
     }

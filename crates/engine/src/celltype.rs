@@ -4,7 +4,8 @@
 //! ([`CellType`]); the typed layer ([`CellValue`]) gives applications
 //! ergonomic access for the common scalar and pixel types.
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 /// Runtime descriptor of a cell type: a name, a fixed size, and the default
 /// value used for cells in uncovered areas (§4: "areas left empty are
@@ -65,11 +66,18 @@ impl ToJson for CellType {
 }
 
 impl FromJson for CellType {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut name, mut size, mut default) = (None, None, None);
+        r.object(|r, key| match key {
+            "name" => r.field(&mut name),
+            "size" => r.field(&mut size),
+            "default" => r.field(&mut default),
+            _ => r.skip(),
+        })?;
         Ok(CellType {
-            name: String::from_json(v.field("name")?)?,
-            size: usize::from_json(v.field("size")?)?,
-            default: Vec::from_json(v.field("default")?)?,
+            name: required(name, "name")?,
+            size: required(size, "size")?,
+            default: required(default, "default")?,
         })
     }
 }

@@ -4,7 +4,8 @@ use tilestore_compress::CompressionPolicy;
 use tilestore_geometry::{DefDomain, Domain};
 use tilestore_index::RPlusTree;
 use tilestore_storage::BlobId;
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 use tilestore_tiling::Scheme;
 
 use crate::celltype::CellType;
@@ -43,10 +44,16 @@ impl ToJson for MddType {
 }
 
 impl FromJson for MddType {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut cell, mut definition) = (None, None);
+        r.object(|r, key| match key {
+            "cell" => r.field(&mut cell),
+            "definition" => r.field(&mut definition),
+            _ => r.skip(),
+        })?;
         Ok(MddType {
-            cell: CellType::from_json(v.field("cell")?)?,
-            definition: DefDomain::from_json(v.field("definition")?)?,
+            cell: required(cell, "cell")?,
+            definition: required(definition, "definition")?,
         })
     }
 }
@@ -79,14 +86,18 @@ impl ToJson for TileMeta {
 }
 
 impl FromJson for TileMeta {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut domain, mut blob, mut synopsis) = (None, None, None);
+        r.object(|r, key| match key {
+            "domain" => r.field(&mut domain),
+            "blob" => r.field(&mut blob),
+            "synopsis" => r.field(&mut synopsis),
+            _ => r.skip(),
+        })?;
         Ok(TileMeta {
-            domain: Domain::from_json(v.field("domain")?)?,
-            blob: BlobId::from_json(v.field("blob")?)?,
-            synopsis: match v.get("synopsis") {
-                Some(s) => Some(TileSynopsis::from_json(s)?),
-                None => None,
-            },
+            domain: required(domain, "domain")?,
+            blob: required(blob, "blob")?,
+            synopsis,
         })
     }
 }
@@ -132,20 +143,35 @@ impl ToJson for MddObject {
 }
 
 impl FromJson for MddObject {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // Catalogs written before compression existed omit the field.
-        let compression = match v.get("compression") {
-            Some(c) => CompressionPolicy::from_json(c)?,
-            None => CompressionPolicy::default(),
-        };
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (
+            mut name,
+            mut mdd_type,
+            mut scheme,
+            mut compression,
+            mut tiles,
+            mut index,
+            mut current_domain,
+        ) = (None, None, None, None, None, None, None);
+        r.object(|r, key| match key {
+            "name" => r.field(&mut name),
+            "mdd_type" => r.field(&mut mdd_type),
+            "scheme" => r.field(&mut scheme),
+            "compression" => r.field(&mut compression),
+            "tiles" => r.field(&mut tiles),
+            "index" => r.field(&mut index),
+            "current_domain" => r.field(&mut current_domain),
+            _ => r.skip(),
+        })?;
         Ok(MddObject {
-            name: String::from_json(v.field("name")?)?,
-            mdd_type: MddType::from_json(v.field("mdd_type")?)?,
-            scheme: Scheme::from_json(v.field("scheme")?)?,
-            compression,
-            tiles: Vec::from_json(v.field("tiles")?)?,
-            index: RPlusTree::from_json(v.field("index")?)?,
-            current_domain: Option::from_json(v.field("current_domain")?)?,
+            name: required(name, "name")?,
+            mdd_type: required(mdd_type, "mdd_type")?,
+            scheme: required(scheme, "scheme")?,
+            // Catalogs written before compression existed omit the field.
+            compression: compression.unwrap_or_default(),
+            tiles: required(tiles, "tiles")?,
+            index: required(index, "index")?,
+            current_domain: required(current_domain, "current_domain")?,
         })
     }
 }

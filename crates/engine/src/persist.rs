@@ -30,7 +30,8 @@ use tilestore_obs::AccessRecorder;
 use tilestore_storage::{
     BlobDirectory, BlobId, BlobStore, BufferPool, FilePageStore, PageStore, DEFAULT_PAGE_SIZE,
 };
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
@@ -63,16 +64,21 @@ impl ToJson for Catalog {
 }
 
 impl FromJson for Catalog {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut page_size, mut epoch, mut blobs, mut objects) = (None, None, None, None);
+        r.object(|r, key| match key {
+            "page_size" => r.field(&mut page_size),
+            "epoch" => r.field(&mut epoch),
+            "blobs" => r.field(&mut blobs),
+            "objects" => r.field(&mut objects),
+            _ => r.skip(),
+        })?;
         Ok(Catalog {
-            page_size: usize::from_json(v.field("page_size")?)?,
+            page_size: required(page_size, "page_size")?,
             // Catalogs written before epochs existed read as epoch 0.
-            epoch: match v.field("epoch") {
-                Ok(e) => u64::from_json(e)?,
-                Err(_) => 0,
-            },
-            blobs: BlobDirectory::from_json(v.field("blobs")?)?,
-            objects: Vec::from_json(v.field("objects")?)?,
+            epoch: epoch.unwrap_or(0),
+            blobs: required(blobs, "blobs")?,
+            objects: required(objects, "objects")?,
         })
     }
 }
@@ -285,9 +291,7 @@ impl Database<CachedFileStore> {
                 check.duplicated.len()
             )));
         }
-        if !check.orphaned.is_empty() {
-            db.blob_store().reclaim_orphans();
-        }
+        db.blob_store().reclaim_orphans(check.orphaned);
         // Every tile the catalog lists must resolve to a live BLOB.
         for name in db.object_names() {
             for tile in &db.object(&name)?.tiles {

@@ -1,7 +1,8 @@
 //! Query execution statistics and the paper's time decomposition (§6).
 
 use tilestore_storage::{CostModel, IoSnapshot};
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 /// Counters collected while executing one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,20 +83,38 @@ impl ToJson for QueryStats {
 }
 
 impl FromJson for QueryStats {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (
+            mut index_nodes,
+            mut tiles_read,
+            mut tiles_pruned,
+            mut io,
+            mut cells_processed,
+            mut cells_copied,
+            mut cells_defaulted,
+            mut elapsed_ns,
+        ) = (None, None, None, None, None, None, None, None);
+        r.object(|r, key| match key {
+            "index_nodes" => r.field(&mut index_nodes),
+            "tiles_read" => r.field(&mut tiles_read),
+            "tiles_pruned" => r.field(&mut tiles_pruned),
+            "io" => r.field(&mut io),
+            "cells_processed" => r.field(&mut cells_processed),
+            "cells_copied" => r.field(&mut cells_copied),
+            "cells_defaulted" => r.field(&mut cells_defaulted),
+            "elapsed_ns" => r.field(&mut elapsed_ns),
+            _ => r.skip(),
+        })?;
         Ok(QueryStats {
-            index_nodes: u64::from_json(v.field("index_nodes")?)?,
-            tiles_read: u64::from_json(v.field("tiles_read")?)?,
+            index_nodes: required(index_nodes, "index_nodes")?,
+            tiles_read: required(tiles_read, "tiles_read")?,
             // Absent in records written before pruning existed.
-            tiles_pruned: match v.get("tiles_pruned") {
-                Some(t) => u64::from_json(t)?,
-                None => 0,
-            },
-            io: IoSnapshot::from_json(v.field("io")?)?,
-            cells_processed: u64::from_json(v.field("cells_processed")?)?,
-            cells_copied: u64::from_json(v.field("cells_copied")?)?,
-            cells_defaulted: u64::from_json(v.field("cells_defaulted")?)?,
-            elapsed_ns: u64::from_json(v.field("elapsed_ns")?)?,
+            tiles_pruned: tiles_pruned.unwrap_or(0),
+            io: required(io, "io")?,
+            cells_processed: required(cells_processed, "cells_processed")?,
+            cells_copied: required(cells_copied, "cells_copied")?,
+            cells_defaulted: required(cells_defaulted, "cells_defaulted")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         })
     }
 }
@@ -149,11 +168,18 @@ impl ToJson for QueryTimes {
 }
 
 impl FromJson for QueryTimes {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut t_ix, mut t_o, mut t_cpu) = (None, None, None);
+        r.object(|r, key| match key {
+            "t_ix" => r.field(&mut t_ix),
+            "t_o" => r.field(&mut t_o),
+            "t_cpu" => r.field(&mut t_cpu),
+            _ => r.skip(),
+        })?;
         Ok(QueryTimes {
-            t_ix: f64::from_json(v.field("t_ix")?)?,
-            t_o: f64::from_json(v.field("t_o")?)?,
-            t_cpu: f64::from_json(v.field("t_cpu")?)?,
+            t_ix: required(t_ix, "t_ix")?,
+            t_o: required(t_o, "t_o")?,
+            t_cpu: required(t_cpu, "t_cpu")?,
         })
     }
 }
@@ -183,12 +209,21 @@ impl ToJson for InsertStats {
 }
 
 impl FromJson for InsertStats {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut tiles_created, mut bytes_written, mut pages_written, mut elapsed_ns) =
+            (None, None, None, None);
+        r.object(|r, key| match key {
+            "tiles_created" => r.field(&mut tiles_created),
+            "bytes_written" => r.field(&mut bytes_written),
+            "pages_written" => r.field(&mut pages_written),
+            "elapsed_ns" => r.field(&mut elapsed_ns),
+            _ => r.skip(),
+        })?;
         Ok(InsertStats {
-            tiles_created: u64::from_json(v.field("tiles_created")?)?,
-            bytes_written: u64::from_json(v.field("bytes_written")?)?,
-            pages_written: u64::from_json(v.field("pages_written")?)?,
-            elapsed_ns: u64::from_json(v.field("elapsed_ns")?)?,
+            tiles_created: required(tiles_created, "tiles_created")?,
+            bytes_written: required(bytes_written, "bytes_written")?,
+            pages_written: required(pages_written, "pages_written")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         })
     }
 }
@@ -218,12 +253,21 @@ impl ToJson for RetileStats {
 }
 
 impl FromJson for RetileStats {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut tiles_before, mut tiles_after, mut bytes_rewritten, mut elapsed_ns) =
+            (None, None, None, None);
+        r.object(|r, key| match key {
+            "tiles_before" => r.field(&mut tiles_before),
+            "tiles_after" => r.field(&mut tiles_after),
+            "bytes_rewritten" => r.field(&mut bytes_rewritten),
+            "elapsed_ns" => r.field(&mut elapsed_ns),
+            _ => r.skip(),
+        })?;
         Ok(RetileStats {
-            tiles_before: u64::from_json(v.field("tiles_before")?)?,
-            tiles_after: u64::from_json(v.field("tiles_after")?)?,
-            bytes_rewritten: u64::from_json(v.field("bytes_rewritten")?)?,
-            elapsed_ns: u64::from_json(v.field("elapsed_ns")?)?,
+            tiles_before: required(tiles_before, "tiles_before")?,
+            tiles_after: required(tiles_after, "tiles_after")?,
+            bytes_rewritten: required(bytes_rewritten, "bytes_rewritten")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         })
     }
 }
@@ -255,12 +299,21 @@ impl ToJson for DefragStep {
 }
 
 impl FromJson for DefragStep {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut tiles_moved, mut bytes_moved, mut tiles_remaining, mut elapsed_ns) =
+            (None, None, None, None);
+        r.object(|r, key| match key {
+            "tiles_moved" => r.field(&mut tiles_moved),
+            "bytes_moved" => r.field(&mut bytes_moved),
+            "tiles_remaining" => r.field(&mut tiles_remaining),
+            "elapsed_ns" => r.field(&mut elapsed_ns),
+            _ => r.skip(),
+        })?;
         Ok(DefragStep {
-            tiles_moved: u64::from_json(v.field("tiles_moved")?)?,
-            bytes_moved: u64::from_json(v.field("bytes_moved")?)?,
-            tiles_remaining: u64::from_json(v.field("tiles_remaining")?)?,
-            elapsed_ns: u64::from_json(v.field("elapsed_ns")?)?,
+            tiles_moved: required(tiles_moved, "tiles_moved")?,
+            bytes_moved: required(bytes_moved, "bytes_moved")?,
+            tiles_remaining: required(tiles_remaining, "tiles_remaining")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         })
     }
 }

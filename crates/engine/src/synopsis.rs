@@ -14,7 +14,8 @@
 //! mask prove the tile holds no matching cell.
 
 use tilestore_compress::{scan_cells, CellContext, CellScan};
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::aggregate::decode_numeric;
 use crate::celltype::CellType;
@@ -231,17 +232,40 @@ impl ToJson for TileSynopsis {
 }
 
 impl FromJson for TileSynopsis {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (
+            mut cells,
+            mut non_default,
+            mut null_mask,
+            mut bins,
+            mut numeric,
+            mut has_nan,
+            mut min_bits,
+            mut max_bits,
+            mut sum_bits,
+        ) = (None, None, None, None, None, None, None, None, None);
+        r.object(|r, key| match key {
+            "cells" => r.field(&mut cells),
+            "non_default" => r.field(&mut non_default),
+            "null_mask" => r.field(&mut null_mask),
+            "bins" => r.field(&mut bins),
+            "numeric" => r.field(&mut numeric),
+            "nan" => r.field(&mut has_nan),
+            "min_bits" => r.field(&mut min_bits),
+            "max_bits" => r.field(&mut max_bits),
+            "sum_bits" => r.field(&mut sum_bits),
+            _ => r.skip(),
+        })?;
         Ok(TileSynopsis {
-            cells: u64::from_json(v.field("cells")?)?,
-            non_default: u64::from_json(v.field("non_default")?)?,
-            null_mask: u64::from_json(v.field("null_mask")?)?,
-            bins: u64::from_json(v.field("bins")?)?,
-            numeric: bool::from_json(v.field("numeric")?)?,
-            has_nan: bool::from_json(v.field("nan")?)?,
-            min_bits: u64::from_json(v.field("min_bits")?)?,
-            max_bits: u64::from_json(v.field("max_bits")?)?,
-            sum_bits: u64::from_json(v.field("sum_bits")?)?,
+            cells: required(cells, "cells")?,
+            non_default: required(non_default, "non_default")?,
+            null_mask: required(null_mask, "null_mask")?,
+            bins: required(bins, "bins")?,
+            numeric: required(numeric, "numeric")?,
+            has_nan: required(has_nan, "nan")?,
+            min_bits: required(min_bits, "min_bits")?,
+            max_bits: required(max_bits, "max_bits")?,
+            sum_bits: required(sum_bits, "sum_bits")?,
         })
     }
 }

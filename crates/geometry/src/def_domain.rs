@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::domain::Domain;
 use crate::error::{GeometryError, Result};
@@ -209,11 +209,8 @@ impl ToJson for DefDomain {
 }
 
 impl FromJson for DefDomain {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| JsonError::msg("expected definition-domain string"))?;
-        s.parse().map_err(|e| JsonError::msg(format!("{e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        r.str()?.parse().map_err(|e| JsonError::msg(format!("{e}")))
     }
 }
 

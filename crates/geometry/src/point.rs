@@ -5,7 +5,7 @@ use std::fmt;
 use std::ops::Index;
 use std::str::FromStr;
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{GeometryError, Result};
 
@@ -182,11 +182,8 @@ impl ToJson for Point {
 }
 
 impl FromJson for Point {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| JsonError::msg("expected point string"))?;
-        s.parse().map_err(|e| JsonError::msg(format!("{e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        r.str()?.parse().map_err(|e| JsonError::msg(format!("{e}")))
     }
 }
 

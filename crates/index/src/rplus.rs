@@ -11,7 +11,9 @@
 //! STR bulk loading, and node-visit accounting for the `t_ix` measurement.
 
 use tilestore_geometry::Domain;
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::json::Kind;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{IndexError, Result};
 
@@ -69,10 +71,16 @@ impl ToJson for LeafEntry {
 }
 
 impl FromJson for LeafEntry {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut domain, mut payload) = (None, None);
+        r.object(|r, key| match key {
+            "domain" => r.field(&mut domain),
+            "payload" => r.field(&mut payload),
+            _ => r.skip(),
+        })?;
         Ok(LeafEntry {
-            domain: Domain::from_json(v.field("domain")?)?,
-            payload: u64::from_json(v.field("payload")?)?,
+            domain: required(domain, "domain")?,
+            payload: required(payload, "payload")?,
         })
     }
 }
@@ -87,10 +95,16 @@ impl ToJson for ChildEntry {
 }
 
 impl FromJson for ChildEntry {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut mbr, mut node) = (None, None);
+        r.object(|r, key| match key {
+            "mbr" => r.field(&mut mbr),
+            "node" => r.field(&mut node),
+            _ => r.skip(),
+        })?;
         Ok(ChildEntry {
-            mbr: Domain::from_json(v.field("mbr")?)?,
-            node: usize::from_json(v.field("node")?)?,
+            mbr: required(mbr, "mbr")?,
+            node: required(node, "node")?,
         })
     }
 }
@@ -106,17 +120,24 @@ impl ToJson for Node {
 }
 
 impl FromJson for Node {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        if let Some("free") = v.as_str() {
-            return Ok(Node::Free);
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        if r.kind()? == Kind::Str {
+            return match &*r.str()? {
+                "free" => Ok(Node::Free),
+                _ => Err(JsonError::msg("expected \"free\", leaf or internal node")),
+            };
         }
-        if let Some(entries) = v.get("leaf") {
-            return Ok(Node::Leaf(Vec::from_json(entries)?));
+        let (mut leaf, mut internal) = (None, None);
+        r.object(|r, key| match key {
+            "leaf" => r.field(&mut leaf),
+            "internal" => r.field(&mut internal),
+            _ => r.skip(),
+        })?;
+        match (leaf, internal) {
+            (Some(entries), _) => Ok(Node::Leaf(entries)),
+            (None, Some(children)) => Ok(Node::Internal(children)),
+            (None, None) => Err(JsonError::msg("expected \"free\", leaf or internal node")),
         }
-        if let Some(children) = v.get("internal") {
-            return Ok(Node::Internal(Vec::from_json(children)?));
-        }
-        Err(JsonError::msg("expected \"free\", leaf or internal node"))
     }
 }
 
@@ -134,14 +155,25 @@ impl ToJson for RPlusTree {
 }
 
 impl FromJson for RPlusTree {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut dim, mut fanout, mut root, mut len, mut free, mut nodes) =
+            (None, None, None, None, None, None);
+        r.object(|r, key| match key {
+            "dim" => r.field(&mut dim),
+            "fanout" => r.field(&mut fanout),
+            "root" => r.field(&mut root),
+            "len" => r.field(&mut len),
+            "free" => r.field(&mut free),
+            "nodes" => r.field(&mut nodes),
+            _ => r.skip(),
+        })?;
         Ok(RPlusTree {
-            dim: usize::from_json(v.field("dim")?)?,
-            fanout: usize::from_json(v.field("fanout")?)?,
-            root: usize::from_json(v.field("root")?)?,
-            len: usize::from_json(v.field("len")?)?,
-            free: Vec::from_json(v.field("free")?)?,
-            nodes: Vec::from_json(v.field("nodes")?)?,
+            dim: required(dim, "dim")?,
+            fanout: required(fanout, "fanout")?,
+            root: required(root, "root")?,
+            len: required(len, "len")?,
+            free: required(free, "free")?,
+            nodes: required(nodes, "nodes")?,
         })
     }
 }

@@ -376,16 +376,19 @@ impl Client {
     /// # Errors
     /// Any [`ClientError`].
     pub fn query_pinned(&mut self, q: &str, pin: u64) -> ClientResult<(RemoteValue, QueryStats)> {
-        self.query_value(q, Some(pin))
+        let (value, result) = self.query_value(q, Some(pin))?;
+        let stats = result
+            .get("stats")
+            .and_then(|s| QueryStats::from_json(s).ok())
+            .unwrap_or_default();
+        Ok((value, stats))
     }
 
     /// The one query exchange behind [`Client::query`] and
-    /// [`Client::query_pinned`]: cells come back as a binary part.
-    fn query_value(
-        &mut self,
-        q: &str,
-        pin: Option<u64>,
-    ) -> ClientResult<(RemoteValue, QueryStats)> {
+    /// [`Client::query_pinned`]: cells come back as a binary part. Returns
+    /// the value and the whole result document; only a caller that wants
+    /// the statistics decodes them.
+    fn query_value(&mut self, q: &str, pin: Option<u64>) -> ClientResult<(RemoteValue, Json)> {
         let mut fields = vec![
             ("q", Json::Str(q.to_string())),
             ("binary", Json::Bool(true)),
@@ -398,11 +401,7 @@ impl Client {
             .get("value")
             .ok_or_else(|| ClientError::Protocol("query result lacks value".to_string()))?;
         let value = decode_value(value, &mut parts)?;
-        let stats = result
-            .get("stats")
-            .and_then(|s| QueryStats::from_json(s).ok())
-            .unwrap_or_default();
-        Ok((value, stats))
+        Ok((value, result))
     }
 
     /// Executes a rasql query and returns the raw result JSON (value and

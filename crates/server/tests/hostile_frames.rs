@@ -64,9 +64,9 @@ static ALLOCATOR: Largest = Largest;
 /// Tracking is process-wide, so the tests that read it take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Every hostile frame here claims at least a gigabyte somewhere; handling
-/// one may allocate buffers, a JSON tree and a thread's bookkeeping, none of
-/// it near that.
+/// Every hostile insert frame here claims at least a gigabyte somewhere;
+/// handling one may allocate buffers, a JSON tree and a thread's
+/// bookkeeping, none of it near that.
 const ALLOCATION_BOUND: usize = 64 << 10;
 
 /// Runs `f` and returns the largest single allocation made meanwhile, by
@@ -97,7 +97,9 @@ fn insert_frame(domain: &str, index: u64, lens: &str, body: &[u8]) -> Vec<u8> {
     parts_payload(&header, body)
 }
 
-/// Insert frames the server must refuse as `bad_request`, by what is wrong.
+/// Request frames the server must refuse as `bad_request`, by what is
+/// wrong: malformed inserts, and a document nested past the JSON reader's
+/// depth limit.
 fn hostile_requests() -> Vec<(&'static str, Vec<u8>)> {
     let cells = [7u8; 16];
     let domain = "[0:1,0:1,0:0]";
@@ -149,6 +151,7 @@ fn hostile_requests() -> Vec<(&'static str, Vec<u8>)> {
             "domain of 2^62 cells",
             insert_frame("[0:4611686018427387903,0:0,0:0]", 0, "[16]", &cells),
         ),
+        ("JSON nested 20 000 deep", vec![b'['; 20_000]),
     ]
 }
 

@@ -19,7 +19,8 @@
 use std::ops::Range;
 use std::sync::Mutex;
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{Result, StorageError};
 use crate::page::{lock, Frame, PageId, PageStore};
@@ -36,8 +37,8 @@ impl ToJson for BlobId {
 }
 
 impl FromJson for BlobId {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        Ok(BlobId(u64::from_json(v)?))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        r.u64().map(BlobId)
     }
 }
 
@@ -129,28 +130,46 @@ impl BlobDirectory {
 }
 
 impl FromJson for BlobDirectory {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let entries = v
-            .field("entries")?
-            .as_array()
-            .ok_or_else(|| JsonError::msg("expected array of blob entries"))?
-            .iter()
-            .map(|e| {
-                Ok((
-                    BlobId::from_json(e.field("id")?)?,
-                    BlobEntry {
-                        pages: Vec::from_json(e.field("pages")?)?,
-                        len: u64::from_json(e.field("len")?)?,
-                    },
-                ))
-            })
-            .collect::<std::result::Result<Vec<_>, JsonError>>()?;
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut entries, mut free_pages, mut next_id) = (None, None, None);
+        r.object(|r, key| match key {
+            "entries" if entries.is_none() => {
+                let mut list = Vec::new();
+                r.array(|r| {
+                    list.push(read_blob_entry(r)?);
+                    Ok(())
+                })?;
+                entries = Some(list);
+                Ok(())
+            }
+            "free_pages" => r.field(&mut free_pages),
+            "next_id" => r.field(&mut next_id),
+            _ => r.skip(),
+        })?;
         Ok(BlobDirectory {
-            entries,
-            free_pages: Vec::from_json(v.field("free_pages")?)?,
-            next_id: u64::from_json(v.field("next_id")?)?,
+            entries: required(entries, "entries")?,
+            free_pages: required(free_pages, "free_pages")?,
+            next_id: required(next_id, "next_id")?,
         })
     }
+}
+
+/// One `{"id", "pages", "len"}` member of a persisted directory.
+fn read_blob_entry(r: &mut JsonReader<'_>) -> std::result::Result<(BlobId, BlobEntry), JsonError> {
+    let (mut id, mut pages, mut len) = (None, None, None);
+    r.object(|r, key| match key {
+        "id" => r.field(&mut id),
+        "pages" => r.field(&mut pages),
+        "len" => r.field(&mut len),
+        _ => r.skip(),
+    })?;
+    Ok((
+        required(id, "id")?,
+        BlobEntry {
+            pages: required(pages, "pages")?,
+            len: required(len, "len")?,
+        },
+    ))
 }
 
 /// A BLOB store: variable-length byte strings mapped onto whole pages of an
@@ -584,29 +603,27 @@ impl<S: PageStore> BlobStore<S> {
     pub fn check_pages(&self) -> PageCheck {
         let inner = lock(&self.inner);
         let allocated = self.store.allocated();
-        let mut seen = std::collections::BTreeMap::<u64, u64>::new();
+        // References per allocated page, counted densely; references past
+        // the end are kept apart (only a damaged directory has any).
+        let mut refs = vec![0u8; usize::try_from(allocated).expect("page count fits in memory")];
         let mut dangling = Vec::new();
-        let mut mark = |p: PageId, dangling: &mut Vec<PageId>| {
-            if p.0 >= allocated {
-                dangling.push(p);
-            }
-            *seen.entry(p.0).or_insert(0) += 1;
-        };
-        for e in inner.entries.values() {
-            for &p in &e.pages {
-                mark(p, &mut dangling);
+        let referenced = inner.entries.values().flat_map(|e| &e.pages);
+        for &p in referenced.chain(&inner.free_pages).chain(&inner.limbo) {
+            match usize::try_from(p.0).ok().and_then(|i| refs.get_mut(i)) {
+                Some(n) => *n = n.saturating_add(1),
+                None => dangling.push(p),
             }
         }
-        for &p in inner.free_pages.iter().chain(inner.limbo.iter()) {
-            mark(p, &mut dangling);
-        }
-        let duplicated: Vec<PageId> = seen
-            .iter()
-            .filter(|&(_, &n)| n > 1)
-            .map(|(&p, _)| PageId(p))
+        let mut duplicated: Vec<PageId> = (0..allocated)
+            .filter(|&p| refs[p as usize] > 1)
+            .map(PageId)
             .collect();
+        let mut past_end = dangling.clone();
+        past_end.sort_unstable();
+        duplicated.extend(past_end.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]));
+        duplicated.dedup();
         let orphaned: Vec<PageId> = (0..allocated)
-            .filter(|p| !seen.contains_key(p))
+            .filter(|&p| refs[p as usize] == 0)
             .map(PageId)
             .collect();
         PageCheck {
@@ -617,12 +634,12 @@ impl<S: PageStore> BlobStore<S> {
         }
     }
 
-    /// Reclaims every orphaned page onto the free list, returning how many
-    /// were recovered. Orphans are pages a crash left allocated but
-    /// unreferenced; the committed catalog never points at them, so reusing
-    /// them is safe.
-    pub fn reclaim_orphans(&self) -> u64 {
-        let orphaned = self.check_pages().orphaned;
+    /// Puts `orphaned` — the [`PageCheck::orphaned`] list of a
+    /// [`BlobStore::check_pages`] run with no writes since — on the free
+    /// list, returning how many pages were recovered. Orphans are pages a
+    /// crash left allocated but unreferenced; the committed catalog never
+    /// points at them, so reusing them is safe.
+    pub fn reclaim_orphans(&self, orphaned: Vec<PageId>) -> u64 {
         let n = orphaned.len() as u64;
         if n > 0 {
             let mut inner = lock(&self.inner);
@@ -898,7 +915,7 @@ mod tests {
         assert_eq!(check.orphaned, vec![PageId(3), PageId(4)]);
         assert!(check.dangling.is_empty() && check.duplicated.is_empty());
         assert!(check.is_repairable() && !check.is_clean());
-        assert_eq!(bs.reclaim_orphans(), 2);
+        assert_eq!(bs.reclaim_orphans(check.orphaned), 2);
         assert!(bs.check_pages().is_clean());
         assert_eq!(bs.free_page_count(), 2);
         assert_eq!(bs.read(keep).unwrap(), vec![1u8; 3000]);

@@ -7,7 +7,8 @@
 //! optimize. [`CostModel`] converts an [`IoSnapshot`] plus index/CPU
 //! counters into model seconds so speedup tables reproduce exactly.
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::stats::IoSnapshot;
 
@@ -130,13 +131,28 @@ impl ToJson for CostModel {
 }
 
 impl FromJson for CostModel {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (
+            mut seek_s,
+            mut page_transfer_s,
+            mut index_node_s,
+            mut cpu_cell_s,
+            mut cpu_waste_cell_s,
+        ) = (None, None, None, None, None);
+        r.object(|r, key| match key {
+            "seek_s" => r.field(&mut seek_s),
+            "page_transfer_s" => r.field(&mut page_transfer_s),
+            "index_node_s" => r.field(&mut index_node_s),
+            "cpu_cell_s" => r.field(&mut cpu_cell_s),
+            "cpu_waste_cell_s" => r.field(&mut cpu_waste_cell_s),
+            _ => r.skip(),
+        })?;
         Ok(CostModel {
-            seek_s: f64::from_json(v.field("seek_s")?)?,
-            page_transfer_s: f64::from_json(v.field("page_transfer_s")?)?,
-            index_node_s: f64::from_json(v.field("index_node_s")?)?,
-            cpu_cell_s: f64::from_json(v.field("cpu_cell_s")?)?,
-            cpu_waste_cell_s: f64::from_json(v.field("cpu_waste_cell_s")?)?,
+            seek_s: required(seek_s, "seek_s")?,
+            page_transfer_s: required(page_transfer_s, "page_transfer_s")?,
+            index_node_s: required(index_node_s, "index_node_s")?,
+            cpu_cell_s: required(cpu_cell_s, "cpu_cell_s")?,
+            cpu_waste_cell_s: required(cpu_waste_cell_s, "cpu_waste_cell_s")?,
         })
     }
 }

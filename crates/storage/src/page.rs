@@ -20,7 +20,7 @@ use std::path::Path;
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tilestore_testkit::{crc32, FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::{crc32, FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{Result, StorageError};
 use crate::stats::IoSnapshot;
@@ -56,8 +56,8 @@ impl ToJson for PageId {
 }
 
 impl FromJson for PageId {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        Ok(PageId(u64::from_json(v)?))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        r.u64().map(PageId)
     }
 }
 

@@ -6,7 +6,8 @@ use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 /// Number of counters in an [`IoSnapshot`].
 const COUNTERS: usize = 11;
@@ -148,15 +149,20 @@ impl ToJson for IoSnapshot {
 }
 
 impl FromJson for IoSnapshot {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut c = [0u64; COUNTERS];
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut c = [None; COUNTERS];
+        r.object(|r, key| match NAMES.iter().position(|&name| name == key) {
+            Some(i) => r.field(&mut c[i]),
+            None => r.skip(),
+        })?;
+        let mut counters = [0u64; COUNTERS];
         for (i, name) in NAMES.into_iter().enumerate() {
-            c[i] = match v.get(name) {
+            counters[i] = match c[i] {
                 None if i >= FIRST_RUN_COUNTER => 0,
-                _ => u64::from_json(v.field(name)?)?,
+                slot => required(slot, name)?,
             };
         }
-        Ok(IoSnapshot::from_counters(c))
+        Ok(IoSnapshot::from_counters(counters))
     }
 }
 

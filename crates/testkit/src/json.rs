@@ -1,11 +1,13 @@
-//! A small JSON value model, parser and printer, plus the [`ToJson`] /
+//! A small JSON value model, pull reader and printer, plus the [`ToJson`] /
 //! [`FromJson`] traits used for catalog persistence and benchmark reports.
 //!
-//! Types serialize by building a [`Json`] value and deserialize by pattern
-//! matching on one; there is no derive machinery. Integers are kept exact
-//! (`Int`/`UInt` variants) so 64-bit identifiers round-trip without f64
-//! precision loss.
+//! Types serialize by building a [`Json`] value and deserialize by pulling
+//! their fields straight from the text with a [`JsonReader`]; there is no
+//! derive machinery. The [`Json`] tree is one more [`FromJson`] type, built
+//! by the same reader. Integers are kept exact (`Int`/`UInt` variants) so
+//! 64-bit identifiers round-trip without f64 precision loss.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -182,25 +184,13 @@ impl Json {
         out
     }
 
-    /// Parses a JSON document (rejects trailing garbage).
+    /// Parses a JSON document (rejects trailing garbage and nesting deeper
+    /// than [`MAX_DEPTH`]).
     ///
     /// # Errors
     /// [`JsonError`] describing the first syntax error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::msg(format!(
-                "trailing characters at byte {}",
-                p.pos
-            )));
-        }
-        Ok(v)
+        from_str(input)
     }
 }
 
@@ -215,13 +205,13 @@ fn write_json(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Int(i) => out.push_str(&i.to_string()),
-        Json::UInt(u) => out.push_str(&u.to_string()),
+        Json::Int(i) => push_display(out, i),
+        Json::UInt(u) => push_display(out, u),
         Json::Float(f) => {
             if f.is_finite() {
                 // `{}` prints the shortest round-trip form; integral floats
                 // print without a fraction, which is still valid JSON.
-                out.push_str(&f.to_string());
+                push_display(out, f);
             } else {
                 out.push_str("null");
             }
@@ -265,6 +255,12 @@ fn write_json(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
             out.push('}');
         }
     }
+}
+
+fn push_display(out: &mut String, v: &impl fmt::Display) {
+    use fmt::Write;
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{v}");
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
@@ -334,140 +330,169 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// How deep arrays and objects may nest before [`JsonReader`] refuses the
+/// document. Every document the workspace writes nests less than a dozen
+/// levels; the bound keeps a hostile `[[[[…` from recursing off the end of
+/// a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// The kind of the next value in a [`JsonReader`], judged by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// A pull reader over JSON text: types decode themselves straight from the
+/// bytes ([`FromJson::read_json`]) without building a [`Json`] tree first.
+///
+/// Object members are visited in written order; keys and escape-free
+/// strings are borrowed from the input. Nesting deeper than [`MAX_DEPTH`]
+/// is an error, so no input can exhaust the stack. Syntax errors name the
+/// byte offset they were found at. Cloning a reader is cheap (it is a
+/// position in borrowed text), which is how [`JsonReader::tag`] looks ahead.
+#[derive(Debug, Clone)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Decodes the next value as a `T`.
+    ///
+    /// # Errors
+    /// [`JsonError`] on syntax or shape errors.
+    pub fn read<T: FromJson>(&mut self) -> Result<T, JsonError> {
+        T::read_json(self)
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Decodes the next value into `slot` unless an earlier member with the
+    /// same key already filled it, in which case the value is skipped: the
+    /// first of duplicate keys wins.
+    ///
+    /// # Errors
+    /// [`JsonError`] on syntax or shape errors.
+    pub fn field<T: FromJson>(&mut self, slot: &mut Option<T>) -> Result<(), JsonError> {
+        if slot.is_some() {
+            self.skip()
+        } else {
+            *slot = Some(self.read()?);
+            Ok(())
+        }
+    }
+
+    /// Checks that only whitespace follows the last value read.
+    ///
+    /// # Errors
+    /// [`JsonError`] naming the first trailing byte.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
             Ok(())
         } else {
-            Err(JsonError::msg(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
+            Err(self.error("trailing characters"))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// An error carrying the reader's current byte offset.
+    #[must_use]
+    pub fn error(&self, what: &str) -> JsonError {
+        JsonError::msg(format!("{what} at byte {}", self.pos))
+    }
+
+    /// The kind of the next value, without consuming it.
+    ///
+    /// # Errors
+    /// [`JsonError`] at the end of input or on a byte no value starts with.
+    pub fn kind(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(JsonError::msg(format!(
-                "unexpected character {:?} at byte {}",
-                b as char, self.pos
-            ))),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Kind::Number),
+            Some(b) => Err(self.error(&format!("unexpected character {:?}", b as char))),
             None => Err(JsonError::msg("unexpected end of input")),
         }
     }
 
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(JsonError::msg(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
+    /// Reads `true` or `false`.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not a bool.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        match self.kind()? {
+            Kind::Bool if self.peek() == Some(b't') => self.keyword("true").map(|()| true),
+            Kind::Bool => self.keyword("false").map(|()| false),
+            _ => Err(self.error("expected bool")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads a non-negative integer, exact over the whole `u64` range.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not an integer in range.
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        self.integer("expected unsigned integer")
+    }
+
+    /// Reads an integer in the `i64` range.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not an integer in range.
+    pub fn i64(&mut self) -> Result<i64, JsonError> {
+        self.integer("expected integer")
+    }
+
+    /// Reads any number as an `f64` through std's correctly rounded parse.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not a number.
+    pub fn f64(&mut self) -> Result<f64, JsonError> {
+        let start = self.value_start();
+        let (text, _) = self.number_text()?;
+        text.parse()
+            .map_err(|_| error_at(start, &format!("invalid number {text:?}")))
+    }
+
+    /// Reads a string. One without escapes is borrowed from the input.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not a well-formed string.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => {
-                    return Err(JsonError::msg(format!(
-                        "expected ',' or ']' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => {
-                    return Err(JsonError::msg(format!(
-                        "expected ',' or '}}' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
             // Fast path: a run of plain bytes, probed a word at a time.
-            while self.pos + 8 <= self.bytes.len() {
-                let w = u64::from_le_bytes(
-                    self.bytes[self.pos..self.pos + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
+            while self.pos + 8 <= bytes.len() {
+                let w =
+                    u64::from_le_bytes(bytes[self.pos..self.pos + 8].try_into().expect("8 bytes"));
                 let mask = special_string_bytes(w);
                 if mask != 0 {
                     self.pos += (mask.trailing_zeros() / 8) as usize;
@@ -475,83 +500,198 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 8;
             }
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError::msg("invalid UTF-8 in string"))?;
-                out.push_str(chunk);
-            }
+            // Every delimiter is ASCII, so the run ends on a char boundary.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError::msg("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| JsonError::msg("invalid \\u escape"))?);
-                        }
-                        other => {
-                            return Err(JsonError::msg(format!(
-                                "invalid escape \\{}",
-                                other as char
-                            )))
-                        }
-                    }
+                    out.push(self.escape()?);
                 }
-                Some(b) if b < 0x20 => return Err(JsonError::msg("control character in string")),
-                _ => return Err(JsonError::msg("unterminated string")),
+                Some(b) if b < 0x20 => return Err(self.error("control character in string")),
+                _ => return Err(self.error("unterminated string")),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::msg("truncated \\u escape"));
+    /// Visits an array, calling `item` once per element; `item` must
+    /// consume exactly that element.
+    ///
+    /// # Errors
+    /// [`JsonError`] from the syntax or from `item`.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'[')?;
+        if self.close(b']') {
+            return Ok(());
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::msg("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| JsonError::msg("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                _ if self.close(b']') => return Ok(()),
+                _ => return Err(self.error("expected ',' or ']'")),
+            }
+        }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Visits an object, calling `member` with each key in written order;
+    /// `member` must consume exactly that key's value (or [`skip`] it).
+    ///
+    /// # Errors
+    /// [`JsonError`] from the syntax or from `member`.
+    ///
+    /// [`skip`]: JsonReader::skip
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'{')?;
+        if self.close(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.str()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            member(self, &key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                _ if self.close(b'}') => return Ok(()),
+                _ => return Err(self.error("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Passes over the next value, checking its syntax.
+    ///
+    /// # Errors
+    /// [`JsonError`] on a syntax error.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind()? {
+            Kind::Null => self.keyword("null"),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::Str => self.str().map(drop),
+            Kind::Array => self.array(Self::skip),
+            Kind::Object => self.object(|r, _| r.skip()),
+        }
+    }
+
+    /// Looks ahead in the object that comes next for a string member
+    /// `key`, without consuming anything: how a tagged enum finds its
+    /// variant wherever the writer put the tag.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the next value is not an object, or the member is
+    /// not a string.
+    pub fn tag(&self, key: &str) -> Result<Option<Cow<'a, str>>, JsonError> {
+        let mut probe = self.clone();
+        let mut found = None;
+        probe.object(|r, k| {
+            if k == key && found.is_none() {
+                found = Some(r.str()?);
+                Ok(())
+            } else {
+                r.skip()
+            }
+        })?;
+        Ok(found)
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    /// Skips whitespace and returns where the next value starts.
+    fn value_start(&mut self) -> usize {
+        self.skip_ws();
+        self.pos
+    }
+
+    /// Enters an array or object, counting the level against [`MAX_DEPTH`].
+    fn open(&mut self, b: u8) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.expect(b)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Leaves the current array or object if `b` closes it here.
+    fn close(&mut self, b: u8) -> bool {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            self.depth -= 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.error("invalid literal"))
+        }
+    }
+
+    /// The next number as an integer `T`; `what` names the error.
+    fn integer<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, JsonError> {
+        let start = self.value_start();
+        match self.number_text()? {
+            (text, false) => text.parse().map_err(|_| error_at(start, what)),
+            _ => Err(error_at(start, what)),
+        }
+    }
+
+    /// The text of the next number and whether it has a fraction or
+    /// exponent. The scan is permissive; the caller's parse decides.
+    fn number_text(&mut self) -> Result<(&'a str, bool), JsonError> {
+        if self.kind()? != Kind::Number {
+            return Err(self.error("expected number"));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -567,22 +707,94 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::msg("invalid number"))?;
+        Ok((&self.text[start..self.pos], is_float))
+    }
+
+    /// The next number as the [`Json`] variant that holds it exactly:
+    /// `UInt` for non-negative and `Int` for negative integers, `Float`
+    /// for the rest.
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.value_start();
+        let (text, is_float) = self.number_text()?;
         if !is_float {
-            if let Some(rest) = text.strip_prefix('-') {
-                if let Ok(i) = text.parse::<i64>() {
+            if text.starts_with('-') {
+                if let Ok(i) = text.parse() {
                     return Ok(Json::Int(i));
                 }
-                let _ = rest;
-            } else if let Ok(u) = text.parse::<u64>() {
+            } else if let Ok(u) = text.parse() {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
+        text.parse()
             .map(Json::Float)
-            .map_err(|_| JsonError::msg(format!("invalid number {text:?}")))
+            .map_err(|_| error_at(start, &format!("invalid number {text:?}")))
     }
+
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self
+            .peek()
+            .ok_or_else(|| JsonError::msg("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{08}',
+            b'f' => '\u{0C}',
+            b'u' => {
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        let combined =
+                            0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(hi)
+                };
+                c.ok_or_else(|| JsonError::msg("invalid \\u escape"))?
+            }
+            other => {
+                return Err(JsonError::msg(format!(
+                    "invalid escape \\{}",
+                    other as char
+                )))
+            }
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::msg("truncated \\u escape"))?;
+        let v =
+            u32::from_str_radix(digits, 16).map_err(|_| JsonError::msg("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(v)
+    }
+}
+
+fn error_at(pos: usize, what: &str) -> JsonError {
+    JsonError::msg(format!("{what} at byte {pos}"))
+}
+
+/// The value of a required member, or the error naming it.
+///
+/// # Errors
+/// [`JsonError`] when the member was absent.
+pub fn required<T>(slot: Option<T>, key: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError::msg(format!("missing field {key:?}")))
 }
 
 /// Serialization into a [`Json`] value.
@@ -591,13 +803,28 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Deserialization from a [`Json`] value.
+/// Deserialization from JSON text through a [`JsonReader`].
+///
+/// Each type has exactly one decoder, [`FromJson::read_json`]; a value
+/// already held as a [`Json`] tree decodes through it too
+/// ([`FromJson::from_json`]).
 pub trait FromJson: Sized {
-    /// Decodes a value, erroring on shape mismatches.
+    /// Decodes the reader's next value, erroring on syntax or shape
+    /// mismatches. An object decoder visits the members in written order,
+    /// skips unknown keys and reports missing required ones.
     ///
     /// # Errors
     /// [`JsonError`] describing the mismatch.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError>;
+
+    /// Decodes a value from a tree by reading its compact text, so the
+    /// tree and the text can never decode differently.
+    ///
+    /// # Errors
+    /// [`JsonError`] describing the mismatch.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        from_str(&v.to_string_compact())
+    }
 }
 
 /// Serializes any [`ToJson`] value compactly.
@@ -610,12 +837,15 @@ pub fn to_string_pretty<T: ToJson>(value: &T) -> String {
     value.to_json().to_string_pretty()
 }
 
-/// Parses and decodes any [`FromJson`] value.
+/// Decodes one [`FromJson`] value from a whole document.
 ///
 /// # Errors
-/// [`JsonError`] on syntax or shape errors.
+/// [`JsonError`] on syntax or shape errors, or trailing characters.
 pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(input)?)
+    let mut r = JsonReader::new(input);
+    let value = r.read()?;
+    r.finish()?;
+    Ok(value)
 }
 
 impl ToJson for Json {
@@ -625,8 +855,32 @@ impl ToJson for Json {
 }
 
 impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.clone())
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Ok(match r.kind()? {
+            Kind::Null => {
+                r.skip()?;
+                Json::Null
+            }
+            Kind::Bool => Json::Bool(r.bool()?),
+            Kind::Number => r.number()?,
+            Kind::Str => Json::Str(r.str()?.into_owned()),
+            Kind::Array => {
+                let mut items = Vec::new();
+                r.array(|r| {
+                    items.push(r.read()?);
+                    Ok(())
+                })?;
+                Json::Array(items)
+            }
+            Kind::Object => {
+                let mut fields = Vec::new();
+                r.object(|r, key| {
+                    fields.push((key.to_string(), r.read()?));
+                    Ok(())
+                })?;
+                Json::Object(fields)
+            }
+        })
     }
 }
 
@@ -637,8 +891,8 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool().ok_or_else(|| JsonError::msg("expected bool"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.bool()
     }
 }
 
@@ -649,10 +903,8 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::msg("expected string"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.str().map(Cow::into_owned)
     }
 }
 
@@ -670,12 +922,10 @@ macro_rules! impl_json_uint {
             }
         }
         impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let u = v.as_u64().ok_or_else(|| {
-                    JsonError::msg(concat!("expected ", stringify!($t)))
-                })?;
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+                let u = r.u64()?;
                 <$t>::try_from(u).map_err(|_| {
-                    JsonError::msg(concat!("out of range for ", stringify!($t)))
+                    r.error(concat!("out of range for ", stringify!($t)))
                 })
             }
         }
@@ -697,12 +947,10 @@ macro_rules! impl_json_int {
             }
         }
         impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let i = v.as_i64().ok_or_else(|| {
-                    JsonError::msg(concat!("expected ", stringify!($t)))
-                })?;
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+                let i = r.i64()?;
                 <$t>::try_from(i).map_err(|_| {
-                    JsonError::msg(concat!("out of range for ", stringify!($t)))
+                    r.error(concat!("out of range for ", stringify!($t)))
                 })
             }
         }
@@ -718,8 +966,8 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::msg("expected number"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.f64()
     }
 }
 
@@ -730,8 +978,8 @@ impl ToJson for f32 {
 }
 
 impl FromJson for f32 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(f64::from_json(v)? as f32)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Ok(r.f64()? as f32)
     }
 }
 
@@ -742,12 +990,13 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_array()
-            .ok_or_else(|| JsonError::msg("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(r.read()?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -761,10 +1010,12 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        if r.kind()? == Kind::Null {
+            r.skip()?;
+            Ok(None)
+        } else {
+            r.read().map(Some)
         }
     }
 }
@@ -776,10 +1027,20 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::msg("expected two-element array")),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut a, mut b, mut n) = (None, None, 0);
+        r.array(|r| {
+            match n {
+                0 => a = Some(r.read()?),
+                1 => b = Some(r.read()?),
+                _ => return Err(r.error("expected two-element array")),
+            }
+            n += 1;
+            Ok(())
+        })?;
+        match (a, b) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(r.error("expected two-element array")),
         }
     }
 }

@@ -25,6 +25,6 @@ pub mod rng;
 pub mod tempdir;
 
 pub use crc::{crc32, crc32_update};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{FromJson, Json, JsonError, JsonReader, ToJson};
 pub use rng::Rng;
 pub use tempdir::{tempdir, TempDir};

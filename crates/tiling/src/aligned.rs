@@ -7,7 +7,8 @@
 //! (a `*` configuration) and the default tiling.
 
 use tilestore_geometry::{Domain, GridIter};
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::config::TileConfig;
 use crate::error::Result;
@@ -94,10 +95,16 @@ impl ToJson for AlignedTiling {
 }
 
 impl FromJson for AlignedTiling {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut config, mut max_tile_size) = (None, None);
+        r.object(|r, key| match key {
+            "config" => r.field(&mut config),
+            "max_tile_size" => r.field(&mut max_tile_size),
+            _ => r.skip(),
+        })?;
         Ok(AlignedTiling {
-            config: TileConfig::from_json(v.field("config")?)?,
-            max_tile_size: u64::from_json(v.field("max_tile_size")?)?,
+            config: required(config, "config")?,
+            max_tile_size: required(max_tile_size, "max_tile_size")?,
         })
     }
 }

@@ -11,7 +11,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use tilestore_geometry::Domain;
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::error::{Result, TilingError};
 use crate::spec::check_cell_fits;
@@ -265,11 +265,8 @@ impl ToJson for TileConfig {
 }
 
 impl FromJson for TileConfig {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| JsonError::msg("expected tile-config string"))?;
-        s.parse().map_err(|e| JsonError::msg(format!("{e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        r.str()?.parse().map_err(|e| JsonError::msg(format!("{e}")))
     }
 }
 

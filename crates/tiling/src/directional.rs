@@ -9,7 +9,8 @@
 //! partitions".
 
 use tilestore_geometry::{AxisRange, Domain};
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::aligned::AlignedTiling;
 use crate::config::TileConfig;
@@ -299,10 +300,16 @@ impl ToJson for AxisPartition {
 }
 
 impl FromJson for AxisPartition {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut axis, mut points) = (None, None);
+        r.object(|r, key| match key {
+            "axis" => r.field(&mut axis),
+            "points" => r.field(&mut points),
+            _ => r.skip(),
+        })?;
         Ok(AxisPartition {
-            axis: usize::from_json(v.field("axis")?)?,
-            points: Vec::from_json(v.field("points")?)?,
+            axis: required(axis, "axis")?,
+            points: required(points, "points")?,
         })
     }
 }
@@ -325,16 +332,16 @@ impl ToJson for SubTiling {
 }
 
 impl FromJson for SubTiling {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let kind = v
-            .field("kind")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("sub-tiling kind must be a string"))?;
-        match kind {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let kind = required(r.tag("kind")?, "kind")?;
+        let mut config = None;
+        r.object(|r, key| match key {
+            "config" if kind == "aligned" => r.field(&mut config),
+            _ => r.skip(),
+        })?;
+        match &*kind {
             "minimal_splits" => Ok(SubTiling::MinimalSplits),
-            "aligned" => Ok(SubTiling::Aligned(TileConfig::from_json(
-                v.field("config")?,
-            )?)),
+            "aligned" => Ok(SubTiling::Aligned(required(config, "config")?)),
             "none" => Ok(SubTiling::None),
             other => Err(JsonError::msg(format!("unknown sub-tiling kind {other:?}"))),
         }
@@ -352,11 +359,18 @@ impl ToJson for DirectionalTiling {
 }
 
 impl FromJson for DirectionalTiling {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut partitions, mut max_tile_size, mut sub_tiling) = (None, None, None);
+        r.object(|r, key| match key {
+            "partitions" => r.field(&mut partitions),
+            "max_tile_size" => r.field(&mut max_tile_size),
+            "sub_tiling" => r.field(&mut sub_tiling),
+            _ => r.skip(),
+        })?;
         Ok(DirectionalTiling {
-            partitions: Vec::from_json(v.field("partitions")?)?,
-            max_tile_size: u64::from_json(v.field("max_tile_size")?)?,
-            sub_tiling: SubTiling::from_json(v.field("sub_tiling")?)?,
+            partitions: required(partitions, "partitions")?,
+            max_tile_size: required(max_tile_size, "max_tile_size")?,
+            sub_tiling: required(sub_tiling, "sub_tiling")?,
         })
     }
 }

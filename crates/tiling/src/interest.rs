@@ -16,7 +16,8 @@
 //!    (splits stay inside one code region, preserving the guarantee).
 
 use tilestore_geometry::{AxisRange, Domain};
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::directional::{blocks_from_starts, cartesian_blocks, minimal_split_format};
 use crate::error::{Result, TilingError};
@@ -93,15 +94,19 @@ impl ToJson for AreasOfInterestTiling {
 }
 
 impl FromJson for AreasOfInterestTiling {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut areas, mut max_tile_size, mut skip_merge) = (None, None, None);
+        r.object(|r, key| match key {
+            "areas" => r.field(&mut areas),
+            "max_tile_size" => r.field(&mut max_tile_size),
+            "skip_merge" => r.field(&mut skip_merge),
+            _ => r.skip(),
+        })?;
         Ok(AreasOfInterestTiling {
-            areas: Vec::from_json(v.field("areas")?)?,
-            max_tile_size: u64::from_json(v.field("max_tile_size")?)?,
+            areas: required(areas, "areas")?,
+            max_tile_size: required(max_tile_size, "max_tile_size")?,
             // Absent in catalogs written before the ablation flag existed.
-            skip_merge: match v.get("skip_merge") {
-                Some(f) => bool::from_json(f)?,
-                None => false,
-            },
+            skip_merge: skip_merge.unwrap_or(false),
         })
     }
 }

@@ -7,7 +7,8 @@
 //! algorithm then computes the tiling.
 
 use tilestore_geometry::Domain;
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::aligned::AlignedTiling;
 use crate::error::{Result, TilingError};
@@ -48,10 +49,16 @@ impl ToJson for AccessRecord {
 }
 
 impl FromJson for AccessRecord {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut region, mut count) = (None, None);
+        r.object(|r, key| match key {
+            "region" => r.field(&mut region),
+            "count" => r.field(&mut count),
+            _ => r.skip(),
+        })?;
         Ok(AccessRecord {
-            region: Domain::from_json(v.field("region")?)?,
-            count: u64::from_json(v.field("count")?)?,
+            region: required(region, "region")?,
+            count: required(count, "count")?,
         })
     }
 }
@@ -167,12 +174,21 @@ impl ToJson for StatisticTiling {
 }
 
 impl FromJson for StatisticTiling {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        let (mut accesses, mut distance_threshold, mut frequency_threshold, mut max_tile_size) =
+            (None, None, None, None);
+        r.object(|r, key| match key {
+            "accesses" => r.field(&mut accesses),
+            "distance_threshold" => r.field(&mut distance_threshold),
+            "frequency_threshold" => r.field(&mut frequency_threshold),
+            "max_tile_size" => r.field(&mut max_tile_size),
+            _ => r.skip(),
+        })?;
         Ok(StatisticTiling {
-            accesses: Vec::from_json(v.field("accesses")?)?,
-            distance_threshold: u64::from_json(v.field("distance_threshold")?)?,
-            frequency_threshold: u64::from_json(v.field("frequency_threshold")?)?,
-            max_tile_size: u64::from_json(v.field("max_tile_size")?)?,
+            accesses: required(accesses, "accesses")?,
+            distance_threshold: required(distance_threshold, "distance_threshold")?,
+            frequency_threshold: required(frequency_threshold, "frequency_threshold")?,
+            max_tile_size: required(max_tile_size, "max_tile_size")?,
         })
     }
 }

@@ -1,7 +1,8 @@
 //! The tiling-strategy abstraction and the closed set of built-in schemes.
 
 use tilestore_geometry::Domain;
-use tilestore_testkit::{FromJson, Json, JsonError, ToJson};
+use tilestore_testkit::json::required;
+use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 
 use crate::aligned::{AlignedTiling, SingleTile};
 use crate::directional::DirectionalTiling;
@@ -129,17 +130,14 @@ impl ToJson for Scheme {
 }
 
 impl FromJson for Scheme {
-    fn from_json(v: &Json) -> std::result::Result<Self, JsonError> {
-        let kind = v
-            .field("kind")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("scheme kind must be a string"))?;
-        match kind {
-            "aligned" => AlignedTiling::from_json(v).map(Scheme::Aligned),
-            "single_tile" => Ok(Scheme::SingleTile(SingleTile)),
-            "directional" => DirectionalTiling::from_json(v).map(Scheme::Directional),
-            "areas_of_interest" => AreasOfInterestTiling::from_json(v).map(Scheme::AreasOfInterest),
-            "statistic" => StatisticTiling::from_json(v).map(Scheme::Statistic),
+    fn read_json(r: &mut JsonReader<'_>) -> std::result::Result<Self, JsonError> {
+        // Each variant decodes the whole object and skips the tag.
+        match &*required(r.tag("kind")?, "kind")? {
+            "aligned" => r.read().map(Scheme::Aligned),
+            "single_tile" => r.skip().map(|()| Scheme::SingleTile(SingleTile)),
+            "directional" => r.read().map(Scheme::Directional),
+            "areas_of_interest" => r.read().map(Scheme::AreasOfInterest),
+            "statistic" => r.read().map(Scheme::Statistic),
             other => Err(JsonError::msg(format!("unknown scheme kind {other:?}"))),
         }
     }

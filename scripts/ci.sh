@@ -139,6 +139,32 @@ if non_test crates/server/src/client.rs crates/cluster/src/*.rs | grep -E 'hex_(
     exit 1
 fi
 
+# --- One JSON decoder per type: every `FromJson` impl pulls its fields
+# from testkit's `JsonReader`, and a `Json` tree decodes by re-reading its
+# compact text through that same impl. A `from_json` body of its own, a
+# `FromJson` impl that builds a tree or looks into one, or a tokenizer beside
+# the reader's in crates/*/src is the tree-walking decode coming back.
+decoders=$(grep -rF 'fn from_json(' crates/*/src | wc -l)
+if [ "$decoders" -ne 1 ]; then
+    echo "second JSON decoder: $decoders x 'fn from_json(' in crates/*/src" >&2
+    exit 1
+fi
+tree_walks=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { inside = 0 }
+    /^impl.* FromJson for / { inside = 1 }
+    inside && /\.(field|get)\("|\.as_(array|str|u64|i64|f64|bool)\(|Json::parse|Json::read_json|read::<Json>|from_json\(/ { print FILENAME ": " $0 }
+    inside && /^}/ { inside = 0 }')
+if [ -n "$tree_walks" ]; then
+    echo "FromJson impl walks a Json tree:" >&2
+    echo "$tree_walks" >&2
+    exit 1
+fi
+tokenizers=$(grep -rlE "fn skip_ws|b'[{]'" crates/*/src | grep -vxF crates/testkit/src/json.rs || true)
+if [ -n "$tokenizers" ] || [ "$(grep -c 'fn skip_ws' crates/testkit/src/json.rs)" -ne 1 ]; then
+    echo "second JSON tokenizer: ${tokenizers:-crates/testkit/src/json.rs}" >&2
+    exit 1
+fi
+
 # --- One benchmark harness: `benchmark/` measures, `repro` regenerates the
 # paper's tables. Bench binaries beside `repro`, `crates/bench/benches`, a
 # bench script or root `BENCH_*.json` reports are the old harness coming back.
