@@ -202,28 +202,16 @@ pub fn compress(
 /// [`CompressError::Corrupt`] / [`CompressError::UnknownCodec`] /
 /// [`CompressError::LengthMismatch`] on malformed streams.
 pub fn decompress(stream: &[u8], ctx: &CellContext<'_>) -> Result<Vec<u8>> {
-    Ok(decompress_view(stream, ctx)?.into_owned())
-}
-
-/// Like [`decompress`], but borrows the payload of a raw ([`Codec::None`])
-/// stream instead of copying it.
-///
-/// # Errors
-/// The errors of [`decompress`].
-pub fn decompress_view<'a>(
-    stream: &'a [u8],
-    ctx: &CellContext<'_>,
-) -> Result<std::borrow::Cow<'a, [u8]>> {
-    use std::borrow::Cow;
     let header = stream_header(stream)?;
-    let body = &stream[header.body_offset..];
-    if header.codec == Codec::None {
-        header.check_raw_body(body.len())?;
-        return Ok(Cow::Borrowed(body));
-    }
     let mut out = Vec::new();
-    decode_body(&header, body, ctx, &mut out, &mut Vec::new())?;
-    Ok(Cow::Owned(out))
+    decode_body(
+        &header,
+        &stream[header.body_offset..],
+        ctx,
+        &mut out,
+        &mut Vec::new(),
+    )?;
+    Ok(out)
 }
 
 /// The header every framed stream opens with: the codec, the decoded

@@ -31,8 +31,8 @@ mod test_payloads;
 mod varint;
 
 pub use codec::{
-    compress, decompress, decompress_view, stream_codec, stream_header, CellContext, Codec,
-    CompressionPolicy, DecodeBuf, StreamHeader,
+    compress, decompress, stream_codec, stream_header, CellContext, Codec, CompressionPolicy,
+    DecodeBuf, StreamHeader,
 };
 pub use error::{CompressError, Result};
 pub use synopsis::{compress_with_scan, scan_cells, CellScan, NULL_MASK_CHUNKS};

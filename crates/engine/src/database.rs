@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use tilestore_compress::{CellContext, CompressionPolicy};
 use tilestore_exec::{scatter_on, ThreadPool};
-use tilestore_geometry::{copy_region, morton_centroid_key, Domain};
+use tilestore_geometry::{morton_centroid_key, Domain};
 use tilestore_index::RPlusTree;
 use tilestore_obs::AccessRecorder;
 use tilestore_storage::{BlobId, BlobStore, IoStats, MemPageStore, PageStore, DEFAULT_PAGE_SIZE};
@@ -35,11 +35,22 @@ use crate::array::Array;
 use crate::builder::DatabaseBuilder;
 use crate::error::{EngineError, Result};
 use crate::mdd::{MddObject, MddType, TileMeta};
+use crate::plan::Plan;
 use crate::snapshot::{
     lock_recover, CatalogState, EpochTracker, ObjectEntry, QueryResult, Snapshot, WriteReceipt,
 };
 use crate::stats::{DefragStep, InsertStats, RetileStats};
 use crate::synopsis::TileSynopsis;
+
+/// Upper bound on the decoded bytes of the new tiles one retile band
+/// holds, always at least one tile. A retile reads the old tiles that its
+/// band overlaps with one plan, so an old tile that straddles two bands is
+/// read once for each. On the paper's Table 1 cube, the pages read by the
+/// retiles between `Reg32K`, `Reg256K`, `Dir32K2P` and `Dir64K3P` come to
+/// at most 1.74x the stored pages with 1 MiB bands, 1.17x with 4 MiB and
+/// 1.09x with 8 MiB; an object that fits in one band is read exactly once.
+/// 4 MiB keeps the band's buffers small beside the pages it saves.
+const RETILE_BAND_BYTES: u64 = 4 << 20;
 
 /// A database of tiled MDD objects over a page store `S`.
 ///
@@ -497,23 +508,14 @@ impl<S: PageStore> Database<S> {
         // single swap either way. A failure anywhere before it drops
         // `staged`, which deletes every BLOB the statement already wrote.
         let mut stats = InsertStats::default();
-        let ctx = CellContext {
-            cell_size,
-            default: &meta.mdd_type.cell.default,
-        };
         let staged = self.stage();
         let created = scatter_on(
             self.executor().as_deref(),
             spec.tiles().to_vec(),
             |_, tile_domain| -> Result<(Domain, BlobId, TileSynopsis, u64)> {
                 let tile = array.extract(&tile_domain)?;
-                // The encoder's byte scan doubles as the synopsis base.
-                let (stream, scan) =
-                    tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
-                        .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-                let synopsis = TileSynopsis::from_scan(&meta.mdd_type.cell, tile.bytes(), scan);
-                let blob = staged.create(&stream)?;
-                Ok((tile_domain, blob, synopsis, stream.len() as u64))
+                let (blob, synopsis, len) = staged.encode(meta, tile.bytes())?;
+                Ok((tile_domain, blob, synopsis, len))
             },
         );
         let mut new_meta = (**meta).clone();
@@ -607,66 +609,79 @@ impl<S: PageStore> Database<S> {
             tiles_before: meta.tiles.len() as u64,
             ..RetileStats::default()
         };
-        // Materialize the new tiles: each (index probe, old-tile fetch,
-        // recomposition, compression, BLOB write) is one task, scattered
-        // across the executor when one is attached; the catalog swap below
-        // stays a single pointer exchange.
-        let mut new_tiles: Vec<TileMeta> = Vec::with_capacity(spec.len());
-        let default = meta.mdd_type.cell.default.clone();
-        let ctx = CellContext {
-            cell_size,
-            default: &default,
-        };
-        type Materialized = (Domain, BlobId, u64, TileSynopsis);
+        // Every band's reads carry the page total of the whole retile, so
+        // the buffer pool admits the retile as one scan.
+        let total_pages = meta
+            .tiles
+            .iter()
+            .map(|t| Ok(self.blobs.blob_placement(t.blob)?.pages as usize))
+            .sum::<Result<usize>>()?;
+        let executor = self.executor();
         let staged = self.stage();
-        let materialized = scatter_on(
-            self.executor().as_deref(),
-            spec.tiles().to_vec(),
-            |_, tile_domain| -> Result<Option<Materialized>> {
-                let hits = meta.index.search(&tile_domain).hits;
-                if hits.is_empty() {
-                    return Ok(None); // stays uncovered
+        let mut new_tiles: Vec<TileMeta> = Vec::with_capacity(spec.len());
+        let tile_bytes = |t: &Domain| t.cells() * cell_size as u64;
+        let mut rest = spec.tiles();
+        while !rest.is_empty() {
+            // The next band: new tiles in spec order, up to the byte cap.
+            let mut bytes = 0;
+            let len = rest
+                .iter()
+                .take_while(|t| {
+                    bytes += tile_bytes(t);
+                    bytes <= RETILE_BAND_BYTES
+                })
+                .count()
+                .max(1);
+            let (band, next) = rest.split_at(len);
+            rest = next;
+            // The band tiles that overlap old tiles, filled with the
+            // default, and the overlapping (old tile, band tile) pairs by old
+            // tile. A band tile that overlaps no old tile stays uncovered.
+            let mut cells = Vec::new();
+            let mut pairs = Vec::new();
+            for to in band {
+                let hits = meta.index.search(to).hits;
+                if !hits.is_empty() {
+                    pairs.extend(hits.into_iter().map(|pos| (pos, cells.len())));
+                    cells.push((to, Array::filled(to.clone(), &meta.mdd_type.cell.default)?));
                 }
-                let mut tile = Array::filled(tile_domain.clone(), &default)?;
-                let mut scratch = Vec::new();
-                for pos in hits {
-                    let old = &meta.tiles[pos as usize];
-                    let Some(overlap) = old.domain.intersection(&tile_domain) else {
-                        continue;
-                    };
-                    self.blobs.read_into(old.blob, &mut scratch)?;
-                    let payload =
-                        tilestore_compress::decompress_view(&scratch, &ctx).map_err(|e| {
-                            EngineError::Catalog(format!("tile decompression failed: {e}"))
-                        })?;
-                    copy_region(
-                        &old.domain,
-                        &payload,
-                        &tile_domain,
-                        tile.bytes_mut(),
-                        &overlap,
-                        cell_size,
-                    )?;
+            }
+            pairs.sort_unstable();
+            let mut old: Vec<u64> = pairs.iter().map(|&(pos, _)| pos).collect();
+            old.dedup();
+            // One plan reads each old tile once and pastes it into every
+            // band tile it overlaps.
+            let plan = Plan::over_tiles(&self.blobs, &meta, &current, old, total_pages)?;
+            plan.fetch(&self.blobs, |pos, old_cells| {
+                let from = &meta.tiles[pos as usize].domain;
+                let first = pairs.partition_point(|&(p, _)| p < pos);
+                for &(_, k) in pairs[first..].iter().take_while(|&&(p, _)| p == pos) {
+                    let (to, tile) = &mut cells[k];
+                    if let Some(overlap) = from.intersection(to) {
+                        old_cells.paste(from, to, tile.bytes_mut(), &overlap, cell_size)?;
+                    }
                 }
-                let (stream, scan) =
-                    tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
-                        .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-                let synopsis = TileSynopsis::from_scan(&meta.mdd_type.cell, tile.bytes(), scan);
-                let blob = staged.create(&stream)?;
-                Ok(Some((tile_domain, blob, tile.size_bytes(), synopsis)))
-            },
-        );
-        for materialized in materialized {
-            let Some((tile_domain, blob, bytes, synopsis)) = materialized? else {
-                continue;
-            };
-            stats.bytes_rewritten += bytes;
-            new_tiles.push(TileMeta {
-                domain: tile_domain,
-                blob,
-                synopsis: Some(synopsis),
-            });
+                Ok(())
+            })?;
+            // Encode and stage the band's tiles, scattered across the
+            // executor when one is attached, in spec order when not.
+            let encoded = scatter_on(
+                executor.as_deref(),
+                cells,
+                |_, (to, tile)| -> Result<TileMeta> {
+                    let (blob, synopsis, _) = staged.encode(&meta, tile.bytes())?;
+                    Ok(TileMeta {
+                        domain: to.clone(),
+                        blob,
+                        synopsis: Some(synopsis),
+                    })
+                },
+            );
+            for tile in encoded {
+                new_tiles.push(tile?);
+            }
         }
+        stats.bytes_rewritten = new_tiles.iter().map(|t| tile_bytes(&t.domain)).sum();
         // Build the successor object: new tiles, rebuilt index, new scheme.
         // The old tiles are retired, not deleted — live snapshots keep
         // reading them.
@@ -795,20 +810,32 @@ impl<S: PageStore> Database<S> {
         } else {
             0
         };
+        // The step's tiles in curve order: at least two, then as many as
+        // the budget allows.
+        let mut end = start;
+        let mut retired = Vec::new();
+        while end < n && (retired.len() < 2 || stats.bytes_moved < budget_bytes) {
+            let blob = meta.tiles[order[end]].blob;
+            stats.bytes_moved += self.blobs.blob_len(blob)?;
+            retired.push(blob);
+            end += 1;
+        }
+        stats.tiles_moved = retired.len() as u64;
+        // One read of the step's blobs, which the buffer pool admits as one
+        // statement of all their pages; each stream is copied byte for byte
+        // from its frames onto contiguous pages, without a decode.
+        let mut frames = Vec::new();
+        let (spans, _) = self.blobs.read_batch(&retired, &mut frames, 0)?;
         let mut new_meta = (*meta).clone();
         let staged = self.stage();
-        let mut retired = Vec::new();
-        let mut scratch = Vec::new();
-        let mut end = start;
-        while end < n && (stats.tiles_moved < 2 || stats.bytes_moved < budget_bytes) {
-            let pos = order[end];
-            let old = meta.tiles[pos].blob;
-            self.blobs.read_into(old, &mut scratch)?;
-            new_meta.tiles[pos].blob = staged.create_contiguous(&scratch)?;
-            retired.push(old);
-            stats.tiles_moved += 1;
-            stats.bytes_moved += scratch.len() as u64;
-            end += 1;
+        let mut stream = Vec::new();
+        for (&pos, span) in order[start..end].iter().zip(&spans) {
+            stream.clear();
+            for frame in &frames[span.frames.clone()] {
+                stream.extend_from_slice(frame);
+            }
+            stream.truncate(span.len);
+            new_meta.tiles[pos].blob = staged.create_contiguous(&stream)?;
         }
         stats.tiles_remaining = (n - end) as u64;
         let epoch = self.install_object(&cat, name, new_meta, staged, retired);
@@ -929,11 +956,27 @@ pub(crate) struct StagedBlobs<'a, S: PageStore> {
 }
 
 impl<S: PageStore> StagedBlobs<'_, S> {
-    /// [`BlobStore::create`], staged.
-    pub(crate) fn create(&self, data: &[u8]) -> Result<BlobId> {
-        let id = self.blobs.create(data)?;
+    /// Encodes one tile's `cells` under `object`'s compression policy,
+    /// derives the tile's synopsis from the encoder's scan of the same
+    /// bytes, and stages the stream as a new blob. Every write that
+    /// produces a tile encodes it here. Returns the blob, the synopsis and
+    /// the stream's length.
+    pub(crate) fn encode(
+        &self,
+        object: &MddObject,
+        cells: &[u8],
+    ) -> Result<(BlobId, TileSynopsis, u64)> {
+        let ctx = CellContext {
+            cell_size: object.cell_size(),
+            default: &object.mdd_type.cell.default,
+        };
+        let (stream, scan) =
+            tilestore_compress::compress_with_scan(&object.compression, cells, &ctx)
+                .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
+        let synopsis = TileSynopsis::from_scan(&object.mdd_type.cell, cells, scan);
+        let id = self.blobs.create(&stream)?;
         lock_recover(&self.ids).push(id);
-        Ok(id)
+        Ok((id, synopsis, stream.len() as u64))
     }
 
     /// [`BlobStore::create_contiguous`], staged.

@@ -16,8 +16,7 @@
 //! the old one is retired, so snapshots begun before the write keep reading
 //! the old cells (never an in-place overwrite a reader could tear on).
 
-use tilestore_compress::CellContext;
-use tilestore_geometry::{difference, uncovered, Domain};
+use tilestore_geometry::{copy_region, difference, uncovered, Domain};
 use tilestore_index::RPlusTree;
 use tilestore_storage::{BlobId, PageStore};
 use tilestore_tiling::TilingStrategy;
@@ -26,8 +25,8 @@ use crate::array::Array;
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::mdd::TileMeta;
-use crate::snapshot::{read_tile_payload, WriteReceipt};
-use crate::synopsis::TileSynopsis;
+use crate::plan::Plan;
+use crate::snapshot::WriteReceipt;
 
 /// Statistics of an [`Database::update`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,64 +65,70 @@ impl<S: PageStore> Database<S> {
         let _w = self.lock_writer();
         let cat = self.current_catalog();
         let meta = &cat.entry(name)?.meta;
-        let cell_size = meta.cell_size();
+        let (cell_size, region) = (meta.cell_size(), array.domain());
         if array.cell_size() != cell_size {
             return Err(EngineError::CellSizeMismatch {
                 expected: cell_size,
                 got: array.cell_size(),
             });
         }
-        if !meta.mdd_type.definition.admits(array.domain()) {
+        if !meta.mdd_type.definition.admits(region) {
             return Err(EngineError::OutsideDefinitionDomain {
-                domain: array.domain().to_string(),
+                domain: region.to_string(),
                 definition: meta.mdd_type.definition.to_string(),
             });
         }
-        let hits = meta.index.search(array.domain()).hits;
-        let cell_type = &meta.mdd_type.cell;
-        let ctx = CellContext {
-            cell_size,
-            default: &cell_type.default,
-        };
+        let hits = meta.index.search(region).hits;
         let mut stats = UpdateStats::default();
-        let mut covered: Vec<Domain> = Vec::with_capacity(hits.len());
+        let covered: Vec<Domain> = hits
+            .iter()
+            .map(|&pos| meta.tiles[pos as usize].domain.clone())
+            .collect();
         let mut new_meta = (**meta).clone();
         let staged = self.stage();
         let mut retired: Vec<BlobId> = Vec::new();
 
-        // Rewrite intersected tiles copy-on-write.
-        for pos in &hits {
-            let old = &meta.tiles[*pos as usize];
-            let (payload, _) = read_tile_payload(self.blob_store(), meta, old)?;
-            let mut tile = Array::from_bytes(old.domain.clone(), cell_size, payload)?;
-            let updated = tile.paste(array)?;
-            let (stream, scan) =
-                tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
-                    .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-            new_meta.tiles[*pos as usize].blob = staged.create(&stream)?;
-            new_meta.tiles[*pos as usize].synopsis =
-                Some(TileSynopsis::from_scan(cell_type, tile.bytes(), scan));
-            retired.push(old.blob);
+        // Rewrite intersected tiles copy-on-write. A tile inside the array
+        // is overwritten whole, so it is encoded straight from the array;
+        // only the border tiles are read.
+        let mut rewrite = |pos: u64, cells: &[u8], updated: u64| -> Result<()> {
+            let (blob, synopsis, _) = staged.encode(meta, cells)?;
+            let tile = &mut new_meta.tiles[pos as usize];
+            retired.push(tile.blob);
+            tile.blob = blob;
+            tile.synopsis = Some(synopsis);
             stats.tiles_rewritten += 1;
             stats.cells_updated += updated;
-            covered.push(old.domain.clone());
+            Ok(())
+        };
+        let (inside, border): (Vec<u64>, Vec<u64>) = hits
+            .iter()
+            .partition(|&&pos| region.contains_domain(&meta.tiles[pos as usize].domain));
+        for pos in inside {
+            let tile = &meta.tiles[pos as usize].domain;
+            rewrite(pos, array.extract(tile)?.bytes(), tile.cells())?;
         }
+        let plan = Plan::over_tiles(self.blob_store(), meta, region, border, 0)?;
+        plan.fetch(self.blob_store(), |pos, cells| {
+            let tile = &meta.tiles[pos as usize].domain;
+            let overlap = tile.intersection(region).expect("an intersecting tile");
+            let cells = cells.bytes_mut();
+            let updated = copy_region(region, array.bytes(), tile, cells, &overlap, cell_size)?;
+            rewrite(pos, cells, updated)
+        })?;
 
         // Tile and store the previously uncovered remainder.
-        let remainder = uncovered(array.domain(), &covered)?;
+        let remainder = uncovered(region, &covered)?;
         for piece in remainder {
             let spec = meta.scheme.partition(&piece, cell_size)?;
             for tile_domain in spec.tiles() {
-                let tile = array.extract(tile_domain)?;
-                let (stream, scan) =
-                    tilestore_compress::compress_with_scan(&meta.compression, tile.bytes(), &ctx)
-                        .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-                let blob = staged.create(&stream)?;
+                let (blob, synopsis, _) =
+                    staged.encode(meta, array.extract(tile_domain)?.bytes())?;
                 let at = new_meta.tiles.len() as u64;
                 new_meta.tiles.push(TileMeta {
                     domain: tile_domain.clone(),
                     blob,
-                    synopsis: Some(TileSynopsis::from_scan(cell_type, tile.bytes(), scan)),
+                    synopsis: Some(synopsis),
                 });
                 new_meta.index.insert(tile_domain.clone(), at)?;
                 stats.tiles_created += 1;
@@ -132,8 +137,8 @@ impl<S: PageStore> Database<S> {
 
         // Grow the current domain by closure.
         new_meta.current_domain = Some(match new_meta.current_domain.take() {
-            Some(cur) => cur.hull(array.domain())?,
-            None => array.domain().clone(),
+            Some(cur) => cur.hull(region)?,
+            None => region.clone(),
         });
         let epoch = self.install_object(&cat, name, new_meta, staged, retired);
         Ok(WriteReceipt { stats, epoch })
@@ -151,54 +156,52 @@ impl<S: PageStore> Database<S> {
         let meta = &cat.entry(name)?.meta;
         let cell_size = meta.cell_size();
         let hits = meta.index.search(region).hits;
-        let cell_type = &meta.mdd_type.cell;
-        let ctx = CellContext {
-            cell_size,
-            default: &cell_type.default,
-        };
         let mut stats = DeleteStats::default();
-        let mut drop_positions: Vec<u64> = Vec::new();
-        let mut replacement_tiles: Vec<TileMeta> = Vec::new();
-        let staged = self.stage();
-        let mut retired: Vec<BlobId> = Vec::new();
-
-        for pos in &hits {
-            let old = &meta.tiles[*pos as usize];
-            if region.contains_domain(&old.domain) {
-                // Whole tile vanishes.
-                retired.push(old.blob);
-                stats.tiles_dropped += 1;
-                stats.cells_removed += old.domain.cells();
-                drop_positions.push(*pos);
-                continue;
-            }
-            // Border tile: keep only the remainder boxes, each in a fresh
-            // BLOB; the original stays readable for live snapshots.
-            let (payload, _) = read_tile_payload(self.blob_store(), meta, old)?;
-            let tile = Array::from_bytes(old.domain.clone(), cell_size, payload)?;
-            for piece in difference(&old.domain, region) {
-                let part = tile.extract(&piece)?;
-                let (stream, scan) =
-                    tilestore_compress::compress_with_scan(&meta.compression, part.bytes(), &ctx)
-                        .map_err(|e| EngineError::Catalog(format!("compression failed: {e}")))?;
-                replacement_tiles.push(TileMeta {
-                    domain: piece,
-                    blob: staged.create(&stream)?,
-                    synopsis: Some(TileSynopsis::from_scan(cell_type, part.bytes(), scan)),
-                });
-            }
-            retired.push(old.blob);
-            stats.tiles_split += 1;
-            stats.cells_removed += old.domain.intersection(region).map_or(0, |i| i.cells());
-            drop_positions.push(*pos);
-        }
-
-        if drop_positions.is_empty() {
+        if hits.is_empty() {
             return Ok(WriteReceipt {
                 stats,
                 epoch: cat.version,
             });
         }
+        // Every intersected tile leaves the object: a tile inside the
+        // region vanishes, a border tile is replaced by its remainder.
+        let mut dropped = vec![false; meta.tiles.len()];
+        let mut border: Vec<u64> = Vec::new();
+        let mut retired: Vec<BlobId> = Vec::with_capacity(hits.len());
+        for pos in hits {
+            let old = &meta.tiles[pos as usize];
+            dropped[pos as usize] = true;
+            retired.push(old.blob);
+            if region.contains_domain(&old.domain) {
+                stats.tiles_dropped += 1;
+                stats.cells_removed += old.domain.cells();
+            } else {
+                border.push(pos);
+                stats.tiles_split += 1;
+                stats.cells_removed += old.domain.intersection(region).map_or(0, |i| i.cells());
+            }
+        }
+
+        // Border tiles keep only their remainder boxes, each in a fresh
+        // BLOB; the originals stay readable for live snapshots.
+        let mut replacement_tiles: Vec<TileMeta> = Vec::new();
+        let staged = self.stage();
+        let mut part = Vec::new();
+        let plan = Plan::over_tiles(self.blob_store(), meta, region, border, 0)?;
+        plan.fetch(self.blob_store(), |pos, cells| {
+            let tile = &meta.tiles[pos as usize].domain;
+            for piece in difference(tile, region) {
+                part.resize(piece.cells() as usize * cell_size, 0);
+                cells.paste(tile, &piece, &mut part, &piece, cell_size)?;
+                let (blob, synopsis, _) = staged.encode(meta, &part)?;
+                replacement_tiles.push(TileMeta {
+                    domain: piece,
+                    blob,
+                    synopsis: Some(synopsis),
+                });
+            }
+            Ok(())
+        })?;
 
         // Rebuild the tile list and index without the dropped tiles, with
         // the replacements appended; the current domain is the hull of what
@@ -206,9 +209,9 @@ impl<S: PageStore> Database<S> {
         let mut kept: Vec<TileMeta> = meta
             .tiles
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !drop_positions.contains(&(*i as u64)))
-            .map(|(_, t)| t.clone())
+            .zip(&dropped)
+            .filter(|&(_, &dropped)| !dropped)
+            .map(|(t, _)| t.clone())
             .collect();
         kept.extend(replacement_tiles);
         let entries: Vec<(Domain, u64)> = kept
@@ -277,6 +280,48 @@ mod tests {
             q.array.get::<u16>(&Point::from_slice(&[5, 5])).unwrap(),
             5 * 32 + 5
         );
+    }
+
+    #[test]
+    fn update_reads_only_the_tiles_it_overwrites_in_part() {
+        let db = setup();
+        let pages = |pos: usize| {
+            let blob = db.object("m").unwrap().tiles[pos].blob;
+            db.blob_store().blob_placement(blob).unwrap().pages
+        };
+        let tile_at = |p: &[i64]| {
+            let point = Point::from_slice(p);
+            let meta = db.object("m").unwrap();
+            (0..meta.tiles.len())
+                .find(|&i| meta.tiles[i].domain.contains_point(&point))
+                .unwrap()
+        };
+        // The 16×16 tiles of rows 0..=15: overwritten whole, read not at all.
+        let before = db.io_stats().snapshot();
+        let aligned = Array::filled(d("[0:15,0:31]"), &1u16.to_le_bytes()).unwrap();
+        let stats = db.update("m", &aligned).unwrap();
+        assert_eq!((stats.tiles_rewritten, stats.cells_updated), (2, 512));
+        assert_eq!(db.io_stats().snapshot().since(&before).pages_read, 0);
+        // One whole tile and one border tile: only the border tile is read.
+        let before = db.io_stats().snapshot();
+        let partial = Array::filled(d("[0:20,0:15]"), &2u16.to_le_bytes()).unwrap();
+        let border = tile_at(&[20, 0]);
+        let border_pages = pages(border);
+        let stats = db.update("m", &partial).unwrap();
+        assert_eq!((stats.tiles_rewritten, stats.cells_updated), (2, 21 * 16));
+        let io = db.io_stats().snapshot().since(&before);
+        assert_eq!((io.blobs_read, io.pages_read), (1, border_pages));
+        let q = db.range_query("m", &d("[0:31,0:31]")).unwrap();
+        for p in tilestore_geometry::PointIter::new(d("[0:31,0:31]")) {
+            let want = if d("[0:20,0:15]").contains_point(&p) {
+                2
+            } else if p[0] <= 15 {
+                1
+            } else {
+                (p[0] * 32 + p[1]) as u16
+            };
+            assert_eq!(q.array.get::<u16>(&p).unwrap(), want, "cell {p}");
+        }
     }
 
     #[test]

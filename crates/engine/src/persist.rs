@@ -25,6 +25,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 use tilestore_obs::AccessRecorder;
 use tilestore_storage::{
@@ -36,7 +37,7 @@ use tilestore_testkit::{FromJson, Json, JsonError, JsonReader, ToJson};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::mdd::MddObject;
-use crate::snapshot::read_tile_payload;
+use crate::plan::Plan;
 use crate::synopsis::TileSynopsis;
 
 /// Serializable catalog of a whole database.
@@ -160,19 +161,28 @@ impl<S: PageStore> Database<S> {
 
     /// Rescans the payload of every tile of a restored object that has no
     /// synopsis. Catalogs written before synopses existed lack them; they
-    /// are rebuilt once here so every opened database prunes, and the next
-    /// [`Database::save`] persists them. The common reopen path (synopses
-    /// present) reads no blob.
+    /// are rebuilt once here, through one plan over those tiles, so every
+    /// opened database prunes, and the next [`Database::save`] persists
+    /// them. A tile the plan cannot read or decode stops the rescan: the
+    /// tiles it did not reach keep no synopsis, so queries read them
+    /// instead of pruning them. The common reopen path (synopses present)
+    /// reads no blob.
     fn rescan_missing_synopses(&self, meta: &mut MddObject) {
-        for i in 0..meta.tiles.len() {
-            if meta.tiles[i].synopsis.is_none() {
-                if let Ok((payload, _)) = read_tile_payload(self.blob_store(), meta, &meta.tiles[i])
-                {
-                    meta.tiles[i].synopsis =
-                        Some(TileSynopsis::scan(&meta.mdd_type.cell, &payload));
-                }
-            }
-        }
+        let missing: Vec<u64> = (0..meta.tiles.len() as u64)
+            .filter(|&pos| meta.tiles[pos as usize].synopsis.is_none())
+            .collect();
+        let (Some(region), false) = (meta.current_domain.clone(), missing.is_empty()) else {
+            return;
+        };
+        let object = Arc::new(meta.clone());
+        let blobs = self.blob_store();
+        let _unreached = Plan::over_tiles(blobs, &object, &region, missing, 0).and_then(|plan| {
+            plan.fetch(blobs, |pos, cells| {
+                let synopsis = TileSynopsis::scan(&meta.mdd_type.cell, cells.bytes_mut());
+                meta.tiles[pos as usize].synopsis = Some(synopsis);
+                Ok(())
+            })
+        });
     }
 
     /// Durably commits the catalog to the database directory.

@@ -130,22 +130,82 @@ impl<S: PageStore> Snapshot<S> {
             }
             tiles.push((pos, skip.unwrap_or(TileDecision::Fetched)));
         }
+        Ok(Plan {
+            predicate: predicate.copied(),
+            condenser,
+            epoch: self.catalog.version,
+            index_nodes: search.nodes_visited,
+            ..Plan::cut(
+                &self.blobs,
+                meta,
+                region,
+                tiles,
+                reads,
+                condenser.is_some(),
+                0,
+            )?
+        })
+    }
+}
+
+impl Plan {
+    /// Plans reading the tiles at `positions` of `object` for a maintenance
+    /// operation (retile, update, delete, the synopsis rescan) over
+    /// `region`: every tile is fetched, in placement order and cut into
+    /// batches like a range read's. There is no predicate, condenser or
+    /// index search, and executing the plan feeds neither the access log
+    /// nor the query metrics. Every batch carries the page total of the
+    /// whole operation, `statement_pages` or this plan's own if larger, so
+    /// that the buffer pool admits an operation of many plans as the one
+    /// scan it is.
+    ///
+    /// # Errors
+    /// Storage errors of resolving the tiles' placements.
+    pub(crate) fn over_tiles<S: PageStore>(
+        blobs: &BlobStore<S>,
+        object: &Arc<MddObject>,
+        region: &Domain,
+        positions: Vec<u64>,
+        statement_pages: usize,
+    ) -> Result<Plan> {
+        let tiles: Vec<_> = positions
+            .into_iter()
+            .map(|pos| (pos, TileDecision::Fetched))
+            .collect();
+        let reads = (0..tiles.len()).collect();
+        Plan::cut(blobs, object, region, tiles, reads, false, statement_pages)
+    }
+
+    /// The tail every plan shares: resolves the placements of the fetched
+    /// candidates `reads` (indexes into `tiles`) and cuts them into
+    /// batches. A condenser's reads stay in index order, one per batch;
+    /// any other plan's are sorted by page and cut by [`read_batches`], and
+    /// a tile whose pages directly follow the previous blob's in its batch
+    /// is marked coalesced into that positioned read. Every batch carries
+    /// the plan's page total, or `statement_pages` if larger.
+    fn cut<S: PageStore>(
+        blobs: &BlobStore<S>,
+        object: &Arc<MddObject>,
+        region: &Domain,
+        mut tiles: Vec<(u64, TileDecision)>,
+        mut reads: Vec<usize>,
+        in_index_order: bool,
+        statement_pages: usize,
+    ) -> Result<Plan> {
         let mut placed = reads
             .iter()
             .map(|&i| {
-                let blob = meta.tiles[tiles[i].0 as usize].blob;
-                Ok((i, self.blobs.blob_placement(blob)?))
+                let blob = object.tiles[tiles[i].0 as usize].blob;
+                Ok((i, blobs.blob_placement(blob)?))
             })
             .collect::<Result<Vec<_>>>()?;
-        let pages = placed.iter().map(|(_, p)| p.pages as usize).sum();
-        let batches = if condenser.is_some() {
+        let pages: usize = placed.iter().map(|(_, p)| p.pages as usize).sum();
+        let batches = if in_index_order {
             (0..reads.len()).map(|i| i..i + 1).collect()
         } else {
-            let batches = read_batches(&mut placed, self.blobs.page_store().page_size());
+            let batches = read_batches(&mut placed, blobs.page_store().page_size());
             for batch in &batches {
                 for k in batch.start + 1..batch.end {
-                    // The pages directly follow the previous blob's, so the
-                    // batch reads both with one positioned read.
                     let (prev, next) = (&placed[k - 1].1, &placed[k].1);
                     if prev.runs == 1 && prev.first_page.0 + prev.pages == next.first_page.0 {
                         tiles[placed[k].0].1 = TileDecision::FetchCoalesced;
@@ -156,21 +216,19 @@ impl<S: PageStore> Snapshot<S> {
             batches
         };
         Ok(Plan {
-            object: Arc::clone(meta),
+            object: Arc::clone(object),
             region: region.clone(),
-            predicate: predicate.copied(),
-            condenser,
-            epoch: self.catalog.version,
-            index_nodes: search.nodes_visited,
+            predicate: None,
+            condenser: None,
+            epoch: 0,
+            index_nodes: 0,
             tiles,
             reads,
             batches,
-            pages,
+            pages: pages.max(statement_pages),
         })
     }
-}
 
-impl Plan {
     /// The counters the plan fixes before execution: index nodes visited,
     /// tiles to read and tiles answered without reading.
     pub(crate) fn stats(&self) -> QueryStats {

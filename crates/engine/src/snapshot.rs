@@ -21,15 +21,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use tilestore_compress::CellContext;
 use tilestore_geometry::{copy_region, Domain};
 use tilestore_obs::AccessRecorder;
-use tilestore_storage::{BlobId, BlobStore, IoSnapshot, PageStore};
+use tilestore_storage::{BlobId, BlobStore, PageStore};
 
 use crate::access::{AccessLog, AccessRegion};
 use crate::array::Array;
 use crate::error::{EngineError, Result};
-use crate::mdd::{MddObject, TileMeta};
+use crate::mdd::MddObject;
 use crate::predicate::CellPredicate;
 use crate::stats::QueryStats;
 
@@ -401,24 +400,6 @@ impl<S: PageStore> Snapshot<S> {
             epoch: result.epoch,
         })
     }
-}
-
-/// Fetches and decompresses one tile's cell payload, with the counts of
-/// the read.
-pub(crate) fn read_tile_payload<S: PageStore>(
-    blobs: &BlobStore<S>,
-    meta: &MddObject,
-    tile: &TileMeta,
-) -> Result<(Vec<u8>, IoSnapshot)> {
-    let mut stream = Vec::new();
-    let io = blobs.read_into(tile.blob, &mut stream)?;
-    let ctx = CellContext {
-        cell_size: meta.cell_size(),
-        default: &meta.mdd_type.cell.default,
-    };
-    let payload = tilestore_compress::decompress(&stream, &ctx)
-        .map_err(|e| EngineError::Catalog(format!("tile decompression failed: {e}")))?;
-    Ok((payload, io))
 }
 
 /// Closes one query's accounting: stamps its wall-clock time and feeds the

@@ -384,49 +384,21 @@ impl<S: PageStore> BlobStore<S> {
         Ok(())
     }
 
-    /// Reads a whole BLOB.
+    /// Reads a whole BLOB: [`BlobStore::read_batch`] of the one blob as a
+    /// statement of its own pages, its frames gathered into one buffer of
+    /// exactly the payload length.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] or backend read errors.
     pub fn read(&self, id: BlobId) -> Result<Vec<u8>> {
-        let mut data = Vec::new();
-        self.read_into(id, &mut data)?;
+        let mut frames = Vec::new();
+        let (spans, _) = self.read_batch(&[id], &mut frames, 0)?;
+        let mut data = Vec::with_capacity(frames.len() * self.store.page_size());
+        for frame in &frames {
+            data.extend_from_slice(frame);
+        }
+        data.truncate(spans[0].len);
         Ok(data)
-    }
-
-    /// Reads a whole BLOB into a caller-supplied buffer, returning the
-    /// counts of this call; `data` ends up exactly the payload length. The
-    /// buffer is resized as needed; reusing one buffer across calls avoids a
-    /// fresh zeroed allocation per tile, which matters on the parallel query
-    /// path where each worker reads many tiles.
-    ///
-    /// # Errors
-    /// [`StorageError::UnknownBlob`] or backend read errors.
-    pub fn read_into(&self, id: BlobId, data: &mut Vec<u8>) -> Result<IoSnapshot> {
-        let _span = tilestore_obs::tracer().span_with("blob_read", || format!("blob={}", id.0));
-        let entry = {
-            let inner = lock(&self.inner);
-            inner
-                .entries
-                .get(&id.0)
-                .cloned()
-                .ok_or(StorageError::UnknownBlob { blob: id.0 })?
-        };
-        let page_size = self.store.page_size();
-        data.resize(entry.pages.len() * page_size, 0);
-        // One batched read: a caching store serves all hits in a shard under
-        // a single lock acquisition and copies misses straight into `data`,
-        // so no pinning window exists and concurrent tile fetches stop
-        // convoying on per-page pin/read/unpin lock traffic.
-        let mut io = self.store.read_pages(&entry.pages, data)?;
-        data.truncate(entry.len as usize);
-        io.blobs_read = 1;
-        io.bytes_read = entry.len;
-        self.stats.add(&io);
-        let hot = tilestore_obs::hot();
-        hot.blob_reads.inc();
-        hot.tile_bytes.record(entry.len);
-        Ok(io)
     }
 
     /// Physical placement of a BLOB: its first page, page count, and how
@@ -463,9 +435,9 @@ impl<S: PageStore> BlobStore<S> {
     /// boundaries. Over a buffer pool the frames of hits are the pool's own,
     /// lent without a copy, and the frames of misses are views of the run
     /// buffers the misses were read into. `statement_pages` is the page
-    /// total of the statement the batch belongs to, forwarded to
-    /// [`PageStore::read_frames`]: the pool installs a large statement's
-    /// misses only on their second touch.
+    /// total of the statement the batch belongs to (at least the batch's
+    /// own), forwarded to [`PageStore::read_frames`]: the pool installs a
+    /// large statement's misses only on their second touch.
     ///
     /// # Errors
     /// [`StorageError::UnknownBlob`] (no pages are read) or backend read
@@ -498,6 +470,7 @@ impl<S: PageStore> BlobStore<S> {
                 });
             }
         }
+        let statement_pages = statement_pages.max(pages.len());
         let mut io = self.store.read_frames(&pages, frames, statement_pages)?;
         io.blobs_read = spans.len() as u64;
         let hot = tilestore_obs::hot();
@@ -706,14 +679,13 @@ mod tests {
         let id = bs.create(&vec![1u8; 2500]).unwrap(); // 3 pages of 1024
         let written = bs.stats().snapshot();
         assert_eq!((written.pages_written, written.bytes_written), (3, 2500));
-        let mut data = Vec::new();
-        let s = bs.read_into(id, &mut data).unwrap();
+        let data = bs.read(id).unwrap();
         assert_eq!(data.len(), 2500);
+        let s = bs.stats().snapshot().since(&written);
         assert_eq!(s.pages_read, 3);
         assert_eq!(s.blobs_read, 1);
         assert_eq!(s.bytes_read, 2500);
-        assert_eq!(s.pages_written, 0, "a read returns only its own counts");
-        assert_eq!(bs.stats().snapshot().since(&written), s);
+        assert_eq!(s.pages_written, 0);
     }
 
     #[test]
@@ -721,9 +693,13 @@ mod tests {
         let pool = crate::BufferPool::new(MemPageStore::new(1024).unwrap(), 8).unwrap();
         let bs = BlobStore::new(pool);
         let id = bs.create(&vec![3u8; 2048]).unwrap();
-        let mut data = Vec::new();
-        let cold = bs.read_into(id, &mut data).unwrap();
-        let warm = bs.read_into(id, &mut data).unwrap();
+        let counts = |bs: &BlobStore<_>| {
+            let before = bs.stats().snapshot();
+            assert_eq!(bs.read(id).unwrap(), vec![3u8; 2048]);
+            bs.stats().snapshot().since(&before)
+        };
+        let cold = counts(&bs);
+        let warm = counts(&bs);
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
         assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
         let total = bs.stats().snapshot();

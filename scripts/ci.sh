@@ -73,6 +73,24 @@ if [ "$batch_cuts" -gt 1 ]; then
     exit 1
 fi
 
+# --- One tile read path and one tile encoder: queries and maintenance
+# (retile, update, delete, the synopsis rescan) fetch tiles through
+# `Plan::fetch`, defrag copies blobs through `read_batch`, and every write
+# that produces a tile encodes it in `StagedBlobs::encode`. A per-blob read
+# or decode helper, or a second call to the encoder's compress step, in
+# non-test engine code is a second path coming back.
+for needle in 'read_into(' read_tile_payload decompress_view; do
+    if engine_non_test | grep -F "$needle" >/dev/null; then
+        echo "second tile read path: '$needle' in crates/engine/src" >&2
+        exit 1
+    fi
+done
+encoders=$(engine_non_test | grep -cF 'compress_with_scan(' || true)
+if [ "$encoders" -gt 1 ]; then
+    echo "tile encoder forked: $encoders calls to compress_with_scan in crates/engine/src" >&2
+    exit 1
+fi
+
 # --- One read protocol in the buffer pool: every pool read runs the one
 # three-pass body, and only its pass 3 installs. A second call to
 # `PoolInner::install` in non-test pool code is a copy of the protocol
